@@ -65,9 +65,7 @@ from .grid import (
     GridFunction,
     RadialGrid,
     discrete_radial_laplacian,
-    integrate,
     interval_grid,
-    lp_norm,
     make_grid,
     unit_ball_grid,
 )

@@ -48,10 +48,8 @@ _FLAG_TYPES = {
     "init": str,
     "init_file": str,
     "outdir": str,
-    "format": str,
     "path": str,
     "samples": int,
-    "jobs": int,
     "cold": bool,
     "nmin": int,
     "nmax": int,
@@ -86,7 +84,6 @@ def _solver_options(cfg: dict) -> SolverOptions:
         tol=cfg.get("tol", 1e-10),
         max_iter=cfg.get("max_iter", 500),
         damping=cfg.get("damping", 1.0),
-        seed=cfg.get("seed", 0),
         init=cfg.get("init", "auto"),
         init_file=cfg.get("init_file"),
     )
@@ -223,7 +220,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
-    result = run_sweep(spec, jobs=cfg.get("jobs", 1))
+    result = run_sweep(spec)
     result.write_csv(outdir / "sweep.csv")
     lams = [row["Lambda"] for row in result.rows if row.get("Lambda") is not None]
     errors = [row["error"] for row in result.rows if row["error"]]
@@ -283,7 +280,7 @@ def _cmd_oracle(args) -> int:
         e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
         opts = _solver_options(cfg)
         d_iter = compute_dual(e, grid, opts).d_estimate
-        d_oracle = oracle_dual_smallgrid(e, grid, restarts=cfg.get("restarts", 64), seed=opts.seed)
+        d_oracle = oracle_dual_smallgrid(e, grid, restarts=cfg.get("restarts", 64), seed=cfg.get("seed", 0))
     except (ValueError, NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, NonConvergenceError) else 1
@@ -306,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(sp):
         sp.add_argument("--config", help="JSON config file; explicit flags win")
         sp.add_argument("--outdir", help="output directory (default .)")
-        sp.add_argument("--format", choices=["csv", "json"], help="stdout summary format")
         sp.add_argument("--n", type=int, help="grid panels (default 2000)")
         sp.add_argument("--dim", type=int, help="space dimension N")
         sp.add_argument("--mode", choices=["ball", "interval"], help="domain kind")
@@ -333,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--path", help="e.g. 'p:0.5..3,q:1'")
     sp.add_argument("--samples", type=int, help="number of samples")
     sp.add_argument("--cold", action="store_const", const=True, help="disable warm starts")
-    sp.add_argument("--jobs", type=int, help="parallel samples (cold sweeps only)")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("asympt", help="symmetry-breaking verdicts over dimensions")

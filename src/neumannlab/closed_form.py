@@ -8,9 +8,6 @@ radial least-energy value h1(N) in closed form, and the energy h2(N) of
 an explicit nonradial competitor t (r - r^2/2) cos(theta_1).  h2(N) < h1(N)
 certifies that least-energy solutions are not radial: by direct evaluation
 for moderate N, and through an elementary inequality chain for N >= 9.
-
-All Gamma values come from a local Lanczos evaluation so results are
-bit-stable and dependency-free.
 """
 
 from __future__ import annotations
@@ -21,7 +18,6 @@ from typing import NamedTuple
 import numpy as np
 
 __all__ = [
-    "gamma",
     "zero_radius",
     "eval_u",
     "eval_v",
@@ -40,36 +36,6 @@ __all__ = [
     "symmetry_breaking_verdict",
     "SymmetryVerdict",
 ]
-
-# Lanczos approximation, g = 7, 9 coefficients; relative error below 1e-13
-# on [0.5, 60] which covers every Gamma(N/2 + 3) used here.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma function for positive real arguments (Lanczos, g = 7)."""
-    if not x > 0:
-        raise ValueError(f"gamma implemented for x > 0 only, got {x}")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    z = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        acc += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (z + 0.5) * math.exp(-t) * acc
-
 
 def zero_radius(N: int) -> float:
     """Radius a = 2^(-1/N) where the radial solution changes sign."""
@@ -226,7 +192,7 @@ def m_rad(N: int) -> float:
         16.0 ** (-(N + 1.0) / N)
         * p_poly(N)
         * math.pi ** (N / 2.0)
-        / ((N - 4.0) * (N - 2.0) * (N + 2.0) * gamma(N / 2.0 + 3.0))
+        / ((N - 4.0) * (N - 2.0) * (N + 2.0) * math.gamma(N / 2.0 + 3.0))
     )
 
 
@@ -246,7 +212,7 @@ def m_rad_quadrature(N: int, n: int = 10_000) -> float:
     pieces are smooth."""
     a = zero_radius(N)
     half = n // 2
-    sigma = 2.0 * math.pi ** (N / 2.0) / gamma(N / 2.0)
+    sigma = 2.0 * math.pi ** (N / 2.0) / math.gamma(N / 2.0)
 
     def v2(r):
         return eval_v(N, r) ** 2 * r ** (N - 1)
@@ -265,8 +231,8 @@ def competitor_energy(N: int, t: float) -> float:
         raise ValueError("competitor defined for N >= 2")
     if not t > 0:
         raise ValueError(f"competitor amplitude must be positive, got {t}")
-    quad = t**2 * (N + 1.0) ** 2 * math.pi ** (N / 2.0) / (4.0 * N**2 * gamma(N / 2.0))
-    lin = t * (N + 3.0) * math.pi ** ((N - 1.0) / 2.0) / (2.0 * (N + 2.0) * gamma((N + 3.0) / 2.0))
+    quad = t**2 * (N + 1.0) ** 2 * math.pi ** (N / 2.0) / (4.0 * N**2 * math.gamma(N / 2.0))
+    lin = t * (N + 3.0) * math.pi ** ((N - 1.0) / 2.0) / (2.0 * (N + 2.0) * math.gamma((N + 3.0) / 2.0))
     return quad - lin
 
 
@@ -274,8 +240,8 @@ def competitor_optimal_t(N: int) -> float:
     return (
         N**2
         * (N + 3.0)
-        * gamma(N / 2.0)
-        / (math.sqrt(math.pi) * (N + 1.0) ** 2 * (N + 2.0) * gamma((N + 3.0) / 2.0))
+        * math.gamma(N / 2.0)
+        / (math.sqrt(math.pi) * (N + 1.0) ** 2 * (N + 2.0) * math.gamma((N + 3.0) / 2.0))
     )
 
 
@@ -291,8 +257,8 @@ def h2(N: int) -> float:
         * N
         * (N + 3.0) ** 2
         * math.pi ** (N / 2.0 - 1.0)
-        * gamma(N / 2.0 + 1.0)
-        / ((N + 1.0) ** 4 * (N + 2.0) ** 2 * gamma((N + 1.0) / 2.0) ** 2)
+        * math.gamma(N / 2.0 + 1.0)
+        / ((N + 1.0) ** 4 * (N + 2.0) ** 2 * math.gamma((N + 1.0) / 2.0) ** 2)
     )
 
 

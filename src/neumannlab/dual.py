@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentPair, HyperbolaError, Region, classify_region, c_from_lambda
-from .greens import kappa_shift, solve_neumann
+from .greens import _signed_power, kappa_shift, solve_neumann
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -42,16 +42,17 @@ __all__ = [
 ]
 
 
+RESIDUAL_TOL = 1e-4  # relative equation-defect bound behind `converged`
+CYCLE_TOL = 1e-5  # relative D envelope accepted as a limit cycle
+
+
 @dataclass(frozen=True)
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 500
     damping: float = 1.0
-    seed: int = 0
     init: str = "auto"  # auto | cosine | signchange | file
     init_file: str | None = None
-    residual_tol: float = 1e-4  # relative equation-defect bound behind `converged`
-    cycle_tol: float = 1e-5  # relative D envelope accepted as a limit cycle
 
 
 @dataclass
@@ -94,10 +95,6 @@ class NonConvergenceError(RuntimeError):
 
 class DegenerateIterateError(RuntimeError):
     """An iterate collapsed toward the constants (norm below 1e-14)."""
-
-
-def _signed_power(values: np.ndarray, expo: float) -> np.ndarray:
-    return np.sign(values) * np.abs(values) ** expo
 
 
 def _initial_profile(grid: RadialGrid, opts: SolverOptions) -> np.ndarray:
@@ -216,7 +213,7 @@ def compute_dual(
         # the cycle amplitude
         if it >= 64 and it % 8 == 0:
             tail = history[-32:]
-            if max(tail) - min(tail) <= opts.cycle_tol * max(1.0, abs(d_now)):
+            if max(tail) - min(tail) <= CYCLE_TOL * max(1.0, abs(d_now)):
                 note = "limit-cycle" if warning is None else warning + ",limit-cycle"
                 return DualPair(
                     best[1], best[2], best[0], it, True, d_history=history, warning=note
@@ -279,10 +276,9 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     rhs_v = _signed_power(u_vals, e.p)
     res_u = float(np.max(np.abs(-discrete_radial_laplacian(u).values - rhs_u)))
     res_v = float(np.max(np.abs(-discrete_radial_laplacian(v).values - rhs_v)))
-    opts_tol = SolverOptions().residual_tol
     scale_u = max(float(np.max(np.abs(rhs_u))), 1e-300)
     scale_v = max(float(np.max(np.abs(rhs_v))), 1e-300)
-    converged = dp.converged and res_u / scale_u <= opts_tol and res_v / scale_v <= opts_tol
+    converged = dp.converged and res_u / scale_u <= RESIDUAL_TOL and res_v / scale_v <= RESIDUAL_TOL
     return SolutionReport(
         u=u,
         v=v,

@@ -25,7 +25,7 @@ from .dual import (
     reconstruct_solution,
 )
 from .exponents import ExponentPair, Region, classify_region
-from .greens import solve_neumann
+from .greens import _signed_power, bisect_increasing, solve_neumann
 from .grid import GridFunction, RadialGrid, interval_grid
 from .report_io import write_csv_rows, write_json
 from .sign import solve_scalar_sign
@@ -104,20 +104,11 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
         return row, None
 
 
-def run_sweep(spec: SweepSpec, jobs: int = 1) -> SweepResult:
+def run_sweep(spec: SweepSpec) -> SweepResult:
     """Solve along the path, warm-starting each sample from the previous one.
 
-    Failures are recorded per sample and the sweep continues.  Cold sweeps
-    (warm_start=False) may evaluate samples concurrently, bounded by `jobs`;
-    aggregation is by sample index so the output order never depends on
-    completion order.
+    Failures are recorded per sample and the sweep continues.
     """
-    if jobs > 1 and not spec.warm_start:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(lambda t: _sweep_sample(spec, t, None)[0], spec.ts))
-        return SweepResult(results)
     rows: list[dict] = []
     warm: DualPair | None = None
     for t in spec.ts:
@@ -270,7 +261,7 @@ def estimate_frak_c(
 
     phi = np.sqrt(2.0 / math.pi) * np.cos(grid.r)
     phi2 = phi**2
-    integrand = np.where(phi2 > 0.0, phi2 * np.log(phi2, where=phi2 > 0.0), 0.0)
+    integrand = phi2 * np.log(phi2, out=np.zeros_like(phi2), where=phi2 > 0.0)
     reference = math.exp(-grid.integrate_values(integrand))
 
     t_last = ts[-1]
@@ -356,23 +347,19 @@ def _constraint_scale(
 ) -> float:
     """Positive c with gamma1 ||c f||_alpha^alpha + gamma2 ||c f||_beta^beta = 1."""
     f = GridFunction(grid, vals)
-    na = f.lp_norm(e.alpha) ** e.alpha
-    nb = f.lp_norm(e.beta) ** e.beta
+    alpha, beta, gamma1, gamma2 = e.alpha, e.beta, e.gamma1, e.gamma2
+    na = f.lp_norm(alpha) ** alpha
+    nb = f.lp_norm(beta) ** beta
 
-    def constraint(c: float) -> float:
-        return e.gamma1 * c**e.alpha * na + e.gamma2 * c**e.beta * nb
+    def excess(c: float) -> float:
+        return gamma1 * c**alpha * na + gamma2 * c**beta * nb - 1.0
 
     lo, hi = 1.0, 1.0
-    while constraint(hi) < 1.0:
+    while excess(hi) < 0.0:
         hi *= 2.0
-    while constraint(lo) > 1.0:
+    while excess(lo) > 0.0:
         lo *= 0.5
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if constraint(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = bisect_increasing(excess, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -436,18 +423,12 @@ def ls_upper_bounds(
             step = 0.5
             for _ in range(400):
                 grad_obj = -2.0 * (qk @ a)
+                pa = _signed_power(fvals, e.alpha - 1.0)
+                pb = _signed_power(fvals, e.beta - 1.0)
                 gc = np.array(
                     [
-                        e.gamma1
-                        * e.alpha
-                        * grid.integrate_values(
-                            np.sign(fvals) * np.abs(fvals) ** (e.alpha - 1.0) * modes[i]
-                        )
-                        + e.gamma2
-                        * e.beta
-                        * grid.integrate_values(
-                            np.sign(fvals) * np.abs(fvals) ** (e.beta - 1.0) * modes[i]
-                        )
+                        e.gamma1 * e.alpha * grid.integrate_values(pa * modes[i])
+                        + e.gamma2 * e.beta * grid.integrate_values(pb * modes[i])
                         for i in range(k)
                     ]
                 )

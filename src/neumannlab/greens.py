@@ -11,10 +11,13 @@ kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and balanced_shift finds the constant putting a
 function into the balanced class (positive and negative level sets of
 equal weighted measure), which is the natural normalization for the
-sign-nonlinearity limit.
+sign-nonlinearity limit.  bisect_increasing is the one root finder behind
+every monotone scalar normalization of the package.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -27,6 +30,7 @@ __all__ = [
     "kappa_shift",
     "balanced_shift",
     "apply_K_t",
+    "bisect_increasing",
 ]
 
 COMPATIBILITY_TOL = 1e-10
@@ -110,13 +114,31 @@ def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** t
 
 
-def kappa_shift(u: GridFunction, t: float, max_bisect: int = 80) -> float:
+def bisect_increasing(
+    fn: Callable[[float], float], lo: float, hi: float, width: float = 0.0
+) -> tuple[float, float]:
+    """Bracket of the sign change of a nondecreasing fn, found by bisection.
+
+    Needs fn(lo) < 0 <= fn(hi).  Each step keeps the half whose ends still
+    straddle the sign change, until the bracket is no wider than `width` or
+    its ends are adjacent floats.
+    """
+    mid = 0.5 * (lo + hi)
+    while hi - lo > width and lo < mid < hi:
+        if fn(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+        mid = 0.5 * (lo + hi)
+    return lo, hi
+
+
+def kappa_shift(u: GridFunction, t: float) -> float:
     """Constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0.
 
     The map kappa -> int sign(u + kappa) |u + kappa|^t is continuous and
     nondecreasing, so the root is bracketed by +-||u||_inf and found by
-    bisection, with a Newton polish when t >= 1 (for t < 1 the derivative
-    integrand is only Hoelder continuous near zeros).
+    bisection.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -130,28 +152,17 @@ def kappa_shift(u: GridFunction, t: float, max_bisect: int = 80) -> float:
         return grid.integrate_values(_signed_power(vals + kappa, t))
 
     lo, hi = -bound, bound
-    flo, fhi = moment(lo), moment(hi)
-    if flo > 0 or fhi < 0:  # can only happen through rounding at the bracket ends
+    if moment(lo) > 0 or moment(hi) < 0:  # can only happen through rounding at the bracket ends
         lo, hi = -2.0 * bound, 2.0 * bound
-        flo, fhi = moment(lo), moment(hi)
-    for _ in range(max_bisect):
-        mid = 0.5 * (lo + hi)
-        fmid = moment(mid)
-        if fmid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    kappa = 0.5 * (lo + hi)
-    if t >= 1.0:
-        for _ in range(3):
-            deriv = t * grid.integrate_values(np.abs(vals + kappa) ** (t - 1.0))
-            if deriv <= 0 or not np.isfinite(deriv):
-                break
-            step = moment(kappa) / deriv
-            if not np.isfinite(step):
-                break
-            kappa -= step
+    # a few float spacings at ||u||_inf meet tol when the moment is smooth
+    lo, hi = bisect_increasing(moment, lo, hi, 4.0 * np.finfo(float).eps * bound)
     tol = 1e-12 * bound**t * grid.domain_measure
+    # for t < 1 a node value near the root makes the moment steeper than
+    # that spacing resolves; the root then needs adjacent floats
+    kappa = 0.5 * (lo + hi)
+    if abs(moment(kappa)) > tol:
+        lo, hi = bisect_increasing(moment, lo, hi)
+        kappa = 0.5 * (lo + hi)
     # for t < 1 a node value can land exactly on the root, where the
     # integrand is only Hoelder; a bracket at rounding width is then the
     # best representable answer even though the moment cannot reach tol

@@ -33,8 +33,6 @@ __all__ = [
     "make_grid",
     "unit_ball_grid",
     "interval_grid",
-    "integrate",
-    "lp_norm",
     "discrete_radial_laplacian",
     "surface_factor",
 ]
@@ -101,7 +99,6 @@ class RadialGrid:
     mode: str
     length: float
     r: np.ndarray = field(repr=False)
-    quad_coeffs: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     surface: float
     _table_weighted: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
@@ -200,7 +197,6 @@ def make_grid(dim: int = 1, n: int = 2000, mode: str | None = None, length: floa
         mode=mode,
         length=float(length),
         r=r,
-        quad_coeffs=_column_sums(n, table_plain),
         weights=_column_sums(n, table_weighted),
         surface=surface,
         _table_weighted=table_weighted,
@@ -265,16 +261,6 @@ class GridFunction:
             fh.write("r,value\r\n")
             for r, v in zip(self.grid.r, self.values):
                 fh.write(f"{r:.17g},{v:.17g}\r\n")
-
-
-def integrate(g: GridFunction) -> float:
-    """Weighted integral over the domain, surface * sum(w_i g_i)."""
-    return g.integral()
-
-
-def lp_norm(g: GridFunction, s: float) -> float:
-    """L^s norm (integral of |g|^s) ** (1/s); rejects s < 1."""
-    return g.lp_norm(s)
 
 
 def discrete_radial_laplacian(g: GridFunction) -> GridFunction:

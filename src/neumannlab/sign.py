@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import SolutionReport, SolverOptions
-from .greens import balanced_shift, kappa_shift, solve_neumann
+from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
+from .greens import _signed_power, balanced_shift, bisect_increasing, kappa_shift, solve_neumann
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -95,20 +95,6 @@ def _interface_mask(sign_vals: np.ndarray, halo: int = 2) -> np.ndarray:
     return mask
 
 
-def _zero_crossing(u: GridFunction) -> float | None:
-    """Radius of the first sign change, linearly interpolated (a zero
-    landing exactly on a node counts)."""
-    vals = u.values
-    nonneg = vals >= 0.0
-    idx = np.nonzero(nonneg[:-1] != nonneg[1:])[0]
-    if idx.size == 0:
-        return None
-    i = int(idx[0])
-    r = u.grid.r
-    t = vals[i] / (vals[i] - vals[i + 1])
-    return float(r[i] + t * (r[i + 1] - r[i]))
-
-
 def _initial_profiles(grid: RadialGrid) -> list[np.ndarray]:
     a = grid.length * 2.0 ** (-1.0 / grid.dim)
     base = a - grid.r
@@ -117,10 +103,6 @@ def _initial_profiles(grid: RadialGrid) -> list[np.ndarray]:
         base + 0.1 * grid.length * np.cos(2.0 * np.pi * grid.r / grid.length),
         1.05 * a - grid.r,
     ]
-
-
-def _signed_power(values: np.ndarray, expo: float) -> np.ndarray:
-    return np.sign(values) * np.abs(values) ** expo
 
 
 def _crossing_radii(u: GridFunction) -> list[float]:
@@ -175,12 +157,10 @@ def _subcell_balance_shift(u: GridFunction) -> float:
     lo, hi = -float(np.max(u.values)), -float(np.min(u.values))
     if imbalance(lo) > 0 or imbalance(hi) < 0:
         return balanced_shift(u)
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if imbalance(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    # the shift moves values of size ||u||_inf: a few of their float spacings
+    # resolve it, and a root near zero is not chased into tiny floats
+    width = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
+    lo, hi = bisect_increasing(imbalance, lo, hi, width)
     return 0.5 * (lo + hi)
 
 
@@ -319,7 +299,8 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     res_v_all = np.abs(-discrete_radial_laplacian(v).values - sign_of(u).values)
     res_u = float(res_u_all[smooth].max())
     res_v = float(res_v_all[smooth].max())
-    converged = ok and certify_balanced(u).certified and res_v <= SolverOptions().residual_tol
+    converged = ok and certify_balanced(u).certified and res_v <= RESIDUAL_TOL
+    cuts = _crossing_radii(u)
     return SolutionReport(
         u=u,
         v=v,
@@ -331,7 +312,7 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
         residual_v=res_v,
         iterations=iters,
         converged=converged,
-        zero_radius=_zero_crossing(u),
+        zero_radius=cuts[0] if cuts else None,
     )
 
 

@@ -4,9 +4,10 @@ Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Criterion 8's ratio window is asserted at its stated tolerance and
 is expected to fail: the diagonal levels approach twice the scalar level
 with a leading deficit of about 2p(1 + ln 12), which is 6.7% at p = 0.01,
-so a 2% window at p = 0.01 cannot hold for any correct solver.  An
-independent shooting oracle for the reduced scalar equation confirms the
-computed level to 4e-7.
+so a 2% window at p = 0.01 cannot hold for any correct solver.  The
+shooting oracle for the reduced scalar equation in
+tests/test_dual.py::test_diagonal_level_matches_shooting_oracle confirms
+the computed level to 1e-6 (the gap is 4.6e-7).
 """
 
 import math
@@ -165,8 +166,8 @@ def test_criterion_8_diagonal_limit_u_equals_v():
     strict=True,
     reason="c_{p,p} -> 2 c_0 converges with a 2p(1 + ln 12) deficit, about "
     "6.7% at p = 0.01, so the stated 2% window cannot hold for any correct "
-    "solver; the computed level -0.07788 is confirmed by an independent "
-    "shooting oracle to 4e-7",
+    "solver; the computed level -0.07788 is confirmed to 1e-6 by the shooting "
+    "oracle in tests/test_dual.py::test_diagonal_level_matches_shooting_oracle",
 )
 def test_criterion_8_ratio_window():
     try:

@@ -6,20 +6,6 @@ import pytest
 from neumannlab import closed_form as cf
 
 
-def test_gamma_against_stdlib():
-    xs = np.linspace(0.5, 60.0, 997)
-    for x in xs:
-        ref = math.gamma(float(x))
-        assert cf.gamma(float(x)) == pytest.approx(ref, rel=1e-13)
-
-
-def test_gamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        cf.gamma(0.0)
-    with pytest.raises(ValueError):
-        cf.gamma(-1.5)
-
-
 def test_zero_radius():
     assert cf.zero_radius(2) == pytest.approx(2.0 ** -0.5, rel=1e-15)
     assert cf.zero_radius(4) == pytest.approx(2.0 ** -0.25, rel=1e-15)

@@ -195,3 +195,48 @@ def test_compute_lambda_delegates_sign_case():
     grid = interval_grid(1.0, n=800)
     lam = compute_lambda(ExponentPair(0.0, 1.0, 1), grid)
     assert lam == pytest.approx(solve_sign_system(1.0, grid).lam, rel=1e-12)
+
+
+def _shooting_level(p: float, steps: int = 10000) -> float:
+    """Diagonal level c_{p,p} on (0, 1) from the scalar ODE -u'' = |u|^(p-1) u.
+
+    On the diagonal u = v, and the least-energy solution is odd about its
+    zero at 1/2.  RK4 integrates u1(0) = 1, u1'(0) = 0 to its first zero R1
+    (the last partial step is found by the secant method on its length),
+    accumulating I1 = int_0^R1 |u1|^(p+1).  The rescaling
+    u(r) = a u1(2 R1 r) with a = (2 R1)^(2/(p-1)) moves the zero to 1/2, and
+    c = (p-1)/(p+1) int_0^1 |u|^(p+1) = 2(p-1)/(p+1) a^(p+1+(1-p)/2) I1.
+    """
+
+    def rhs(y):
+        u, du, _ = y
+        return np.array([du, -math.copysign(abs(u) ** p, u), abs(u) ** (p + 1.0)])
+
+    def rk4(y, h):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        return y + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    h = 2.0 / steps
+    y, r = np.array([1.0, 0.0, 0.0]), 0.0
+    nxt = rk4(y, h)
+    while nxt[0] > 0.0:
+        y, r = nxt, r + h
+        nxt = rk4(y, h)
+    s0, g0, s1, g1 = 0.0, y[0], h, nxt[0]
+    while g1 != g0 and abs(s1 - s0) > 1e-15:
+        s0, g0, s1 = s1, g1, s1 - g1 * (s1 - s0) / (g1 - g0)
+        g1 = rk4(y, s1)[0]
+    r1, i1 = r + s1, rk4(y, s1)[2]
+    a = (2.0 * r1) ** (2.0 / (p - 1.0))
+    return 2.0 * (p - 1.0) / (p + 1.0) * a ** (p + 1.0 + (1.0 - p) / 2.0) * i1
+
+
+def test_diagonal_level_matches_shooting_oracle():
+    # the criterion-8 level: reconstruction at p = q = 0.01 against an
+    # independent ODE shooting computation
+    e = ExponentPair(0.01, 0.01, 1)
+    rep = reconstruct_solution(e, compute_dual(e, interval_grid(1.0, 2000)))
+    assert rep.c == pytest.approx(_shooting_level(0.01), rel=1e-6)

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumannlab.greens import (
     CompatibilityError,
+    _signed_power,
     apply_K_t,
     balanced_shift,
+    bisect_increasing,
     kappa_shift,
     solve_neumann,
 )
@@ -134,6 +138,37 @@ def test_kappa_shift_monotone_in_data():
         v = GridFunction(grid, base + np.abs(rng.standard_normal(grid.n + 1)))
         assert u.values.max() <= v.values.max() + 1e-12
         assert kappa_shift(u, t) >= kappa_shift(v, t) - 1e-10
+
+
+@given(
+    dim=st.integers(1, 6),
+    t=st.floats(0.3, 4.0),
+    coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3).filter(lambda c: max(map(abs, c)) > 1e-3),
+    decade=st.integers(-3, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_bisection_and_kappa_shift_properties(dim, t, coeffs, decade):
+    grid = unit_ball_grid(dim, n=200)
+    a, b, c = coeffs
+    vals = 10.0**decade * (a * np.cos(math.pi * grid.r) + b * np.cos(2.0 * math.pi * grid.r) + c * grid.r)
+    bound = float(np.max(np.abs(vals)))
+
+    def moment(kappa):
+        return grid.integrate_values(_signed_power(vals + kappa, t))
+
+    width = 4.0 * np.finfo(float).eps * bound
+    lo, hi = bisect_increasing(moment, -bound, bound, width)
+    assert moment(lo) < 0.0 <= moment(hi)
+    assert hi - lo <= width
+    lo, hi = bisect_increasing(moment, lo, hi)
+    assert moment(lo) < 0.0 <= moment(hi)
+    assert hi == np.nextafter(lo, np.inf)
+    kappa = kappa_shift(GridFunction(grid, vals), t)
+    # kappa_shift's own acceptance: the residual meets its target, or (t < 1
+    # with a node value on the root) the moment changes sign within one float
+    # spacing of kappa, so no representable shift does better
+    in_tol = abs(moment(kappa)) <= 1e-12 * bound**t * grid.domain_measure
+    assert in_tol or moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf))
 
 
 def test_apply_K_t_matches_plain_solve_at_t_one():

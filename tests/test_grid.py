@@ -6,9 +6,7 @@ import pytest
 from neumannlab.grid import (
     GridFunction,
     discrete_radial_laplacian,
-    integrate,
     interval_grid,
-    lp_norm,
     make_grid,
     unit_ball_grid,
 )
@@ -29,20 +27,20 @@ def test_quadrature_exactness_small_grids():
 
 def test_unit_disk_area():
     grid = unit_ball_grid(2, n=1000)
-    assert integrate(GridFunction.constant(grid, 1.0)) == pytest.approx(math.pi, rel=1e-12)
+    assert GridFunction.constant(grid, 1.0).integral() == pytest.approx(math.pi, rel=1e-12)
 
 
 def test_interval_linear_moment():
     grid = interval_grid(1.0, n=2000)
     g = GridFunction.from_callable(grid, lambda r: r)
-    assert integrate(g) == pytest.approx(0.5, abs=1e-12)
+    assert g.integral() == pytest.approx(0.5, abs=1e-12)
 
 
 def test_ball3_quadratic_moment():
     # int_B r^2 = sigma_3 / 5 = 4 pi / 5
     grid = unit_ball_grid(3, n=2000)
     g = GridFunction.from_callable(grid, lambda r: r**2)
-    assert integrate(g) == pytest.approx(4.0 * math.pi / 5.0, rel=1e-11)
+    assert g.integral() == pytest.approx(4.0 * math.pi / 5.0, rel=1e-11)
 
 
 def test_quadrature_convergence_order():
@@ -51,7 +49,7 @@ def test_quadrature_convergence_order():
     for n in (50, 100, 200):
         grid = interval_grid(1.0, n=n)
         g = GridFunction.from_callable(grid, np.exp)
-        errs.append(abs(integrate(g) - exact))
+        errs.append(abs(g.integral() - exact))
     orders = [math.log2(errs[i] / errs[i + 1]) for i in range(len(errs) - 1)]
     assert min(orders) >= 2.0  # spec asks k >= 2; the scheme delivers ~4
 
@@ -59,7 +57,6 @@ def test_quadrature_convergence_order():
 def test_weights_positive_where_it_matters():
     for dim in (1, 2):
         grid = make_grid(dim=dim, n=500, mode="ball" if dim > 1 else "interval")
-        assert np.all(grid.quad_coeffs > 0)
         assert np.all(grid.weights[1:] > 0)
     # higher dimensions may undershoot by a rounding-level mass near r = 0
     g5 = unit_ball_grid(5, n=500)
@@ -71,13 +68,13 @@ def test_lp_norm_constant():
     grid = unit_ball_grid(2, n=500)
     g = GridFunction.constant(grid, 3.0)
     for s in (1.0, 2.0, 3.5):
-        assert lp_norm(g, s) == pytest.approx(3.0 * math.pi ** (1.0 / s), rel=1e-12)
+        assert g.lp_norm(s) == pytest.approx(3.0 * math.pi ** (1.0 / s), rel=1e-12)
 
 
 def test_lp_norm_cosine():
     grid = interval_grid(1.0, n=2000)
     g = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r))
-    assert lp_norm(g, 2.0) == pytest.approx(math.sqrt(0.5), abs=1e-10)
+    assert g.lp_norm(2.0) == pytest.approx(math.sqrt(0.5), abs=1e-10)
 
 
 def test_lp_norm_homogeneity():
@@ -92,7 +89,7 @@ def test_lp_norm_homogeneity():
 def test_lp_norm_rejects_s_below_one():
     grid = interval_grid(1.0, n=100)
     with pytest.raises(ValueError):
-        lp_norm(GridFunction.constant(grid, 1.0), 0.5)
+        GridFunction.constant(grid, 1.0).lp_norm(0.5)
 
 
 def test_laplacian_constant_is_zero():
