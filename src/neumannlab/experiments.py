@@ -25,7 +25,7 @@ from .dual import (
     reconstruct_solution,
 )
 from .exponents import ExponentPair, Region, classify_region
-from .greens import _signed_power, bisect_increasing, solve_neumann
+from .greens import _signed_power, solve_increasing, solve_neumann
 from .grid import GridFunction, RadialGrid, interval_grid
 from .report_io import write_csv_rows, write_json
 from .sign import solve_scalar_sign
@@ -343,13 +343,12 @@ def continuation_lambda(
 
 
 def _constraint_scale(
-    grid: RadialGrid, e: ExponentPair, vals: np.ndarray
+    grid: RadialGrid, alpha: float, beta: float, gamma1: float, gamma2: float, vals: np.ndarray
 ) -> float:
     """Positive c with gamma1 ||c f||_alpha^alpha + gamma2 ||c f||_beta^beta = 1."""
-    f = GridFunction(grid, vals)
-    alpha, beta, gamma1, gamma2 = e.alpha, e.beta, e.gamma1, e.gamma2
-    na = f.lp_norm(alpha) ** alpha
-    nb = f.lp_norm(beta) ** beta
+    absv = np.abs(vals)
+    na = grid.integrate_values(absv**alpha)
+    nb = grid.integrate_values(absv**beta)
 
     def excess(c: float) -> float:
         return gamma1 * c**alpha * na + gamma2 * c**beta * nb - 1.0
@@ -359,7 +358,7 @@ def _constraint_scale(
         hi *= 2.0
     while excess(lo) > 0.0:
         lo *= 0.5
-    lo, hi = bisect_increasing(excess, lo, hi)
+    lo, hi = solve_increasing(excess, lo, hi)
     return 0.5 * (lo + hi)
 
 
@@ -402,6 +401,7 @@ def ls_upper_bounds(
     quad = np.einsum("in,n,jn->ij", modes, w, kmodes)
     quad = 0.5 * (quad + quad.T)
 
+    alpha, beta, gamma1, gamma2 = e.alpha, e.beta, e.gamma1, e.gamma2
     rng = np.random.default_rng(seed)
     prev_best_a: np.ndarray | None = None
     for k in range(2, k_max + 1):
@@ -409,7 +409,7 @@ def ls_upper_bounds(
 
         def phi_of(a: np.ndarray) -> tuple[float, np.ndarray]:
             vals = a @ modes[:k]
-            c = _constraint_scale(grid, e, vals)
+            c = _constraint_scale(grid, alpha, beta, gamma1, gamma2, vals)
             return -(c**2) * float(a @ qk @ a), c * vals
 
         starts = [np.eye(k)[k - 1]] + [rng.standard_normal(k) for _ in range(restarts)]
@@ -423,15 +423,9 @@ def ls_upper_bounds(
             step = 0.5
             for _ in range(400):
                 grad_obj = -2.0 * (qk @ a)
-                pa = _signed_power(fvals, e.alpha - 1.0)
-                pb = _signed_power(fvals, e.beta - 1.0)
-                gc = np.array(
-                    [
-                        e.gamma1 * e.alpha * grid.integrate_values(pa * modes[i])
-                        + e.gamma2 * e.beta * grid.integrate_values(pb * modes[i])
-                        for i in range(k)
-                    ]
-                )
+                dens = gamma1 * alpha * _signed_power(fvals, alpha - 1.0)
+                dens += gamma2 * beta * _signed_power(fvals, beta - 1.0)
+                gc = modes[:k] @ (w * dens)
                 nrm2 = float(gc @ gc)
                 if nrm2 > 0:
                     grad_obj = grad_obj - (grad_obj @ gc) / nrm2 * gc

@@ -11,12 +11,14 @@ kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and balanced_shift finds the constant putting a
 function into the balanced class (positive and negative level sets of
 equal weighted measure), which is the natural normalization for the
-sign-nonlinearity limit.  bisect_increasing is the one root finder behind
-every monotone scalar normalization of the package.
+sign-nonlinearity limit.  solve_increasing, Illinois regula falsi with a
+bisection safeguard, is the one root finder behind every monotone scalar
+normalization of the package.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -30,7 +32,7 @@ __all__ = [
     "kappa_shift",
     "balanced_shift",
     "apply_K_t",
-    "bisect_increasing",
+    "solve_increasing",
 ]
 
 COMPATIBILITY_TOL = 1e-10
@@ -114,21 +116,52 @@ def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
     return np.sign(values) * np.abs(values) ** t
 
 
-def bisect_increasing(
-    fn: Callable[[float], float], lo: float, hi: float, width: float = 0.0
+def solve_increasing(
+    fn: Callable[[float], float], lo: float, hi: float, tol: float = 0.0, width: float = 0.0
 ) -> tuple[float, float]:
-    """Bracket of the sign change of a nondecreasing fn, found by bisection.
+    """Root of a nondecreasing fn by Illinois regula falsi, safeguarded by
+    bisection (Dowell and Jarratt 1971).
 
-    Needs fn(lo) < 0 <= fn(hi).  Each step keeps the half whose ends still
-    straddle the sign change, until the bracket is no wider than `width` or
-    its ends are adjacent floats.
+    Needs fn(lo) <= 0 <= fn(hi).  Returns (x, x) for the first evaluated x
+    with |fn(x)| <= tol.  Otherwise returns a bracket with
+    fn(lo) < 0 <= fn(hi) that is no wider than `width` or whose ends are
+    adjacent floats; for a monotone fn that adjacent pair is unique, the one
+    plain bisection reaches.  Whenever the bracket has failed to halve over
+    the last four steps the next step bisects, so it halves at least once
+    every five evaluations.
     """
+    flo, fhi = fn(lo), fn(hi)
+    if abs(flo) <= tol:
+        return lo, lo
+    if abs(fhi) <= tol:
+        return hi, hi
+    if not flo < 0.0 < fhi:
+        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: fn = {flo:.3e}, {fhi:.3e}")
+    widths = [hi - lo]
+    moved = 0  # end the last step replaced: -1 lo, +1 hi
     mid = 0.5 * (lo + hi)
     while hi - lo > width and lo < mid < hi:
-        if fn(mid) < 0.0:
-            lo = mid
+        x = mid
+        if len(widths) < 5 or widths[-1] <= 0.5 * widths[-5]:
+            secant = lo + (hi - lo) * (flo / (flo - fhi))
+            if lo < secant < hi:
+                x = secant
+        fx = fn(x)
+        if abs(fx) <= tol:
+            return x, x
+        # Illinois: an end kept for a second step in a row has its value
+        # halved, which pulls the secant across the root
+        if fx < 0.0:
+            lo, flo = x, fx
+            if moved < 0:
+                fhi *= 0.5
+            moved = -1
         else:
-            hi = mid
+            hi, fhi = x, fx
+            if moved > 0:
+                flo *= 0.5
+            moved = 1
+        widths.append(hi - lo)
         mid = 0.5 * (lo + hi)
     return lo, hi
 
@@ -137,8 +170,14 @@ def kappa_shift(u: GridFunction, t: float) -> float:
     """Constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0.
 
     The map kappa -> int sign(u + kappa) |u + kappa|^t is continuous and
-    nondecreasing, so the root is bracketed by +-||u||_inf and found by
-    bisection.
+    nondecreasing.  At kappa = +-2 ||u||_inf every node value of u + kappa
+    has one sign, so that bracket holds the root whatever the signs of the
+    quadrature weights, and solve_increasing finds it to the residual target
+    1e-12 ||u||_inf^t |Omega|.  For t < 1 a node value near the root makes
+    the moment steeper than float spacing resolves; the root is then the
+    adjacent pair of floats across which the moment changes sign.  Raises
+    KappaShiftError when the moment is not finite or kappa meets neither
+    rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -149,27 +188,23 @@ def kappa_shift(u: GridFunction, t: float) -> float:
         return 0.0
 
     def moment(kappa: float) -> float:
-        return grid.integrate_values(_signed_power(vals + kappa, t))
+        value = grid.integrate_values(_signed_power(vals + kappa, t))
+        if not math.isfinite(value):
+            raise KappaShiftError(
+                f"moment at kappa = {kappa:.3e} is not finite: {value} (||u||_inf = {bound:.3e}, t = {t})"
+            )
+        return value
 
-    lo, hi = -bound, bound
-    if moment(lo) > 0 or moment(hi) < 0:  # can only happen through rounding at the bracket ends
-        lo, hi = -2.0 * bound, 2.0 * bound
-    # a few float spacings at ||u||_inf meet tol when the moment is smooth
-    lo, hi = bisect_increasing(moment, lo, hi, 4.0 * np.finfo(float).eps * bound)
-    tol = 1e-12 * bound**t * grid.domain_measure
-    # for t < 1 a node value near the root makes the moment steeper than
-    # that spacing resolves; the root then needs adjacent floats
-    kappa = 0.5 * (lo + hi)
-    if abs(moment(kappa)) > tol:
-        lo, hi = bisect_increasing(moment, lo, hi)
+    # overflow gives inf (the moment then raises) instead of a warning or OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
+        lo, hi = solve_increasing(moment, -2.0 * bound, 2.0 * bound, tol)
         kappa = 0.5 * (lo + hi)
-    # for t < 1 a node value can land exactly on the root, where the
-    # integrand is only Hoelder; a bracket at rounding width is then the
-    # best representable answer even though the moment cannot reach tol
-    if abs(moment(kappa)) > max(tol, 1e-300) and hi - lo > 8.0 * np.finfo(float).eps * bound:
-        raise KappaShiftError(
-            f"normalizing shift did not converge (residual {moment(kappa):.3e}, target {tol:.3e})"
-        )
+        # lo == hi met tol; adjacent ends must have the sign change across kappa
+        if lo < hi and not moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf)):
+            raise KappaShiftError(
+                f"normalizing shift did not converge (residual {moment(kappa):.3e}, target {tol:.3e})"
+            )
     return float(kappa)
 
 

@@ -79,9 +79,7 @@ def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray
 
 def _column_sums(n: int, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     idx, wts = table
-    out = np.zeros(n + 1)
-    np.add.at(out, idx, wts)
-    return out
+    return np.bincount(idx.ravel(), weights=wts.ravel(), minlength=n + 1)
 
 
 @dataclass(frozen=True)
@@ -148,9 +146,7 @@ class RadialGrid:
         idx, wts = table
         tails = np.cumsum(x[::-1])[::-1]  # tails[k] = sum_{i >= k} x_i
         t = tails[1:]  # panel j feeds every C_i with i > j
-        out = np.zeros_like(x)
-        np.add.at(out, idx, wts * t[:, None])
-        return out
+        return np.bincount(idx.ravel(), weights=(wts * t[:, None]).ravel(), minlength=len(x))
 
     @property
     def radial_weight(self) -> np.ndarray:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
-from .greens import _signed_power, balanced_shift, bisect_increasing, kappa_shift, solve_neumann
+from .greens import _signed_power, balanced_shift, kappa_shift, solve_increasing, solve_neumann
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -138,7 +138,7 @@ def _subcell_balance_shift(u: GridFunction) -> float:
     placement error the sign solvers cannot afford; the interpolated
     balance puts the fixed-point interface at the exact measure-median
     radius.  The map c -> signed measure difference is monotone, so
-    bisection converges; the returned function still needs the nodal
+    solve_increasing converges; the returned function still needs the nodal
     median shift afterwards if certified balanced-class membership is
     required.
     """
@@ -160,7 +160,7 @@ def _subcell_balance_shift(u: GridFunction) -> float:
     # the shift moves values of size ||u||_inf: a few of their float spacings
     # resolve it, and a root near zero is not chased into tiny floats
     width = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    lo, hi = bisect_increasing(imbalance, lo, hi, width)
+    lo, hi = solve_increasing(imbalance, lo, hi, width=width)
     return 0.5 * (lo + hi)
 
 

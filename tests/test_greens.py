@@ -7,15 +7,17 @@ from hypothesis import strategies as st
 
 from neumannlab.greens import (
     CompatibilityError,
+    KappaShiftError,
     _signed_power,
     apply_K_t,
     balanced_shift,
-    bisect_increasing,
     kappa_shift,
+    solve_increasing,
     solve_neumann,
 )
 from neumannlab.grid import (
     GridFunction,
+    RadialGrid,
     discrete_radial_laplacian,
     interval_grid,
     unit_ball_grid,
@@ -140,6 +142,13 @@ def test_kappa_shift_monotone_in_data():
         assert kappa_shift(u, t) >= kappa_shift(v, t) - 1e-10
 
 
+def _assert_sign_change(fn, lo, hi):
+    if lo == hi:  # an evaluated point met the residual target
+        assert fn(lo) == 0.0
+    else:
+        assert fn(lo) < 0.0 <= fn(hi)
+
+
 @given(
     dim=st.integers(1, 6),
     t=st.floats(0.3, 4.0),
@@ -147,7 +156,7 @@ def test_kappa_shift_monotone_in_data():
     decade=st.integers(-3, 3),
 )
 @settings(max_examples=150, deadline=None)
-def test_bisection_and_kappa_shift_properties(dim, t, coeffs, decade):
+def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
     grid = unit_ball_grid(dim, n=200)
     a, b, c = coeffs
     vals = 10.0**decade * (a * np.cos(math.pi * grid.r) + b * np.cos(2.0 * math.pi * grid.r) + c * grid.r)
@@ -157,18 +166,85 @@ def test_bisection_and_kappa_shift_properties(dim, t, coeffs, decade):
         return grid.integrate_values(_signed_power(vals + kappa, t))
 
     width = 4.0 * np.finfo(float).eps * bound
-    lo, hi = bisect_increasing(moment, -bound, bound, width)
-    assert moment(lo) < 0.0 <= moment(hi)
+    lo, hi = solve_increasing(moment, -2.0 * bound, 2.0 * bound, width=width)
+    _assert_sign_change(moment, lo, hi)
     assert hi - lo <= width
-    lo, hi = bisect_increasing(moment, lo, hi)
-    assert moment(lo) < 0.0 <= moment(hi)
-    assert hi == np.nextafter(lo, np.inf)
+    lo, hi = solve_increasing(moment, lo, hi)
+    _assert_sign_change(moment, lo, hi)
+    assert lo == hi or hi == np.nextafter(lo, np.inf)
     kappa = kappa_shift(GridFunction(grid, vals), t)
     # kappa_shift's own acceptance: the residual meets its target, or (t < 1
     # with a node value on the root) the moment changes sign within one float
     # spacing of kappa, so no representable shift does better
     in_tol = abs(moment(kappa)) <= 1e-12 * bound**t * grid.domain_measure
     assert in_tol or moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf))
+
+
+def test_root_solver_halves_the_bracket_every_five_steps():
+    # lopsided data keep the secant on the flat side: without the bisection
+    # safeguard Illinois needs about 60 halvings of the steep end's value
+    # before the bracket shrinks
+    root = 0.9
+    seen = []
+
+    def fn(x):
+        value = 1e10 * (x - root) if x > root else -1e-10
+        seen.append((x, value))
+        return value
+
+    lo, hi = solve_increasing(fn, 0.0, 1.0)
+    assert lo == root and hi == np.nextafter(root, np.inf)
+    lo, hi = 0.0, 1.0
+    widths = [hi - lo]
+    for x, value in seen[2:]:
+        lo, hi = (x, hi) if value < 0.0 else (lo, x)
+        widths.append(hi - lo)
+    assert all(widths[k + 5] <= 0.5 * widths[k] for k in range(len(widths) - 5))
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
+def test_kappa_shift_moment_evaluations(t, monkeypatch):
+    # plain bisection to the residual target takes about 57 moment evaluations
+    grid = interval_grid(1.0, n=2000)
+    u = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r) + 0.3 * np.cos(2.0 * math.pi * r))
+    calls = []
+    integrate = RadialGrid.integrate_values
+
+    def counted(self, values):
+        calls.append(1)
+        return integrate(self, values)
+
+    monkeypatch.setattr(RadialGrid, "integrate_values", counted)
+    kappa = kappa_shift(u, t)
+    monkeypatch.undo()
+    assert abs(kappa) > 0.05
+    assert abs(grid.integrate_values(_signed_power(u.values + kappa, t))) <= 1e-12 * u.sup_norm() ** t
+    assert len(calls) <= 16
+
+
+def test_kappa_shift_rejects_non_finite_moment():
+    grid = interval_grid(1.0, n=200)
+    u = GridFunction.from_callable(grid, lambda r: 1e100 * (r - 0.3))
+    with pytest.raises(KappaShiftError, match="not finite"):
+        kappa_shift(u, 4.0)
+
+
+def test_kappa_shift_rejects_a_root_without_sign_change(monkeypatch):
+    # u = 1/2 puts every node at 1/2 + kappa.  The stand-in moment is -1 below
+    # the root kappa = -1/2 and +1 above it, except at the float just above,
+    # where it dips back to -1: the solver ends at the adjacent pair around
+    # -1/2, but the moment does not change sign across the floats next to it
+    grid = interval_grid(1.0, n=50)
+
+    def step_moment(dip):
+        return lambda self, values: 1.0 if values[0] >= 0.0 and values[0] != dip else -1.0
+
+    monkeypatch.setattr(RadialGrid, "integrate_values", step_moment(0.5 + np.nextafter(-0.5, np.inf)))
+    with pytest.raises(KappaShiftError, match="did not converge"):
+        kappa_shift(GridFunction.constant(grid, 0.5), 1.0)
+    # without the dip the same adjacent pair is accepted
+    monkeypatch.setattr(RadialGrid, "integrate_values", step_moment(None))
+    assert kappa_shift(GridFunction.constant(grid, 0.5), 1.0) == -0.5
 
 
 def test_apply_K_t_matches_plain_solve_at_t_one():

@@ -30,6 +30,23 @@ def test_unit_disk_area():
     assert GridFunction.constant(grid, 1.0).integral() == pytest.approx(math.pi, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_cumulative_adjoints_are_dense_transposes(dim):
+    grid = make_grid(dim=dim, n=12)
+    eye = np.eye(grid.n + 1)
+    pairs = (
+        (grid.cumulative_weighted, grid.cumulative_weighted_adjoint),
+        (grid.cumulative_plain, grid.cumulative_plain_adjoint),
+    )
+    for forward, adjoint in pairs:
+        dense = np.column_stack([forward(e) for e in eye])
+        dense_adjoint = np.column_stack([adjoint(e) for e in eye])
+        assert np.max(np.abs(dense_adjoint - dense.T)) <= 1e-14 * np.max(np.abs(dense))
+    # the quadrature weights are the last row of the weighted cumulative map
+    dense = np.column_stack([grid.cumulative_weighted(e) for e in eye])
+    assert np.max(np.abs(grid.weights - dense[-1])) <= 1e-14 * np.max(np.abs(dense))
+
+
 def test_interval_linear_moment():
     grid = interval_grid(1.0, n=2000)
     g = GridFunction.from_callable(grid, lambda r: r)
