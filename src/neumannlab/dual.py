@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentPair, HyperbolaError, Region, classify_region, c_from_lambda
-from .greens import _signed_power, kappa_shift, solve_neumann
+from .greens import _signed_power, green_apply, kappa_shift, solve_neumann
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -122,10 +122,11 @@ def _best_response(g: GridFunction, expo: float, norm_expo: float) -> GridFuncti
 
     The optimum is the normalized signed power of the shifted potential
     K g + kappa, with kappa the expo-type normalizing shift, which also
-    makes the output mean-zero exactly.  Uses the symmetric operator so the
-    sweep is exact block ascent on the discrete quotient.
+    makes the output mean-zero exactly.  K is self-adjoint in the quadrature
+    inner product, so the sweep is exact block ascent on the discrete
+    quotient.
     """
-    w = solve_neumann(g, symmetric=True)
+    w = solve_neumann(g)
     kappa = kappa_shift(w, expo)
     y = _signed_power(w.values + kappa, expo)
     # for expo < 1 the kappa root carries a nodal Hoelder floor; project the
@@ -188,7 +189,7 @@ def compute_dual(
             g_new = f_new  # identical best-response maps; keeps u = v exact
         else:
             g_new = _best_response(f_new, e.q, beta)
-        kg = solve_neumann(g_new, symmetric=True)
+        kg = solve_neumann(g_new)
         d_now = grid.integrate_values(f_new.values * kg.values) / (
             f_new.lp_norm(alpha) * g_new.lp_norm(beta)
         )
@@ -295,16 +296,8 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
 
 
 def _k_matrix(grid: RadialGrid) -> np.ndarray:
-    """Dense nodal matrix of the symmetric K on a small grid."""
-    from .greens import green_apply_symmetric
-
-    npts = grid.n + 1
-    mat = np.empty((npts, npts))
-    for j in range(npts):
-        basis = np.zeros(npts)
-        basis[j] = 1.0
-        mat[:, j] = green_apply_symmetric(grid, basis)
-    return mat
+    """Dense nodal matrix of K on a small grid."""
+    return np.column_stack([green_apply(grid, e) for e in np.eye(grid.n + 1)])
 
 
 def oracle_dual_smallgrid(
@@ -399,5 +392,5 @@ def delta_lower_bound(e: ExponentPair, grid: RadialGrid) -> float:
     vals = np.cos(np.pi * grid.r / grid.length)
     vals = vals - grid.mean_values(vals)
     psi = GridFunction(grid, vals)
-    kpsi = solve_neumann(psi, symmetric=True)
+    kpsi = solve_neumann(psi)
     return grid.integrate_values(vals * kpsi.values) / (psi.lp_norm(e.alpha) * psi.lp_norm(e.beta))

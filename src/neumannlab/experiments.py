@@ -394,9 +394,7 @@ def ls_upper_bounds(
     modes = np.stack(
         [np.cos(i * math.pi * grid.r / grid.length) for i in range(1, k_max + 1)]
     )
-    kmodes = np.stack(
-        [solve_neumann(GridFunction(grid, m), symmetric=True).values for m in modes]
-    )
+    kmodes = np.stack([solve_neumann(GridFunction(grid, m)).values for m in modes])
     w = grid.weights * grid.surface
     quad = np.einsum("in,n,jn->ij", modes, w, kmodes)
     quad = 0.5 * (quad + quad.T)

@@ -1,11 +1,12 @@
 """Inverse Neumann Laplacian on radial grids and its normalizing shifts.
 
 solve_neumann realizes K: given mean-zero data h it returns the mean-zero
-u with -Lap u = h and u'(0) = u'(L) = 0.  The solve uses the first-order
-radial form: u'(r) = -r^(1-N) * int_0^r s^(N-1) h(s) ds followed by a
-second cumulative quadrature, so both Neumann conditions hold
-automatically once the data is compatible and there is no linear system
-to condition at the origin.
+u with -Lap u = h and u'(0) = u'(L) = 0.  The radial Neumann kernel is
+-Phi(min(r, s)) s^(N-1) with Phi(x) = int_x^L t^(1-N) dt, so the discrete
+K is semiseparable and green_apply applies it with two cumulative sums in
+O(n) (Vandebril, Van Barel and Mastronardi, Matrix Computations and
+Semiseparable Matrices, 2008).  It is self-adjoint in the quadrature inner
+product by construction and needs no division by the quadrature weights.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and balanced_shift finds the constant putting a
@@ -33,6 +34,7 @@ __all__ = [
     "balanced_shift",
     "apply_K_t",
     "solve_increasing",
+    "BracketError",
 ]
 
 COMPATIBILITY_TOL = 1e-10
@@ -46,57 +48,31 @@ class KappaShiftError(RuntimeError):
     """The normalizing-shift root finder failed to meet its residual target."""
 
 
-def _green_forward(grid, values: np.ndarray) -> np.ndarray:
-    """Nested-quadrature Neumann solve, mean removed, no compatibility check."""
-    flux = grid.cumulative_weighted(values)
-    slope = np.zeros_like(flux)
-    weight = grid.radial_weight
-    slope[1:] = -flux[1:] / weight[1:]
-    u = grid.cumulative_plain(slope)
+class BracketError(ValueError):
+    """The root finder's bracket holds no sign change."""
+
+
+def green_apply(grid, values: np.ndarray) -> np.ndarray:
+    """The Green operator K on nodal data, no compatibility check.
+
+    K x = P(Phi * cumsum(w x) - cumsum(Phi w x) + d x), with w the
+    quadrature weights, Phi = grid.phi, d = grid.green_diagonal and P the
+    removal of the mean.  On mean-zero x the sums equal
+    -sum_j w_j Phi(min(r_i, r_j)) x_j, and d corrects the quadrature at the
+    kink of that kernel; P, the kernel and any diagonal are self-adjoint in
+    the quadrature inner product, so K is too.  Sums from the origin, not
+    tails, keep the large Phi near the origin off the rounding of the total.
+    """
+    wx = grid.weights * values
+    u = grid.phi * np.cumsum(wx) - np.cumsum(grid.phi * wx) + grid.green_diagonal * values
     return u - grid.mean_values(u)
 
 
-def _green_transpose(grid, x: np.ndarray) -> np.ndarray:
-    """Transpose of the forward solve as a nodal matrix."""
-    y = x - grid.surface * grid.weights * x.sum() / grid.domain_measure
-    y = grid.cumulative_plain_adjoint(y)
-    z = np.zeros_like(y)
-    weight = grid.radial_weight
-    z[1:] = -y[1:] / weight[1:]
-    return grid.cumulative_weighted_adjoint(z)
-
-
-def green_apply_symmetric(grid, values: np.ndarray) -> np.ndarray:
-    """Green apply symmetrized in the quadrature inner product: the mean of
-    the forward solve and its metric adjoint.
-
-    The average makes int f K g = int g K f hold to rounding for arbitrary
-    nodal data, which is what makes the discrete dual maximization
-    well-posed on coarse grids (the raw nested quadrature is self-adjoint
-    only up to truncation).  The price is a boundary-local O(h^2) pointwise
-    defect, so this variant backs the dual functional while pointwise
-    reconstructions use the raw solve.  Nodes of nonpositive quadrature
-    weight keep the forward value; the adjoint carries no information there.
-    """
-    u1 = _green_forward(grid, values)
-    w = grid.weights
-    # nodes whose mass is many orders below the bulk would amplify rounding
-    # under the w-division; they stay on the forward branch (for interval
-    # and disk grids every node clears the cut, so symmetry there is exact)
-    mask = np.abs(w) > 1e-9 * np.max(w)
-    kt = _green_transpose(grid, np.where(mask, w, 0.0) * values)
-    u = u1.copy()
-    u[mask] = 0.5 * (u1[mask] + kt[mask] / w[mask])
-    u -= grid.mean_values(u)
-    return u
-
-
-def solve_neumann(h: GridFunction, symmetric: bool = False) -> GridFunction:
+def solve_neumann(h: GridFunction) -> GridFunction:
     """Apply the Neumann Green operator K to mean-zero data.
 
     Requires |int h| <= 1e-10 * ||h||_1.  Returns the unique mean-zero u
-    with -Lap u = h and zero normal derivative at both ends.  With
-    symmetric=True the exactly self-adjoint variant backs the solve.
+    with -Lap u = h and zero normal derivative at both ends.
     """
     grid = h.grid
     total = h.integral()
@@ -108,8 +84,7 @@ def solve_neumann(h: GridFunction, symmetric: bool = False) -> GridFunction:
         )
     if scale == 0.0:
         return GridFunction(grid, np.zeros_like(h.values))
-    apply = green_apply_symmetric if symmetric else _green_forward
-    return GridFunction(grid, apply(grid, h.values))
+    return GridFunction(grid, green_apply(grid, h.values))
 
 
 def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
@@ -122,13 +97,13 @@ def solve_increasing(
     """Root of a nondecreasing fn by Illinois regula falsi, safeguarded by
     bisection (Dowell and Jarratt 1971).
 
-    Needs fn(lo) <= 0 <= fn(hi).  Returns (x, x) for the first evaluated x
-    with |fn(x)| <= tol.  Otherwise returns a bracket with
-    fn(lo) < 0 <= fn(hi) that is no wider than `width` or whose ends are
-    adjacent floats; for a monotone fn that adjacent pair is unique, the one
-    plain bisection reaches.  Whenever the bracket has failed to halve over
-    the last four steps the next step bisects, so it halves at least once
-    every five evaluations.
+    Needs fn(lo) <= 0 <= fn(hi), else raises BracketError.  Returns (x, x)
+    for the first evaluated x with |fn(x)| <= tol.  Otherwise returns a
+    bracket with fn(lo) < 0 <= fn(hi) that is no wider than `width` or whose
+    ends are adjacent floats; for a monotone fn that adjacent pair is
+    unique, the one plain bisection reaches.  Whenever the bracket has
+    failed to halve over the last four steps the next step bisects, so it
+    halves at least once every five evaluations.
     """
     flo, fhi = fn(lo), fn(hi)
     if abs(flo) <= tol:
@@ -136,7 +111,7 @@ def solve_increasing(
     if abs(fhi) <= tol:
         return hi, hi
     if not flo < 0.0 < fhi:
-        raise ValueError(f"no sign change on [{lo!r}, {hi!r}]: fn = {flo:.3e}, {fhi:.3e}")
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: fn = {flo:.3e}, {fhi:.3e}")
     widths = [hi - lo]
     moved = 0  # end the last step replaced: -1 lo, +1 hi
     mid = 0.5 * (lo + hi)

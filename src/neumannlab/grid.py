@@ -7,16 +7,16 @@ plain interval (0, L) (weight 1, surface factor 1).  Nodes are uniform.
 One discretization drives everything: on each panel the integrand's smooth
 factor is replaced by the cubic through four nearby nodes and the product
 with the r^(N-1) weight is integrated through exact moments.  Cumulative
-sums of the panels give the antiderivatives the Neumann solver needs, and
-the nodal quadrature weights of the definite integral are the column sums
-of the same panel scheme.  This makes int_0^L r^(N-1) dr exact for every
-dimension, keeps fourth order on smooth data with no loss near the origin,
-and makes the quadrature pairing exactly compatible with the Green solve
-(the solver's adjoint stays pointwise consistent).  The plain (weight-one)
+sums of the panels give antiderivatives, and the nodal quadrature weights
+of the definite integral are the column sums of the same panel scheme.
+This makes int_0^L r^(N-1) dr exact for every dimension and keeps fourth
+order on smooth data with no loss near the origin.  The plain (weight-one)
 coefficient pattern h * (1/3, 31/24, 5/6, 25/24, 1, ..., 1) is positive;
 for N >= 3 the combined weights of the two or three nodes nearest the
-origin can undershoot zero by a rounding-level fraction of the total mass,
-which the norms guard against.
+origin can undershoot zero by a rounding-level fraction of the total mass.
+
+Each grid also carries the nodal kernel Phi and the diagonal of the Green
+operator (see greens.green_apply).
 """
 
 from __future__ import annotations
@@ -99,12 +99,18 @@ class RadialGrid:
     r: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     surface: float
+    phi: np.ndarray = field(repr=False)
+    green_diagonal: np.ndarray = field(repr=False)
     _table_weighted: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    _table_plain: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @property
     def h(self) -> float:
         return self.length / self.n
+
+    @property
+    def weight_power(self) -> int:
+        """Exponent of the radial weight: dim - 1 on balls, 0 on intervals."""
+        return self.dim - 1 if self.mode == "ball" else 0
 
     @property
     def domain_measure(self) -> float:
@@ -128,32 +134,50 @@ class RadialGrid:
         panels = (wts * values[idx]).sum(axis=1)
         return np.concatenate(([0.0], np.cumsum(panels)))
 
-    def cumulative_plain(self, values: np.ndarray) -> np.ndarray:
-        """C_i = int_0^{r_i} y(s) ds."""
-        idx, wts = self._table_plain
-        panels = (wts * values[idx]).sum(axis=1)
-        return np.concatenate(([0.0], np.cumsum(panels)))
+    def weight_primitive(self, x: np.ndarray | float) -> np.ndarray:
+        """W(x) = int_0^x s^(dim-1) ds (weight 1 in interval mode)."""
+        power = self.weight_power
+        return np.asarray(x, dtype=float) ** (power + 1) / (power + 1)
 
-    def cumulative_weighted_adjoint(self, x: np.ndarray) -> np.ndarray:
-        return self._cumulative_adjoint(self._table_weighted, x)
+    def kernel_primitive(self, x: np.ndarray | float) -> np.ndarray:
+        """G(x) = int_0^x Phi(s) s^(dim-1) ds for the Green kernel Phi = self.phi."""
+        x = np.asarray(x, dtype=float)
+        power, length = self.weight_power, self.length
+        if power == 0:
+            return length * x - 0.5 * x**2
+        if power == 1:
+            positive = np.where(x > 0.0, x, length)  # x^2 log(L/x) -> 0 at the origin
+            return x**2 * (0.5 * np.log(length / positive) + 0.25)
+        return (0.5 * x**2 - length ** (1 - power) * x ** (power + 1) / (power + 1)) / (power - 1)
 
-    def cumulative_plain_adjoint(self, x: np.ndarray) -> np.ndarray:
-        return self._cumulative_adjoint(self._table_plain, x)
 
-    @staticmethod
-    def _cumulative_adjoint(table: tuple[np.ndarray, np.ndarray], x: np.ndarray) -> np.ndarray:
-        """Transpose of the cumulative map y -> C applied to a nodal vector."""
-        idx, wts = table
-        tails = np.cumsum(x[::-1])[::-1]  # tails[k] = sum_{i >= k} x_i
-        t = tails[1:]  # panel j feeds every C_i with i > j
-        return np.bincount(idx.ravel(), weights=(wts * t[:, None]).ravel(), minlength=len(x))
+def _neumann_kernel(r: np.ndarray, length: float, power: int) -> np.ndarray:
+    """Phi(r) = int_r^L t^(-power) dt at the nodes; Phi(0) = 0 for power >= 1,
+    where only s^power Phi(s) enters the Green operator and it vanishes."""
+    if power == 0:
+        return length - r
+    phi = np.zeros_like(r)
+    x = r[1:]
+    if power == 1:
+        phi[1:] = np.log(length / x)
+    else:
+        phi[1:] = (x ** (1 - power) - length ** (1 - power)) / (power - 1)
+    return phi
 
-    @property
-    def radial_weight(self) -> np.ndarray:
-        """Nodal values of the weight r^(dim-1) (all ones in interval mode)."""
-        if self.mode == "ball" and self.dim > 1:
-            return self.r ** (self.dim - 1)
-        return np.ones_like(self.r)
+
+def _green_diagonal(r: np.ndarray, h: float, power: int, weights: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Diagonal d of the Green operator (see greens.green_apply).
+
+    Row i of the sum -sum_j w_j Phi(min(r_i, r_j)) x_j misses the kink of
+    its integrand at s = r_i by an O(h^2) multiple of x_i, and the singular
+    origin panels add an error that is the same in every row.  d makes the
+    operator before projection reproduce -r^2 / (2N), its exact image of
+    constant data; the origin's constant, which the projection removes, is
+    taken out by pinning the middle node at the kink correction -h^2 / 12.
+    """
+    constant_image = phi * np.cumsum(weights) - np.cumsum(phi * weights)
+    d = -(r**2) / (2.0 * (power + 1)) - constant_image
+    return d - (d[len(r) // 2] + h**2 / 12.0)
 
 
 def make_grid(dim: int = 1, n: int = 2000, mode: str | None = None, length: float = 1.0) -> RadialGrid:
@@ -185,18 +209,20 @@ def make_grid(dim: int = 1, n: int = 2000, mode: str | None = None, length: floa
     r = np.linspace(0.0, length, n + 1)
     h = length / n
     power = dim - 1 if mode == "ball" else 0
-    table_weighted = _panel_table(r, h, power)
-    table_plain = table_weighted if power == 0 else _panel_table(r, h, 0)
+    table = _panel_table(r, h, power)
+    weights = _column_sums(n, table)
+    phi = _neumann_kernel(r, length, power)
     return RadialGrid(
         dim=dim,
         n=n,
         mode=mode,
         length=float(length),
         r=r,
-        weights=_column_sums(n, table_weighted),
+        weights=weights,
         surface=surface,
-        _table_weighted=table_weighted,
-        _table_plain=table_plain,
+        phi=phi,
+        green_diagonal=_green_diagonal(r, h, power, weights, phi),
+        _table_weighted=table,
     )
 
 
@@ -253,10 +279,9 @@ class GridFunction:
 
     def write_csv(self, path) -> None:
         """Two-column CSV (r, value), RFC 4180 line endings, 17 significant digits."""
+        rows = "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(self.grid.r.tolist(), self.values.tolist()))
         with open(path, "w", newline="") as fh:
-            fh.write("r,value\r\n")
-            for r, v in zip(self.grid.r, self.values):
-                fh.write(f"{r:.17g},{v:.17g}\r\n")
+            fh.write("r,value\r\n" + rows)
 
 
 def discrete_radial_laplacian(g: GridFunction) -> GridFunction:

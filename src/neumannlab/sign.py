@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
-from .greens import _signed_power, balanced_shift, kappa_shift, solve_increasing, solve_neumann
+from .greens import BracketError, _signed_power, balanced_shift, kappa_shift, solve_increasing, solve_neumann
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -143,24 +143,24 @@ def _subcell_balance_shift(u: GridFunction) -> float:
     required.
     """
     grid = u.grid
-    total = _weight_primitive(grid, grid.length)
 
     def imbalance(c: float) -> float:
         shifted = GridFunction(grid, u.values + c)
         cuts = _crossing_radii(shifted)
         lead = 1.0 if (shifted.values[0] >= 0 or not cuts) else -1.0
         marks = np.array([0.0] + cuts + [grid.length])
-        seglen = np.diff(_weight_primitive(grid, marks))
+        seglen = np.diff(grid.weight_primitive(marks))
         signs = lead * (-1.0) ** np.arange(len(seglen))
         return float((signs * seglen).sum())
 
     lo, hi = -float(np.max(u.values)), -float(np.min(u.values))
-    if imbalance(lo) > 0 or imbalance(hi) < 0:
-        return balanced_shift(u)
     # the shift moves values of size ||u||_inf: a few of their float spacings
     # resolve it, and a root near zero is not chased into tiny floats
     width = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    lo, hi = solve_increasing(imbalance, lo, hi, width=width)
+    try:
+        lo, hi = solve_increasing(imbalance, lo, hi, width=width)
+    except BracketError:
+        return balanced_shift(u)
     return 0.5 * (lo + hi)
 
 
@@ -190,21 +190,15 @@ def _l1_sharp(u: GridFunction) -> float:
     return grid.surface * total
 
 
-def _weight_primitive(grid: RadialGrid, x: np.ndarray | float):
-    """W(r) = int_0^r s^(dim-1) ds for the grid's weight."""
-    if grid.mode == "ball" and grid.dim > 1:
-        return np.asarray(x) ** grid.dim / grid.dim
-    return np.asarray(x, dtype=float)
-
-
 def _solve_step(grid: RadialGrid, u: GridFunction) -> GridFunction:
-    """Neumann solve with data sign(u), the step integrated exactly.
+    """K applied to sign(u), the step integrated exactly.
 
     A nodal +-1 pattern misplaces the true step by up to half a cell; since
-    the data is piecewise constant by structure, the first cumulative
-    integral is instead evaluated in closed form from the cubic-refined
-    crossing radii of u (the step's mean is removed as a constant), and only
-    the smooth outer integration runs through the panel quadrature.
+    the data is piecewise constant by structure, the operator is instead
+    evaluated in closed form at the cubic-refined crossing radii of u.  With
+    H the flux int_0^r s^(dim-1) (step - mean) ds, K step = Phi H -
+    int_0^r Phi dH before the mean is removed, and both integrals are
+    differences of the grid's elementary primitives W and G.
     """
     cuts = _crossing_radii(u)
     if not cuts:
@@ -212,18 +206,16 @@ def _solve_step(grid: RadialGrid, u: GridFunction) -> GridFunction:
     lead = 1.0 if u.values[0] >= 0 else -1.0
     marks = np.array([0.0] + cuts + [grid.length])
     signs = lead * (-1.0) ** np.arange(len(marks) - 1)
-    Wnodes = _weight_primitive(grid, grid.r)
-    Wmarks = _weight_primitive(grid, marks)
-    flux = np.zeros_like(grid.r)
+    # rows W and G, at the nodes and at the marks; both increase, so
+    # clipping their values clips the radius
+    nodes = np.stack([grid.weight_primitive(grid.r), grid.kernel_primitive(grid.r)])
+    at = np.stack([grid.weight_primitive(marks), grid.kernel_primitive(marks)])[:, :, None]
+    integrals = np.zeros_like(nodes)  # int_0^r step dW and int_0^r step dG
     for k in range(len(marks) - 1):
-        seg = np.clip(Wnodes, Wmarks[k], Wmarks[k + 1])
-        flux += signs[k] * (seg - Wmarks[k])
-    total = float(flux[-1])  # = int of the step; removed as the data's mean
-    flux -= total / Wnodes[-1] * Wnodes
-    slope = np.zeros_like(flux)
-    weight = grid.radial_weight
-    slope[1:] = -flux[1:] / weight[1:]
-    vals = grid.cumulative_plain(slope)
+        integrals += signs[k] * (np.clip(nodes, at[:, k], at[:, k + 1]) - at[:, k])
+    # the step's mean, int_0^L step dW / W(L), is removed as a constant
+    flux, kernel_flux = integrals - integrals[0, -1] / nodes[0, -1] * nodes
+    vals = grid.phi * flux - kernel_flux
     vals -= grid.mean_values(vals)
     return GridFunction(grid, vals)
 

@@ -46,6 +46,12 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert payload["converged"] is False  # partial output still written
 
 
+def test_solve_ball3_fine_grid_converges(tmp_path):
+    code = main(["solve", "--p", "2", "--q", "2", "--dim", "3", "--n", "20000", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "solution.json").read_text())["converged"] is True
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, "n": 600}))

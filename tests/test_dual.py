@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from neumannlab.dual import (
     NonConvergenceError,
@@ -13,7 +15,7 @@ from neumannlab.dual import (
     reconstruct_solution,
 )
 from neumannlab.exponents import ExponentPair, HyperbolaError
-from neumannlab.grid import interval_grid, unit_ball_grid
+from neumannlab.grid import interval_grid, make_grid, unit_ball_grid
 
 J11 = 3.8317059702075125  # first positive root of J_1
 
@@ -49,6 +51,15 @@ def test_unit_norm_invariant(line):
 def test_swap_symmetry(line):
     d1 = compute_dual(ExponentPair(2.0, 3.0, 1), line).d_estimate
     d2 = compute_dual(ExponentPair(3.0, 2.0, 1), line).d_estimate
+    assert d1 == pytest.approx(d2, rel=1e-8)
+
+
+@given(dim=st.integers(1, 3), p=st.floats(1.25, 4.0), q=st.floats(1.25, 4.0))
+@settings(max_examples=20, deadline=None)
+def test_swap_symmetry_property(dim, p, q):
+    grid = make_grid(dim=dim, n=200)
+    d1 = compute_dual(ExponentPair(p, q, dim), grid).d_estimate
+    d2 = compute_dual(ExponentPair(q, p, dim), grid).d_estimate
     assert d1 == pytest.approx(d2, rel=1e-8)
 
 
@@ -98,6 +109,14 @@ def test_reconstruction_residuals_small(line):
     rep = reconstruct_solution(e, compute_dual(e, line))
     scale = np.max(np.abs(rep.v.values)) ** e.q
     assert rep.residual_u <= 1e-4 * scale
+    assert rep.converged
+
+
+@pytest.mark.parametrize("n", [2000, 20000])
+@pytest.mark.parametrize("p, q, dim", [(2.0, 3.0, 3), (1.5, 1.5, 4), (1.5, 1.5, 5), (1.5, 1.5, 6)])
+def test_reconstruction_converges_on_higher_balls(p, q, dim, n):
+    e = ExponentPair(p, q, dim)
+    rep = reconstruct_solution(e, compute_dual(e, unit_ball_grid(dim, n)))
     assert rep.converged
 
 

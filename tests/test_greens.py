@@ -20,6 +20,7 @@ from neumannlab.grid import (
     RadialGrid,
     discrete_radial_laplacian,
     interval_grid,
+    make_grid,
     unit_ball_grid,
 )
 
@@ -88,9 +89,44 @@ def test_self_adjointness_symmetric_variant_rough():
     rng = np.random.default_rng(11)
     f = _mean_zero(grid, rng.standard_normal(grid.n + 1))
     g = _mean_zero(grid, rng.standard_normal(grid.n + 1))
-    lhs = grid.integrate_values(f.values * solve_neumann(g, symmetric=True).values)
-    rhs = grid.integrate_values(g.values * solve_neumann(f, symmetric=True).values)
+    lhs = grid.integrate_values(f.values * solve_neumann(g).values)
+    rhs = grid.integrate_values(g.values * solve_neumann(f).values)
     assert abs(lhs - rhs) <= 1e-14 * max(1.0, f.lp_norm(2) * g.lp_norm(2))
+
+
+@given(
+    dim=st.integers(1, 6),
+    n=st.integers(12, 400),
+    seed=st.integers(0, 2**32 - 1),
+    decade=st.integers(-3, 3),
+)
+@settings(max_examples=200, deadline=None)
+def test_self_adjointness_rough_property(dim, n, seed, decade):
+    grid = make_grid(dim=dim, n=n)
+    rng = np.random.default_rng(seed)
+    f = _mean_zero(grid, 10.0**decade * rng.standard_normal(n + 1))
+    g = _mean_zero(grid, rng.standard_normal(n + 1))
+    lhs = grid.integrate_values(f.values * solve_neumann(g).values)
+    rhs = grid.integrate_values(g.values * solve_neumann(f).values)
+    assert abs(lhs - rhs) <= 1e-13 * f.lp_norm(2) * g.lp_norm(2)
+
+
+def _manufactured(r, dim, k):
+    """u with u'(0) = u'(1) = 0 and its data -Lap u on the unit ball of R^dim."""
+    u = r**2 - r**4 / 2.0 + k * 3.0 * (r**4 / 4.0 - r**6 / 6.0)
+    lap = 2.0 - 6.0 * r**2 + (dim - 1) * (2.0 - 2.0 * r**2)
+    lap += k * 3.0 * (3.0 * r**2 - 5.0 * r**4 + (dim - 1) * (r**2 - r**4))
+    return u, -lap
+
+
+@pytest.mark.parametrize("n, tol", [(500, 5e-8), (2000, 1e-9), (20000, 1e-11)])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_manufactured_solutions_pointwise(dim, n, tol):
+    grid = make_grid(dim=dim, n=n)
+    for k in (0, 1):
+        u, h = _manufactured(grid.r, dim, k)
+        got = solve_neumann(_mean_zero(grid, h)).values
+        assert np.max(np.abs(got - (u - grid.mean_values(u)))) <= tol
 
 
 def test_quadratic_form_positive():
@@ -103,7 +139,8 @@ def test_quadratic_form_positive():
 
 
 def test_inverse_identity_interior():
-    for grid, tol in ((interval_grid(1.0, n=1000), 5e-6), (unit_ball_grid(2, n=1000), 5e-5)):
+    grids = [(interval_grid(1.0, n=1000), 5e-6)] + [(unit_ball_grid(dim, n=1000), 5e-5) for dim in range(2, 7)]
+    for grid, tol in grids:
         h = _trig(grid, [0.7, 0.3])
         u = solve_neumann(h)
         lap = discrete_radial_laplacian(u).values

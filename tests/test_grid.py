@@ -31,19 +31,9 @@ def test_unit_disk_area():
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_cumulative_adjoints_are_dense_transposes(dim):
+def test_weights_are_the_last_row_of_the_cumulative_map(dim):
     grid = make_grid(dim=dim, n=12)
-    eye = np.eye(grid.n + 1)
-    pairs = (
-        (grid.cumulative_weighted, grid.cumulative_weighted_adjoint),
-        (grid.cumulative_plain, grid.cumulative_plain_adjoint),
-    )
-    for forward, adjoint in pairs:
-        dense = np.column_stack([forward(e) for e in eye])
-        dense_adjoint = np.column_stack([adjoint(e) for e in eye])
-        assert np.max(np.abs(dense_adjoint - dense.T)) <= 1e-14 * np.max(np.abs(dense))
-    # the quadrature weights are the last row of the weighted cumulative map
-    dense = np.column_stack([grid.cumulative_weighted(e) for e in eye])
+    dense = np.column_stack([grid.cumulative_weighted(e) for e in np.eye(grid.n + 1)])
     assert np.max(np.abs(grid.weights - dense[-1])) <= 1e-14 * np.max(np.abs(dense))
 
 
@@ -173,3 +163,12 @@ def test_grid_function_csv(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert np.allclose(data[:, 0], grid.r)
     assert np.allclose(data[:, 1], g.values)
+
+
+def test_grid_function_csv_bytes(tmp_path):
+    grid = interval_grid(1.0, n=6)
+    values = np.array([-0.0, 1e-300, 1e300, -1.0 / 3.0, 0.1, 2.0**-1074, -5e15])
+    GridFunction(grid, values).write_csv(tmp_path / "g.csv")
+    expected = "r,value\r\n" + "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(grid.r, values))
+    assert (tmp_path / "g.csv").read_bytes() == expected.encode()
+    assert b"\r\n0,-0\r\n" in expected.encode()

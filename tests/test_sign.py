@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from neumannlab import sign
 from neumannlab.closed_form import m_rad, scalar_profile, zero_radius
 from neumannlab.dual import SolverOptions
-from neumannlab.grid import GridFunction, interval_grid, unit_ball_grid
+from neumannlab.greens import balanced_shift
+from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
 from neumannlab.sign import (
     certify_balanced,
     sign_of,
@@ -120,3 +122,50 @@ def test_certify_balanced_reports_measures():
     assert bal.positive_mass == pytest.approx(0.5, abs=2e-3)
     off = certify_balanced(GridFunction.from_callable(grid, lambda r: r - 0.1))
     assert not off.certified
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_step_solve_is_exact(dim):
+    # a linear u puts the cubic-refined crossing exactly at the balanced
+    # radius, and K sign(u) is then the closed-form profile up to a constant
+    grid = make_grid(dim=dim, n=200)
+    if dim == 1:
+        a = 0.5
+        exact = np.where(grid.r < a, -(grid.r**2) / 2.0, (1.0 - grid.r) ** 2 / 2.0 - 0.25)
+    else:
+        a = 2.0 ** (-1.0 / dim)
+        exact = scalar_profile(dim, grid.r)
+    diff = sign._solve_step(grid, GridFunction(grid, a - grid.r)).values - exact
+    assert (diff.max() - diff.min()) / 2.0 <= 1e-14
+
+
+def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
+    grid = unit_ball_grid(2, n=400)
+    u = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r) + 0.2 * r)
+    crossings, evaluations = [], []
+    crossing_radii, solve_increasing = sign._crossing_radii, sign.solve_increasing
+
+    def counted_crossings(v):
+        crossings.append(1)
+        return crossing_radii(v)
+
+    def counted_solve(fn, lo, hi, **kwargs):
+        def counted_fn(c):
+            evaluations.append(c)
+            return fn(c)
+
+        return solve_increasing(counted_fn, lo, hi, **kwargs)
+
+    monkeypatch.setattr(sign, "_crossing_radii", counted_crossings)
+    monkeypatch.setattr(sign, "solve_increasing", counted_solve)
+    c = sign._subcell_balance_shift(u)
+    assert len(evaluations) > 2
+    assert len(crossings) == len(evaluations)  # the bracket ends are not evaluated twice
+    cut = crossing_radii(u.shifted(c))[0]
+    assert abs(cut**2 - 0.5) <= 1e-12  # equal disk areas on either side
+
+
+def test_subcell_balance_shift_falls_back_without_sign_change():
+    grid = interval_grid(1.0, n=100)
+    u = GridFunction.constant(grid, 0.25)
+    assert sign._subcell_balance_shift(u) == balanced_shift(u)
