@@ -56,6 +56,7 @@ from .experiments import (
 )
 from .greens import (
     CompatibilityError,
+    NumericalFailure,
     apply_K_t,
     balanced_shift,
     kappa_shift,

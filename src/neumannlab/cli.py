@@ -5,10 +5,10 @@ table1 (closed-form energy table with golden diff), sweep (exponent-path
 study to CSV), asympt (symmetry-breaking verdicts across dimensions) and
 oracle (small-grid brute force against the iteration).  Flags can also come
 from a JSON config file; explicit flags win.  Exit codes: 0 success,
-1 configuration error, 2 numerical failure (non-convergence or golden
-mismatch), with partial output written where possible.  All floats are
-printed with 17 significant digits so runs are diffable; NEUMANN_LAB_SEED
-overrides the seed.
+1 configuration error, 2 numerical failure (any NumericalFailure, an
+unconverged solve or a golden mismatch), with partial output written where
+possible.  All floats are printed with 17 significant digits so runs are
+diffable; NEUMANN_LAB_SEED overrides the seed.
 """
 
 from __future__ import annotations
@@ -22,14 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_form
-from .dual import NonConvergenceError, SolverOptions, compute_dual, oracle_dual_smallgrid, reconstruct_solution
+from .dual import SolverOptions, compute_dual, oracle_dual_smallgrid, reconstruct_solution
 from .exponents import ExponentPair, classify_region
 from .experiments import SweepSpec, run_sweep
-from .greens import CompatibilityError
+from .greens import CompatibilityError, NumericalFailure
 from .grid import make_grid
 from .report_io import fmt17 as _fmt
 from .report_io import write_json
-from .sign import OscillationDetected, solve_sign_system
+from .sign import solve_sign_system
 
 __all__ = ["main"]
 
@@ -121,16 +121,17 @@ def _cmd_solve(args) -> int:
             rep = solve_sign_system(e.q, grid, opts)
         else:
             rep = reconstruct_solution(e, compute_dual(e, grid, opts))
-    except (NonConvergenceError, OscillationDetected) as exc:
+    except NumericalFailure as exc:
+        d_estimate = getattr(exc, "d_estimate", None)
         payload = {
             "config": cfg,
             "region": region.value,
             "converged": False,
             "error": str(exc),
-            "Lambda": 1.0 / exc.d_estimate if isinstance(exc, NonConvergenceError) else None,
+            "Lambda": 1.0 / d_estimate if d_estimate else None,
         }
         write_json(outdir / "solution.json", payload)
-        print(f"did not converge: {exc}", file=sys.stderr)
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except (ValueError, CompatibilityError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
@@ -281,9 +282,12 @@ def _cmd_oracle(args) -> int:
         opts = _solver_options(cfg)
         d_iter = compute_dual(e, grid, opts).d_estimate
         d_oracle = oracle_dual_smallgrid(e, grid, restarts=cfg.get("restarts", 64), seed=cfg.get("seed", 0))
-    except (ValueError, NonConvergenceError) as exc:
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, NonConvergenceError) else 1
+        return 1
     gap = abs(d_oracle / d_iter - 1.0)
     payload = {"config": cfg, "d_iteration": d_iter, "d_oracle": d_oracle, "relative_gap": gap}
     write_json(outdir / "oracle.json", payload)

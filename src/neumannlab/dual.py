@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exponents import ExponentPair, HyperbolaError, Region, classify_region, c_from_lambda
-from .greens import _signed_power, green_apply, kappa_shift, solve_neumann
+from .greens import NumericalFailure, _signed_power, green_apply, kappa_shift, solve_neumann
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -83,7 +83,7 @@ class SolutionReport:
     zero_radius: float | None = None
 
 
-class NonConvergenceError(RuntimeError):
+class NonConvergenceError(NumericalFailure):
     """Iteration budget exhausted; carries the last estimate and oscillation size."""
 
     def __init__(self, message: str, d_estimate: float, oscillation: float, iterations: int):
@@ -93,8 +93,13 @@ class NonConvergenceError(RuntimeError):
         self.iterations = iterations
 
 
-class DegenerateIterateError(RuntimeError):
+class DegenerateIterateError(NumericalFailure):
     """An iterate collapsed toward the constants (norm below 1e-14)."""
+
+
+def _sign_change_profile(grid: RadialGrid) -> np.ndarray:
+    """a - r with a = L 2^(-1/N), the radius that halves the domain's measure."""
+    return grid.length * 2.0 ** (-1.0 / grid.dim) - grid.r
 
 
 def _initial_profile(grid: RadialGrid, opts: SolverOptions) -> np.ndarray:
@@ -104,7 +109,7 @@ def _initial_profile(grid: RadialGrid, opts: SolverOptions) -> np.ndarray:
     if mode == "cosine":
         vals = np.cos(np.pi * grid.r / grid.length)
     elif mode == "signchange":
-        vals = grid.length * 2.0 ** (-1.0 / grid.dim) - grid.r
+        vals = _sign_change_profile(grid)
     elif mode == "file":
         if opts.init_file is None:
             raise ValueError("init='file' needs init_file")

@@ -19,13 +19,12 @@ import numpy as np
 
 from .dual import (
     DualPair,
-    NonConvergenceError,
     SolverOptions,
     compute_dual,
     reconstruct_solution,
 )
 from .exponents import ExponentPair, Region, classify_region
-from .greens import _signed_power, solve_increasing, solve_neumann
+from .greens import NumericalFailure, _signed_power, solve_increasing, solve_neumann
 from .grid import GridFunction, RadialGrid, interval_grid
 from .report_io import write_csv_rows, write_json
 from .sign import solve_scalar_sign
@@ -98,7 +97,7 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
             row["v_max"] = rep.v.sup_norm()
             row["converged"] = rep.converged
         return row, dp
-    except (NonConvergenceError, ValueError) as exc:
+    except (NumericalFailure, ValueError) as exc:
         row["error"] = str(exc)
         row["Lambda"] = getattr(exc, "d_estimate", None)
         return row, None
@@ -345,7 +344,15 @@ def continuation_lambda(
 def _constraint_scale(
     grid: RadialGrid, alpha: float, beta: float, gamma1: float, gamma2: float, vals: np.ndarray
 ) -> float:
-    """Positive c with gamma1 ||c f||_alpha^alpha + gamma2 ||c f||_beta^beta = 1."""
+    """Positive c with gamma1 ||c f||_alpha^alpha + gamma2 ||c f||_beta^beta = 1.
+
+    Term i alone equals 1 at c_i = (gamma_i ||f||^e_i)^(-1/e_i), e_i the
+    term's exponent.  Below min_i c_i 4^(-1/e_i) both terms are at most 1/4
+    and above min_i c_i 2^(1/e_i) one of them is at least 2, so that bracket
+    holds the root with a margin rounding cannot cross.  (At p = q, where
+    c_1 = c_2 and alpha = beta, the tighter lower end min_i c_i 2^(-1/e_i)
+    puts both terms at 1/2, and their sum can round to just above 1.)
+    """
     absv = np.abs(vals)
     na = grid.integrate_values(absv**alpha)
     nb = grid.integrate_values(absv**beta)
@@ -353,11 +360,9 @@ def _constraint_scale(
     def excess(c: float) -> float:
         return gamma1 * c**alpha * na + gamma2 * c**beta * nb - 1.0
 
-    lo, hi = 1.0, 1.0
-    while excess(hi) < 0.0:
-        hi *= 2.0
-    while excess(lo) > 0.0:
-        lo *= 0.5
+    unit = [((gamma1 * na) ** (-1.0 / alpha), alpha), ((gamma2 * nb) ** (-1.0 / beta), beta)]
+    lo = min(c * 4.0 ** (-1.0 / e) for c, e in unit)
+    hi = min(c * 2.0 ** (1.0 / e) for c, e in unit)
     lo, hi = solve_increasing(excess, lo, hi)
     return 0.5 * (lo + hi)
 

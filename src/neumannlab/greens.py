@@ -28,6 +28,7 @@ from .grid import GridFunction
 
 __all__ = [
     "CompatibilityError",
+    "NumericalFailure",
     "KappaShiftError",
     "solve_neumann",
     "kappa_shift",
@@ -44,7 +45,11 @@ class CompatibilityError(ValueError):
     """Data with nonzero mean cannot be inverted; project it first."""
 
 
-class KappaShiftError(RuntimeError):
+class NumericalFailure(RuntimeError):
+    """A solver or root finder failed on valid input; the CLI exits 2 on it."""
+
+
+class KappaShiftError(NumericalFailure):
     """The normalizing-shift root finder failed to meet its residual target."""
 
 

@@ -6,20 +6,30 @@ balanced class (positive and negative level sets of equal measure) instead
 of a vanishing power-mean.  The eigenvalue generalizes to
 Lambda = ||Lap u||_beta / ||u||_1 over balanced u, and the level satisfies
 Lambda^(-(q+1)) = -(q+1) c.  Both the coupled problem and the scalar limit
--Lap u = sign(u) (reached when q also degenerates) are solved by a
-fixed-point sweep through the Green machinery: the sign pattern determines
-the next iterate exactly, so iterates live in a finite state space and the
-loop either reaches a fixed pattern or exposes a cycle.
+-Lap u = sign(u) (reached when q also degenerates) are solved by one
+fixed-point loop through the Green machinery, started once from the
+balanced sign-change profile a - r: the sign pattern determines the next
+iterate exactly, so iterates live in a finite state space and the loop
+either reaches a fixed pattern or exposes a cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
-from .greens import BracketError, _signed_power, balanced_shift, kappa_shift, solve_increasing, solve_neumann
+from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions, _sign_change_profile
+from .greens import (
+    BracketError,
+    NumericalFailure,
+    _signed_power,
+    balanced_shift,
+    kappa_shift,
+    solve_increasing,
+    solve_neumann,
+)
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
 
 __all__ = [
@@ -34,7 +44,7 @@ __all__ = [
 SIGN_BAND = 1e-10  # zero band, relative to the sup norm
 
 
-class OscillationDetected(RuntimeError):
+class OscillationDetected(NumericalFailure):
     """The sign pattern entered a cycle instead of a fixed point."""
 
     def __init__(self, cycle_length: int):
@@ -54,15 +64,18 @@ class BalancedFunction:
     certified: bool
 
 
+def _signs(values: np.ndarray) -> np.ndarray:
+    band = SIGN_BAND * float(np.max(np.abs(values)))
+    return np.where(values > band, 1.0, np.where(values < -band, -1.0, 0.0))
+
+
 def sign_of(u: GridFunction) -> GridFunction:
     """Nodewise sign with a zero band |u| <= 1e-10 ||u||_inf.
 
     The relative band keeps nodes that straddle the interface from
     chattering between iterations.
     """
-    band = SIGN_BAND * u.sup_norm()
-    vals = np.where(u.values > band, 1.0, np.where(u.values < -band, -1.0, 0.0))
-    return GridFunction(u.grid, vals)
+    return GridFunction(u.grid, _signs(u.values))
 
 
 def certify_balanced(u: GridFunction) -> BalancedFunction:
@@ -95,20 +108,8 @@ def _interface_mask(sign_vals: np.ndarray, halo: int = 2) -> np.ndarray:
     return mask
 
 
-def _initial_profiles(grid: RadialGrid) -> list[np.ndarray]:
-    a = grid.length * 2.0 ** (-1.0 / grid.dim)
-    base = a - grid.r
-    return [
-        base,
-        base + 0.1 * grid.length * np.cos(2.0 * np.pi * grid.r / grid.length),
-        1.05 * a - grid.r,
-    ]
-
-
-def _crossing_radii(u: GridFunction) -> list[float]:
+def _crossing_radii(grid: RadialGrid, vals: np.ndarray) -> list[float]:
     """All sign-change radii of the nodal values, cubic-refined."""
-    grid = u.grid
-    vals = u.values
     r = grid.r
     nonneg = vals >= 0.0
     cells = np.nonzero(nonneg[:-1] != nonneg[1:])[0]
@@ -130,7 +131,7 @@ def _crossing_radii(u: GridFunction) -> list[float]:
     return roots
 
 
-def _subcell_balance_shift(u: GridFunction) -> float:
+def _subcell_balance_shift(grid: RadialGrid, vals: np.ndarray) -> float:
     """Constant c balancing the measures of {u + c > 0} and {u + c < 0}
     with the level sets read from the cubic interpolant.
 
@@ -142,40 +143,42 @@ def _subcell_balance_shift(u: GridFunction) -> float:
     median shift afterwards if certified balanced-class membership is
     required.
     """
-    grid = u.grid
 
     def imbalance(c: float) -> float:
-        shifted = GridFunction(grid, u.values + c)
-        cuts = _crossing_radii(shifted)
-        lead = 1.0 if (shifted.values[0] >= 0 or not cuts) else -1.0
+        shifted = vals + c
+        cuts = _crossing_radii(grid, shifted)
+        lead = 1.0 if (shifted[0] >= 0 or not cuts) else -1.0
         marks = np.array([0.0] + cuts + [grid.length])
         seglen = np.diff(grid.weight_primitive(marks))
         signs = lead * (-1.0) ** np.arange(len(seglen))
         return float((signs * seglen).sum())
 
-    lo, hi = -float(np.max(u.values)), -float(np.min(u.values))
+    lo, hi = -float(np.max(vals)), -float(np.min(vals))
     # the shift moves values of size ||u||_inf: a few of their float spacings
     # resolve it, and a root near zero is not chased into tiny floats
     width = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
     try:
         lo, hi = solve_increasing(imbalance, lo, hi, width=width)
     except BracketError:
-        return balanced_shift(u)
+        return balanced_shift(GridFunction(grid, vals))
     return 0.5 * (lo + hi)
 
 
-def _l1_sharp(u: GridFunction) -> float:
+def _l1(grid: RadialGrid, vals: np.ndarray) -> float:
+    return grid.integrate_values(np.abs(vals))
+
+
+def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
     """L^1 norm split at the sign changes.
 
     The plain quadrature of |u| loses two orders at the interface corner;
     integrating the smooth cumulative antiderivative of u between
     cubic-refined roots keeps fourth order.
     """
-    grid = u.grid
-    cuts = _crossing_radii(u)
+    cuts = _crossing_radii(grid, vals)
     if not cuts:
-        return u.lp_norm(1)
-    cum = grid.cumulative_weighted(u.values)
+        return _l1(grid, vals)
+    cum = grid.cumulative_weighted(vals)
     r = grid.r
 
     def cum_at(x: float) -> float:
@@ -190,7 +193,7 @@ def _l1_sharp(u: GridFunction) -> float:
     return grid.surface * total
 
 
-def _solve_step(grid: RadialGrid, u: GridFunction) -> GridFunction:
+def _solve_step(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     """K applied to sign(u), the step integrated exactly.
 
     A nodal +-1 pattern misplaces the true step by up to half a cell; since
@@ -200,10 +203,10 @@ def _solve_step(grid: RadialGrid, u: GridFunction) -> GridFunction:
     int_0^r Phi dH before the mean is removed, and both integrals are
     differences of the grid's elementary primitives W and G.
     """
-    cuts = _crossing_radii(u)
+    cuts = _crossing_radii(grid, vals)
     if not cuts:
         raise ValueError("sign data does not change sign; the iterate degenerated")
-    lead = 1.0 if u.values[0] >= 0 else -1.0
+    lead = 1.0 if vals[0] >= 0 else -1.0
     marks = np.array([0.0] + cuts + [grid.length])
     signs = lead * (-1.0) ** np.arange(len(marks) - 1)
     # rows W and G, at the nodes and at the marks; both increase, so
@@ -215,34 +218,36 @@ def _solve_step(grid: RadialGrid, u: GridFunction) -> GridFunction:
         integrals += signs[k] * (np.clip(nodes, at[:, k], at[:, k + 1]) - at[:, k])
     # the step's mean, int_0^L step dW / W(L), is removed as a constant
     flux, kernel_flux = integrals - integrals[0, -1] / nodes[0, -1] * nodes
-    vals = grid.phi * flux - kernel_flux
-    vals -= grid.mean_values(vals)
-    return GridFunction(grid, vals)
+    out = grid.phi * flux - kernel_flux
+    return out - grid.mean_values(out)
 
 
-def _iterate_sign_system(q: float, grid: RadialGrid, u0: np.ndarray, opts: SolverOptions):
-    """Run the sign-system sweep from one initial profile.
+def _sign_fixed_point(
+    grid: RadialGrid,
+    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
+    opts: SolverOptions,
+) -> tuple[np.ndarray, np.ndarray | None, int, bool]:
+    """Iterate u -> step(u) + balancing constant from the sign-change profile.
 
-    Returns (u, v, iterations, converged); raises OscillationDetected on a
-    pattern cycle.
+    `step` maps the nodal values of u to (w, v): w is the next iterate
+    before the sub-cell balance shift, v whatever the caller reports with
+    it.  Stops when the L^1 step falls below tol * max(1, ||u||_1).
+    Returns (u, v, iterations, converged); raises OscillationDetected when
+    a sign pattern recurs after more than one sweep.
     """
-    u = GridFunction(grid, u0)
-    u = u.shifted(_subcell_balance_shift(u))
+    u = _sign_change_profile(grid)
+    u = u + _subcell_balance_shift(grid, u)
     seen: dict[bytes, int] = {}
     v = None
     for it in range(1, opts.max_iter + 1):
-        s = sign_of(u)
-        key = _pattern_key(s.values)
+        key = _pattern_key(_signs(u))
         prev_it = seen.get(key)
         seen[key] = it
-        v_new = _solve_step(grid, u)
-        v_new = v_new.shifted(kappa_shift(v_new, q))
-        rhs = GridFunction(grid, _signed_power(v_new.values, q))
-        ku = solve_neumann(rhs)
-        u_new = ku.shifted(_subcell_balance_shift(ku))
-        l1_step = GridFunction(grid, u_new.values - u.values).lp_norm(1)
-        u, v = u_new, v_new
-        if l1_step <= opts.tol * max(1.0, u.lp_norm(1)):
+        w, v = step(u)
+        u_new = w + _subcell_balance_shift(grid, w)
+        l1_step = _l1(grid, u_new - u)
+        u = u_new
+        if l1_step <= opts.tol * max(1.0, _l1(grid, u)):
             return u, v, it, True
         if prev_it is not None and it - prev_it > 1:
             raise OscillationDetected(it - prev_it)
@@ -252,39 +257,33 @@ def _iterate_sign_system(q: float, grid: RadialGrid, u0: np.ndarray, opts: Solve
 def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = None) -> SolutionReport:
     """Solve -Lap u = |v|^(q-1) v, -Lap v = sign(u) with balanced u.
 
-    Fixed point in the sign pattern: the pattern gives v through the
-    q-normalized Green solve, v gives a balanced u back.  Three perturbed
-    initializations are run and the lowest-Lambda fixed point is reported
-    (uniqueness of the discrete fixed point is not guaranteed).  Residuals
+    Fixed point in the sign pattern, started from the balanced sign-change
+    profile: the pattern gives v through the q-normalized Green solve, v
+    gives a balanced u back.  Raises OscillationDetected when the pattern
+    cycles; an exhausted budget is reported as converged=False.  Residuals
     are sup norms away from the interface, where the exact solution's second
     derivatives jump and nodal finite differences cannot vanish.
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     opts = opts or SolverOptions()
-    best = None
-    failure: Exception | None = None
-    for u0 in _initial_profiles(grid):
-        try:
-            u, v, iters, ok = _iterate_sign_system(q, grid, u0, opts)
-        except OscillationDetected as exc:
-            failure = exc
-            continue
-        lam = _sign_lambda(q, grid, u, v)
-        cand = (not ok, lam, u, v, iters, ok)
-        if best is None or cand[:2] < best[:2]:
-            best = cand
-    if best is None:
-        raise failure if failure is not None else RuntimeError("sign iteration produced no iterate")
-    _, lam, u, v, iters, ok = best
-    if u.values[0] < 0:
-        u = GridFunction(grid, -u.values)
-        v = GridFunction(grid, -v.values)
 
-    beta_int = grid.integrate_values(np.abs(v.values) ** (q + 1.0))
+    def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        v = GridFunction(grid, _solve_step(grid, u))
+        v = v.shifted(kappa_shift(v, q))
+        return solve_neumann(GridFunction(grid, _signed_power(v.values, q))).values, v.values
+
+    u, v, iters, ok = _sign_fixed_point(grid, step, opts)
+    lam = _sign_lambda(q, grid, u, v)
+    if u[0] < 0:
+        u, v = -u, -v
+
+    beta_int = grid.integrate_values(np.abs(v) ** (q + 1.0))
     c = -(lam ** -(q + 1.0)) / (q + 1.0)
-    c_energy = q / (q + 1.0) * beta_int - _l1_sharp(u)
+    c_energy = q / (q + 1.0) * beta_int - _l1_sharp(grid, u)
+    u = GridFunction(grid, u)
     u = u.shifted(balanced_shift(u))  # pin a node so membership certifies
+    v = GridFunction(grid, v)
 
     smooth = ~_interface_mask(sign_of(u).values)
     res_u_all = np.abs(-discrete_radial_laplacian(u).values - _signed_power(v.values, q))
@@ -292,7 +291,7 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     res_u = float(res_u_all[smooth].max())
     res_v = float(res_v_all[smooth].max())
     converged = ok and certify_balanced(u).certified and res_v <= RESIDUAL_TOL
-    cuts = _crossing_radii(u)
+    cuts = _crossing_radii(grid, u.values)
     return SolutionReport(
         u=u,
         v=v,
@@ -308,48 +307,25 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     )
 
 
-def _sign_lambda(q: float, grid: RadialGrid, u: GridFunction, v: GridFunction) -> float:
+def _sign_lambda(q: float, grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
     """Rayleigh value ||Lap u||_beta / ||u||_1 with Lap u = -|v|^(q-1) v."""
-    beta_int = grid.integrate_values(np.abs(v.values) ** (q + 1.0))
-    return beta_int ** (q / (q + 1.0)) / _l1_sharp(u)
+    beta_int = grid.integrate_values(np.abs(v) ** (q + 1.0))
+    return beta_int ** (q / (q + 1.0)) / _l1_sharp(grid, u)
 
 
 def solve_scalar_sign(grid: RadialGrid, opts: SolverOptions | None = None) -> tuple[GridFunction, float]:
     """Least-energy solution of -Lap u = sign(u) and its level.
 
-    Fixed point u -> K(sign u) + balancing constant.  The energy
-    (1/2) int |grad u|^2 - int |u| is monitored (grad-square evaluated as
-    the Green quadratic form of the sign data) and must not increase;
-    an increase beyond rounding engages damping of the new iterate.  At the
-    fixed point the level reduces to -(1/2) int |u|.
+    Fixed point u -> K(sign u) + balancing constant, started from the
+    balanced sign-change profile.  At the fixed point the level reduces to
+    -(1/2) int |u|.  Raises OscillationDetected when the pattern cycles and
+    NumericalFailure when the iteration budget runs out.
     """
     opts = opts or SolverOptions()
-    u = GridFunction(grid, grid.length * 2.0 ** (-1.0 / grid.dim) - grid.r)
-    u = u.shifted(_subcell_balance_shift(u))
-    seen: dict[bytes, int] = {}
-    energy_prev = None
-    theta = 1.0
-    for it in range(1, opts.max_iter + 1):
-        s = sign_of(u)
-        key = _pattern_key(s.values)
-        prev_it = seen.get(key)
-        seen[key] = it
-        ks = _solve_step(grid, u)
-        grad_sq = grid.integrate_values(sign_of(u).values * ks.values)
-        u_next = ks.shifted(_subcell_balance_shift(ks))
-        if theta < 1.0:
-            mixed = GridFunction(grid, (1.0 - theta) * u.values + theta * u_next.values)
-            u_next = mixed.shifted(balanced_shift(mixed))
-        energy = 0.5 * grad_sq - _l1_sharp(u_next)
-        if energy_prev is not None and energy > energy_prev + 1e-12 * max(1.0, abs(energy_prev)):
-            theta = max(0.5 * theta, 1e-3)
-        energy_prev = energy
-        step = GridFunction(grid, u_next.values - u.values).lp_norm(1)
-        u = u_next
-        if step <= opts.tol * max(1.0, u.lp_norm(1)):
-            break
-        if prev_it is not None and it - prev_it > 1:
-            raise OscillationDetected(it - prev_it)
-    c0 = -0.5 * _l1_sharp(u)
+    u, _, iters, ok = _sign_fixed_point(grid, lambda u: (_solve_step(grid, u), None), opts)
+    if not ok:
+        raise NumericalFailure(f"scalar sign iteration did not settle in {iters} sweeps")
+    c0 = -0.5 * _l1_sharp(grid, u)
+    u = GridFunction(grid, u)
     u = u.shifted(balanced_shift(u))  # pin a node so membership certifies
     return u, c0

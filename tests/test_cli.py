@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from neumannlab import dual, sign
 from neumannlab.cli import main
+from neumannlab.dual import DegenerateIterateError, NonConvergenceError
+from neumannlab.greens import KappaShiftError
+from neumannlab.sign import OscillationDetected
 
 
 def test_solve_subcritical(tmp_path):
@@ -44,6 +48,40 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert code == 2
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["converged"] is False  # partial output still written
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        KappaShiftError("shift failed"),
+        DegenerateIterateError("iterate collapsed"),
+        NonConvergenceError("budget exhausted", 0.25, 1e-3, 7),
+        OscillationDetected(3),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, failure):
+    def failing_shift(*args):
+        raise failure
+
+    monkeypatch.setattr(dual, "kappa_shift", failing_shift)
+    code = main(["solve", "--p", "2", "--q", "3", "--n", "300", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "solution.json").read_text())
+    assert payload["converged"] is False
+    assert payload["error"] == str(failure)
+    assert payload["Lambda"] == (4.0 if isinstance(failure, NonConvergenceError) else None)
+
+
+def test_solve_sign_case_numerical_failure_exit_code(tmp_path, monkeypatch):
+    def failing_shift(*args):
+        raise KappaShiftError("shift failed")
+
+    monkeypatch.setattr(sign, "kappa_shift", failing_shift)
+    code = main(["solve", "--p", "0", "--q", "1", "--dim", "2", "--n", "300", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert json.loads((tmp_path / "solution.json").read_text())["error"] == "shift failed"
 
 
 def test_solve_ball3_fine_grid_converges(tmp_path):
@@ -109,6 +147,23 @@ def test_sweep_command(tmp_path):
     assert summary["config"]["path"] == "p:1.5..3,q:1"
 
 
+def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):
+    real_shift = dual.kappa_shift
+
+    def shift_failing_at_p2(w, t):
+        if t == 2.0:
+            raise KappaShiftError("shift failed")
+        return real_shift(w, t)
+
+    monkeypatch.setattr(dual, "kappa_shift", shift_failing_at_p2)
+    code = main(["sweep", "--path", "p:1.5..2.5,q:1", "--samples", "3", "--n", "300", "--outdir", str(tmp_path)])
+    assert code == 2
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()
+    errors = [row.split(",")[-1] for row in rows[1:]]
+    assert errors == ["", "shift failed", ""]  # the sweep goes on past the failed sample
+    assert json.loads((tmp_path / "sweep.json").read_text())["failed"] == 1
+
+
 def test_sweep_rejects_bad_path(tmp_path, capsys):
     assert main(["sweep", "--path", "z:1..2", "--outdir", str(tmp_path)]) == 1
 
@@ -130,3 +185,13 @@ def test_oracle_command(tmp_path, capsys):
     assert "relative gap" in out
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["relative_gap"] <= 1e-6
+
+
+def test_oracle_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
+    def failing_shift(*args):
+        raise KappaShiftError("shift failed")
+
+    monkeypatch.setattr(dual, "kappa_shift", failing_shift)
+    code = main(["oracle", "--n", "9", "--p", "2", "--q", "3", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "shift failed" in capsys.readouterr().err

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from neumannlab.dual import SolverOptions, compute_dual
 from neumannlab.exponents import ExponentPair
 from neumannlab.experiments import (
     SweepSpec,
+    _constraint_scale,
     check_pq_to_0,
     classify_pq_to_1,
     continuation_lambda,
@@ -149,6 +152,26 @@ def test_ls_upper_bounds_structure():
     assert bounds[0] == pytest.approx(-d, rel=1e-6)
     assert all(b < 0.0 for b in bounds)
     assert all(bounds[i + 1] >= bounds[i] - 1e-12 for i in range(len(bounds) - 1))
+
+
+@given(
+    alpha=st.floats(1.05, 6.0),
+    beta=st.floats(1.05, 6.0),
+    same=st.booleans(),
+    gamma1=st.one_of(st.just(0.5), st.floats(0.01, 0.99)),
+    scale=st.floats(1e-3, 1e3),
+)
+@example(alpha=3.0, beta=3.0, same=True, gamma1=0.5, scale=1.0)  # p = q: both terms equal
+@settings(max_examples=200, deadline=None)
+def test_constraint_scale_bracket_holds_the_root(alpha, beta, same, gamma1, scale):
+    # a bracket without a sign change raises BracketError inside the scale
+    beta = alpha if same else beta
+    grid = interval_grid(1.0, n=50)
+    vals = scale * (np.cos(math.pi * grid.r) + 0.3 * np.cos(3.0 * math.pi * grid.r))
+    c = _constraint_scale(grid, alpha, beta, gamma1, 1.0 - gamma1, vals)
+    absv = np.abs(c * vals)
+    total = gamma1 * grid.integrate_values(absv**alpha) + (1.0 - gamma1) * grid.integrate_values(absv**beta)
+    assert total == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ls_upper_bounds_validation():

@@ -6,7 +6,7 @@ import pytest
 from neumannlab import sign
 from neumannlab.closed_form import m_rad, scalar_profile, zero_radius
 from neumannlab.dual import SolverOptions
-from neumannlab.greens import balanced_shift
+from neumannlab.greens import NumericalFailure, balanced_shift
 from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
 from neumannlab.sign import (
     certify_balanced,
@@ -48,6 +48,12 @@ def test_scalar_interval_closed_form():
     assert certify_balanced(u).certified
 
 
+def test_scalar_sign_raises_when_budget_runs_out():
+    grid = interval_grid(1.0, n=400)
+    with pytest.raises(NumericalFailure, match="did not settle in 1 sweeps"):
+        solve_scalar_sign(grid, SolverOptions(max_iter=1))
+
+
 def test_scalar_disk_matches_radial_profile():
     grid = unit_ball_grid(2, n=2000)
     u, c0 = solve_scalar_sign(grid)
@@ -79,12 +85,13 @@ def test_sign_system_disk_zero_radius():
     assert certify_balanced(rep.u).certified
 
 
-def test_sign_system_disk_level_matches_closed_form():
-    # the q = 1 system on the disk is the biharmonic sign problem, whose
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_sign_system_disk_level_matches_closed_form(dim):
+    # the q = 1 system on the ball is the biharmonic sign problem, whose
     # radial least-energy value is known exactly
-    grid = unit_ball_grid(2, n=2000)
+    grid = unit_ball_grid(dim, n=2000)
     rep = solve_sign_system(1.0, grid)
-    assert rep.c == pytest.approx(m_rad(2), rel=1e-8)
+    assert rep.c == pytest.approx(m_rad(dim), rel=1e-9)
     assert rep.c_energy == pytest.approx(rep.c, rel=1e-6)
     assert rep.lam * rep.D == pytest.approx(1.0, rel=1e-12)
 
@@ -135,7 +142,7 @@ def test_step_solve_is_exact(dim):
     else:
         a = 2.0 ** (-1.0 / dim)
         exact = scalar_profile(dim, grid.r)
-    diff = sign._solve_step(grid, GridFunction(grid, a - grid.r)).values - exact
+    diff = sign._solve_step(grid, a - grid.r) - exact
     assert (diff.max() - diff.min()) / 2.0 <= 1e-14
 
 
@@ -145,9 +152,9 @@ def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
     crossings, evaluations = [], []
     crossing_radii, solve_increasing = sign._crossing_radii, sign.solve_increasing
 
-    def counted_crossings(v):
+    def counted_crossings(grid, vals):
         crossings.append(1)
-        return crossing_radii(v)
+        return crossing_radii(grid, vals)
 
     def counted_solve(fn, lo, hi, **kwargs):
         def counted_fn(c):
@@ -158,14 +165,14 @@ def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
 
     monkeypatch.setattr(sign, "_crossing_radii", counted_crossings)
     monkeypatch.setattr(sign, "solve_increasing", counted_solve)
-    c = sign._subcell_balance_shift(u)
+    c = sign._subcell_balance_shift(grid, u.values)
     assert len(evaluations) > 2
     assert len(crossings) == len(evaluations)  # the bracket ends are not evaluated twice
-    cut = crossing_radii(u.shifted(c))[0]
+    cut = crossing_radii(grid, u.values + c)[0]
     assert abs(cut**2 - 0.5) <= 1e-12  # equal disk areas on either side
 
 
 def test_subcell_balance_shift_falls_back_without_sign_change():
     grid = interval_grid(1.0, n=100)
     u = GridFunction.constant(grid, 0.25)
-    assert sign._subcell_balance_shift(u) == balanced_shift(u)
+    assert sign._subcell_balance_shift(grid, u.values) == balanced_shift(u)
