@@ -98,8 +98,10 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
             row["converged"] = rep.converged
         return row, dp
     except (NumericalFailure, ValueError) as exc:
+        d_estimate = getattr(exc, "d_estimate", None)
         row["error"] = str(exc)
-        row["Lambda"] = getattr(exc, "d_estimate", None)
+        row["Lambda"] = 1.0 / d_estimate if d_estimate else None
+        row["D"] = d_estimate
         return row, None
 
 
@@ -384,6 +386,15 @@ def ls_upper_bounds(
     gamma1 ||f||_alpha^alpha + gamma2 ||f||_beta^beta = 1, located by
     multistart projected ascent.  The spans nest, so the bounds are
     nondecreasing in k (and negative, as the construction guarantees).
+
+    On the mode coefficients a, phi = -c^2 a.Q a, where Q is the modes' Gram
+    matrix under K; its eigenvalues spread like 1/i^2.  Each step therefore
+    follows grad = -2 Q a preconditioned by Q^-1 and projected onto the
+    constraint's tangent plane in the Q metric,
+    d = Q^-1 grad - (gc.Q^-1 grad / gc.Q^-1 gc) Q^-1 gc with gc the
+    constraint gradient.  A start stops when (grad.d)(a.Q a)/phi^2 <= 1e-16,
+    where a step's gain is at rounding level, when the backtracking step
+    falls below 1e-13, or after 400 steps.
     """
     if k_max < 1 or k_max > 8:
         raise ValueError("k_max must be between 1 and 8")
@@ -409,6 +420,7 @@ def ls_upper_bounds(
     prev_best_a: np.ndarray | None = None
     for k in range(2, k_max + 1):
         qk = quad[:k, :k]
+        qinv = np.linalg.inv(qk)
 
         def phi_of(a: np.ndarray) -> tuple[float, np.ndarray]:
             vals = a @ modes[:k]
@@ -425,18 +437,18 @@ def ls_upper_bounds(
             val, fvals = phi_of(a)
             step = 0.5
             for _ in range(400):
-                grad_obj = -2.0 * (qk @ a)
                 dens = gamma1 * alpha * _signed_power(fvals, alpha - 1.0)
                 dens += gamma2 * beta * _signed_power(fvals, beta - 1.0)
                 gc = modes[:k] @ (w * dens)
-                nrm2 = float(gc @ gc)
-                if nrm2 > 0:
-                    grad_obj = grad_obj - (grad_obj @ gc) / nrm2 * gc
-                if np.linalg.norm(grad_obj) < 1e-14:
+                # Q^-1 grad, grad = -2 Q a, projected Q-orthogonally to Q^-1 gc;
+                # grad . d = d Q d, which has no cancellation near a stationary point
+                h = qinv @ gc
+                d = -2.0 * (a - (gc @ a) / (gc @ h) * h)
+                if float(d @ qk @ d) * float(a @ qk @ a) <= 1e-16 * val**2:
                     break
                 improved = False
                 while step > 1e-13:
-                    a_try = a + step * grad_obj
+                    a_try = a + step * d
                     nrm = np.linalg.norm(a_try)
                     if nrm > 1e-14:
                         a_try = a_try / nrm

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -162,6 +163,20 @@ def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):
     errors = [row.split(",")[-1] for row in rows[1:]]
     assert errors == ["", "shift failed", ""]  # the sweep goes on past the failed sample
     assert json.loads((tmp_path / "sweep.json").read_text())["failed"] == 1
+
+
+def test_sweep_failed_rows_record_lambda_and_d(tmp_path):
+    # two sweeps bring Lambda within 2e-9 of its limit but stop short of the step test
+    argv = ["sweep", "--path", "p:2..3,q:1", "--samples", "3", "--n", "300", "--max-iter", "2"]
+    assert main(argv + ["--outdir", str(tmp_path)]) == 2
+    with open(tmp_path / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["p"] for row in rows] == ["2", "2.5", "3"]
+    for row in rows:
+        assert row["error"].startswith("dual iteration did not converge")
+        assert float(row["Lambda"]) * float(row["D"]) == pytest.approx(1.0, rel=1e-15)
+    assert float(rows[0]["Lambda"]) == pytest.approx(9.2842255, rel=1e-6)  # converged value at n = 300
+    assert json.loads((tmp_path / "sweep.json").read_text())["continuity_ok"] is True
 
 
 def test_sweep_rejects_bad_path(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from neumannlab import experiments
 from neumannlab.dual import SolverOptions, compute_dual
 from neumannlab.exponents import ExponentPair
 from neumannlab.experiments import (
@@ -17,7 +18,8 @@ from neumannlab.experiments import (
     ls_upper_bounds,
     run_sweep,
 )
-from neumannlab.grid import interval_grid, unit_ball_grid
+from neumannlab.greens import solve_neumann
+from neumannlab.grid import GridFunction, interval_grid, unit_ball_grid
 from neumannlab.sign import solve_sign_system
 
 
@@ -144,14 +146,49 @@ def test_continuation_limits():
     assert len(samples) == 4
 
 
-def test_ls_upper_bounds_structure():
+@pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.5)])
+def test_ls_upper_bounds_structure(p, q):
     grid = interval_grid(1.0, n=1000)
-    e = ExponentPair(2.0, 2.0, 1)
+    e = ExponentPair(p, q, 1)
     bounds = ls_upper_bounds(e, 5, grid)
     d = compute_dual(e, grid).d_estimate
     assert bounds[0] == pytest.approx(-d, rel=1e-6)
     assert all(b < 0.0 for b in bounds)
     assert all(bounds[i + 1] >= bounds[i] - 1e-12 for i in range(len(bounds) - 1))
+
+
+def test_ls_upper_bounds_constraint_scale_calls(monkeypatch):
+    # the ascent along the raw projected gradient made about 35000 calls
+    calls = []
+    scale = experiments._constraint_scale
+
+    def counted(*args):
+        calls.append(1)
+        return scale(*args)
+
+    monkeypatch.setattr(experiments, "_constraint_scale", counted)
+    bounds = ls_upper_bounds(ExponentPair(2.0, 2.0, 1), 5, interval_grid(1.0, 1000))
+    monkeypatch.undo()
+    assert len(bounds) == 5
+    assert len(calls) <= 6000
+
+
+@pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.5)])
+def test_ls_upper_bounds_k2_matches_an_angle_scan(p, q):
+    # on the span of the first two modes phi is even and depends only on the
+    # direction of a: scan a = (cos t, sin t) and evaluate -c^2 int f K f directly
+    grid = interval_grid(1.0, n=1000)
+    e = ExponentPair(p, q, 1)
+    b = ls_upper_bounds(e, 2, grid)[1]
+    m1, m2 = (np.cos(i * math.pi * grid.r) for i in (1, 2))
+    k1, k2 = (solve_neumann(GridFunction(grid, m)).values for m in (m1, m2))
+    best = -math.inf
+    for t in np.linspace(0.0, math.pi, 4001):
+        f = math.cos(t) * m1 + math.sin(t) * m2
+        c = _constraint_scale(grid, e.alpha, e.beta, e.gamma1, e.gamma2, f)
+        kf = math.cos(t) * k1 + math.sin(t) * k2
+        best = max(best, -(c**2) * grid.integrate_values(f * kf))
+    assert b - 1e-9 * abs(b) <= best <= b + 1e-12 * abs(b)
 
 
 @given(
