@@ -44,7 +44,6 @@ _FLAG_TYPES = {
     "tol": float,
     "max_iter": int,
     "seed": int,
-    "damping": float,
     "init": str,
     "init_file": str,
     "outdir": str,
@@ -83,7 +82,6 @@ def _solver_options(cfg: dict) -> SolverOptions:
     return SolverOptions(
         tol=cfg.get("tol", 1e-10),
         max_iter=cfg.get("max_iter", 500),
-        damping=cfg.get("damping", 1.0),
         init=cfg.get("init", "auto"),
         init_file=cfg.get("init_file"),
     )
@@ -148,6 +146,7 @@ def _cmd_solve(args) -> int:
         "iterations": rep.iterations,
         "converged": rep.converged,
         "warning": rep.warning,
+        "stop_reason": rep.stop_reason,
         "zero_radius": rep.zero_radius,
     }
     write_json(outdir / "solution.json", payload)
@@ -314,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, help="iteration tolerance")
         sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration budget")
         sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--damping", type=float, help="initial damping step")
         sp.add_argument("--init", choices=["auto", "cosine", "signchange", "file"], help="initial guess")
         sp.add_argument("--init-file", dest="init_file", help="CSV (r,value) initial data")
 

@@ -102,6 +102,7 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
         row["error"] = str(exc)
         row["Lambda"] = 1.0 / d_estimate if d_estimate else None
         row["D"] = d_estimate
+        row.setdefault("iterations", getattr(exc, "iterations", None))  # a failed reconstruction keeps the count
         return row, None
 
 

@@ -123,6 +123,13 @@ class RadialGrid:
     def mean_values(self, values: np.ndarray) -> float:
         return self.integrate_values(values) / self.domain_measure
 
+    def lp_norm_values(self, values: np.ndarray, s: float) -> float:
+        """(int |y|^s)^(1/s); a rounding-level negative total (N >= 3 weights) reads 0."""
+        if s < 1:
+            raise ValueError(f"L^s norm needs s >= 1, got {s}")
+        total = self.integrate_values(np.abs(values) ** s)
+        return max(total, 0.0) ** (1.0 / s)
+
     def quadrature_defect(self) -> float:
         """Relative defect of the exactness identity int_0^L r^(dim-1) = L^dim / dim."""
         exact = self.length**self.dim / self.dim
@@ -256,9 +263,6 @@ class GridFunction:
     def constant(cls, grid: RadialGrid, c: float) -> "GridFunction":
         return cls(grid, np.full_like(grid.r, float(c)))
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.grid, self.values.copy())
-
     def integral(self) -> float:
         return self.grid.integrate_values(self.values)
 
@@ -266,10 +270,7 @@ class GridFunction:
         return self.grid.mean_values(self.values)
 
     def lp_norm(self, s: float) -> float:
-        if s < 1:
-            raise ValueError(f"L^s norm needs s >= 1, got {s}")
-        total = self.grid.integrate_values(np.abs(self.values) ** s)
-        return max(total, 0.0) ** (1.0 / s)
+        return self.grid.lp_norm_values(self.values, s)
 
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))

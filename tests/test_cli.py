@@ -20,6 +20,7 @@ def test_solve_subcritical(tmp_path):
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["converged"] is True
     assert payload["Lambda"] * payload["D"] == pytest.approx(1.0, rel=1e-12)
+    assert payload["stop_reason"] in ("step-small", "d-flat", "d-envelope")
     for name in ("u.csv", "v.csv"):
         raw = (tmp_path / name).read_bytes()
         assert raw.startswith(b"r,value\r\n")
@@ -34,6 +35,7 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=3e-3)
+    assert payload["stop_reason"] is None  # the sign solver has no dual stop rule
 
 
 def test_solve_rejects_hyperbola(tmp_path, capsys):
@@ -110,6 +112,19 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_solve_rejects_damping_flag(tmp_path):
+    with pytest.raises(SystemExit) as info:
+        main(["solve", "--p", "3", "--q", "3", "--damping", "0.5", "--outdir", str(tmp_path)])
+    assert info.value.code == 2
+
+
+def test_config_rejects_damping_key(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, "damping": 0.5}))
+    assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+    assert "unknown config key" in capsys.readouterr().err
+
+
 def test_env_seed_override(tmp_path, monkeypatch):
     monkeypatch.setenv("NEUMANN_LAB_SEED", "17")
     assert main(["solve", "--p", "3", "--q", "3", "--n", "600", "--outdir", str(tmp_path)]) == 0
@@ -175,6 +190,7 @@ def test_sweep_failed_rows_record_lambda_and_d(tmp_path):
     for row in rows:
         assert row["error"].startswith("dual iteration did not converge")
         assert float(row["Lambda"]) * float(row["D"]) == pytest.approx(1.0, rel=1e-15)
+        assert row["iterations"] == "2"
     assert float(rows[0]["Lambda"]) == pytest.approx(9.2842255, rel=1e-6)  # converged value at n = 300
     assert json.loads((tmp_path / "sweep.json").read_text())["continuity_ok"] is True
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from neumannlab import greens
 from neumannlab.dual import (
     NonConvergenceError,
     SolverOptions,
@@ -163,6 +164,40 @@ def test_nonconvergence_carries_diagnostics(line):
     assert err.iterations == 2
     assert err.d_estimate > 0
     assert err.oscillation >= 0
+
+
+@pytest.mark.parametrize(
+    "p, q, dim, n, rule",
+    [(0.01, 0.01, 1, 2000, "step-small"), (1.0, 0.5, 1, 2000, "d-flat"), (1.0, 5.0, 6, 400, "d-envelope")],
+)
+def test_stop_reason_names_the_rule(p, q, dim, n, rule):
+    e = ExponentPair(p, q, dim)
+    dp = compute_dual(e, make_grid(dim=dim, n=n))
+    assert dp.stop_reason == rule
+    assert dp.warning in (None, "discrete-only")  # the region note only
+    assert reconstruct_solution(e, dp).stop_reason == rule
+
+
+@pytest.mark.parametrize("p, q", [(1.0, 5.0), (5.0, 1.0)])
+def test_critical_pair_needs_damping_and_best_pair(p, q):
+    # rounding makes D drop on this critical pair: without the theta halving
+    # an iterate collapses, and without the best pair D ends below its peak
+    dp = compute_dual(ExponentPair(p, q, 6), unit_ball_grid(6, 400))
+    assert dp.d_estimate == max(dp.d_history)
+
+
+@pytest.mark.parametrize("p, q, per_sweep", [(3.0, 2.0, 2), (2.0, 2.0, 1)])
+def test_green_applies_per_sweep(line, monkeypatch, p, q, per_sweep):
+    calls = []
+    real_apply = greens.green_apply
+
+    def counted(grid, values):
+        calls.append(1)
+        return real_apply(grid, values)
+
+    monkeypatch.setattr(greens, "green_apply", counted)
+    dp = compute_dual(ExponentPair(p, q, 1), line)
+    assert len(calls) <= per_sweep * dp.iterations + 1  # the start's K g is carried
 
 
 def test_warm_start_agrees_with_cold(line):
