@@ -4,7 +4,10 @@ Subcommands: solve (one exponent pair, writes solution.json + u.csv/v.csv),
 table1 (closed-form energy table with golden diff), sweep (exponent-path
 study to CSV), asympt (symmetry-breaking verdicts across dimensions) and
 oracle (small-grid brute force against the iteration).  Flags can also come
-from a JSON config file; explicit flags win.  Exit codes: 0 success,
+from a JSON config file; explicit flags win.  The solvers take only
+--tol (finite, >= 0) and --max-iter (>= 1); every dual solve starts from
+the first cosine mode, and each sweep sample after the first continues
+from the previous sample's pair.  Exit codes: 0 success,
 1 configuration error, 2 numerical failure (any NumericalFailure, an
 unconverged solve or a golden mismatch), with partial output written where
 possible.  All floats are printed with 17 significant digits so runs are
@@ -28,7 +31,7 @@ from .experiments import SweepSpec, run_sweep
 from .greens import CompatibilityError, NumericalFailure
 from .grid import make_grid
 from .report_io import fmt17 as _fmt
-from .report_io import write_json
+from .report_io import write_csv_rows, write_json
 from .sign import solve_sign_system
 
 __all__ = ["main"]
@@ -44,12 +47,9 @@ _FLAG_TYPES = {
     "tol": float,
     "max_iter": int,
     "seed": int,
-    "init": str,
-    "init_file": str,
     "outdir": str,
     "path": str,
     "samples": int,
-    "cold": bool,
     "nmin": int,
     "nmax": int,
     "restarts": int,
@@ -79,12 +79,7 @@ def _merged_config(args: argparse.Namespace) -> dict:
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    return SolverOptions(
-        tol=cfg.get("tol", 1e-10),
-        max_iter=cfg.get("max_iter", 500),
-        init=cfg.get("init", "auto"),
-        init_file=cfg.get("init_file"),
-    )
+    return SolverOptions(tol=cfg.get("tol", 1e-10), max_iter=cfg.get("max_iter", 500))
 
 
 def _grid_from(cfg: dict):
@@ -106,13 +101,13 @@ def _cmd_solve(args) -> int:
     try:
         grid = _grid_from(cfg)
         e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
+        opts = _solver_options(cfg)
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     if e.p > 0 and e.on_hyperbola:
         print("hyperbola: level undefined (pq = 1)", file=sys.stderr)
         return 1
-    opts = _solver_options(cfg)
     region = classify_region(e)
     try:
         if e.p == 0.0:
@@ -164,10 +159,11 @@ def _cmd_table1(args) -> int:
     outdir = Path(cfg.get("outdir", "."))
     outdir.mkdir(parents=True, exist_ok=True)
     rows = closed_form.table1()
-    with open(outdir / "table1.csv", "w", newline="") as fh:
-        fh.write("N,h1,h2,h1_minus_h2\r\n")
-        for row in rows:
-            fh.write(f"{row.N},{_fmt(row.h1)},{_fmt(row.h2)},{_fmt(row.diff)}\r\n")
+    write_csv_rows(
+        outdir / "table1.csv",
+        ["N", "h1", "h2", "h1_minus_h2"],
+        [{"N": row.N, "h1": row.h1, "h2": row.h2, "h1_minus_h2": row.diff} for row in rows],
+    )
     worst = 0.0
     for row in rows:
         ref1, ref2 = closed_form.TABLE1_PRINTED[row.N]
@@ -209,14 +205,7 @@ def _cmd_sweep(args) -> int:
     try:
         p_of, q_of, ts = _parse_path(cfg["path"], cfg.get("samples", 11))
         grid = _grid_from(cfg)
-        spec = SweepSpec(
-            p_of=p_of,
-            q_of=q_of,
-            ts=ts,
-            grid=grid,
-            opts=_solver_options(cfg),
-            warm_start=not cfg.get("cold", False),
-        )
+        spec = SweepSpec(p_of=p_of, q_of=q_of, ts=ts, grid=grid, opts=_solver_options(cfg))
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
@@ -250,20 +239,18 @@ def _cmd_asympt(args) -> int:
         print("need 2 <= nmin <= nmax", file=sys.stderr)
         return 1
     all_ok = True
-    with open(outdir / "asympt.csv", "w", newline="") as fh:
-        fh.write("N,nonradial,provenance,h1,h2,neg_p,mid,rhs\r\n")
-        for N in range(nmin, nmax + 1):
-            verdict = closed_form.symmetry_breaking_verdict(N)
-            all_ok &= verdict.nonradial
-            if verdict.provenance == "table":
-                fh.write(
-                    f"{N},{int(verdict.nonradial)},table,{_fmt(closed_form.m_rad(N))},{_fmt(closed_form.h2(N))},,,\r\n"
-                )
-            else:
-                b = closed_form.asymptotic_bound(N)
-                fh.write(
-                    f"{N},{int(verdict.nonradial)},bound,,,{_fmt(b.neg_p)},{_fmt(b.mid)},{_fmt(b.rhs)}\r\n"
-                )
+    rows = []
+    for N in range(nmin, nmax + 1):
+        verdict = closed_form.symmetry_breaking_verdict(N)
+        all_ok &= verdict.nonradial
+        row = {"N": N, "nonradial": int(verdict.nonradial), "provenance": verdict.provenance}
+        if verdict.provenance == "table":
+            row.update(h1=closed_form.m_rad(N), h2=closed_form.h2(N))
+        else:
+            b = closed_form.asymptotic_bound(N)
+            row.update(neg_p=b.neg_p, mid=b.mid, rhs=b.rhs)
+        rows.append(row)
+    write_csv_rows(outdir / "asympt.csv", ["N", "nonradial", "provenance", "h1", "h2", "neg_p", "mid", "rhs"], rows)
     print(f"dimensions {nmin}..{nmax}: nonradial everywhere = {all_ok}")
     return 0 if all_ok else 2
 
@@ -285,7 +272,7 @@ def _cmd_oracle(args) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"configuration error: {exc}", file=sys.stderr)
         return 1
     gap = abs(d_oracle / d_iter - 1.0)
     payload = {"config": cfg, "d_iteration": d_iter, "d_oracle": d_oracle, "relative_gap": gap}
@@ -313,8 +300,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--tol", type=float, help="iteration tolerance")
         sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration budget")
         sp.add_argument("--seed", type=int, help="random seed")
-        sp.add_argument("--init", choices=["auto", "cosine", "signchange", "file"], help="initial guess")
-        sp.add_argument("--init-file", dest="init_file", help="CSV (r,value) initial data")
 
     sp = sub.add_parser("solve", help="solve one exponent pair")
     add_common(sp)
@@ -330,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sp)
     sp.add_argument("--path", help="e.g. 'p:0.5..3,q:1'")
     sp.add_argument("--samples", type=int, help="number of samples")
-    sp.add_argument("--cold", action="store_const", const=True, help="disable warm starts")
     sp.set_defaults(func=_cmd_sweep)
 
     sp = sub.add_parser("asympt", help="symmetry-breaking verdicts over dimensions")

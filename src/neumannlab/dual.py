@@ -51,8 +51,12 @@ ENVELOPE_TOL = 1e-5  # relative D envelope over 32 sweeps accepted as a limit cy
 class SolverOptions:
     tol: float = 1e-10
     max_iter: int = 500
-    init: str = "auto"  # auto | cosine | signchange | file
-    init_file: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if not (math.isfinite(self.tol) and self.tol >= 0.0):
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass
@@ -98,28 +102,9 @@ class DegenerateIterateError(NumericalFailure):
     """An iterate collapsed toward the constants (norm below 1e-14)."""
 
 
-def _sign_change_profile(grid: RadialGrid) -> np.ndarray:
-    """a - r with a = L 2^(-1/N), the radius that halves the domain's measure."""
-    return grid.length * 2.0 ** (-1.0 / grid.dim) - grid.r
-
-
-def _initial_profile(grid: RadialGrid, opts: SolverOptions) -> np.ndarray:
-    mode = opts.init
-    if mode == "auto":
-        mode = "cosine" if grid.mode == "interval" or grid.dim == 1 else "signchange"
-    if mode == "cosine":
-        vals = np.cos(np.pi * grid.r / grid.length)
-    elif mode == "signchange":
-        vals = _sign_change_profile(grid)
-    elif mode == "file":
-        if opts.init_file is None:
-            raise ValueError("init='file' needs init_file")
-        data = np.loadtxt(opts.init_file, delimiter=",", skiprows=1)
-        vals = np.asarray(data[:, 1], dtype=float)
-        if vals.shape != grid.r.shape:
-            raise ValueError("initial data does not match the grid")
-    else:
-        raise ValueError(f"unknown init mode {mode!r}")
+def _cosine_profile(grid: RadialGrid) -> np.ndarray:
+    """cos(pi r / L) minus its mean: the first nonconstant Neumann mode of an interval."""
+    vals = np.cos(np.pi * grid.r / grid.length)
     return vals - grid.mean_values(vals)
 
 
@@ -151,6 +136,8 @@ def compute_dual(
 ) -> DualPair:
     """Maximize the dual quotient by alternating exact best responses.
 
+    A cold start takes f and g from the mean-zero first cosine mode
+    cos(pi r / L); warm_start continues from a previous pair instead.
     Each sweep stops the loop, with that rule as `stop_reason`, when
     - step-small: D changed by at most opts.tol relative and the
       L^alpha x L^beta change of (f, g) is at most 2 opts.tol;
@@ -178,7 +165,7 @@ def compute_dual(
     if warm_start is not None:
         f, g = warm_start.f.values, warm_start.g.values
     else:
-        vals = _initial_profile(grid, opts)
+        vals = _cosine_profile(grid)
         g = vals / grid.lp_norm_values(vals, beta)
         f = vals / grid.lp_norm_values(vals, alpha)
     kg = solve_neumann(GridFunction(grid, g))  # carried: sweep k's K g_new is sweep k+1's K g
@@ -238,18 +225,13 @@ def compute_dual(
     return DualPair(f, g, d_now, it, True, d_history=history, warning=warning, stop_reason=stop)
 
 
-def compute_lambda(
-    e: ExponentPair,
-    grid: RadialGrid,
-    opts: SolverOptions | None = None,
-    warm_start: DualPair | None = None,
-) -> float:
+def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None = None) -> float:
     """Nonlinear eigenvalue Lambda = 1/D; delegates p = 0 to the sign solver."""
     if e.p == 0.0:
         from .sign import solve_sign_system
 
         return solve_sign_system(e.q, grid, opts).lam
-    return 1.0 / compute_dual(e, grid, opts, warm_start=warm_start).d_estimate
+    return 1.0 / compute_dual(e, grid, opts).d_estimate
 
 
 def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
@@ -398,8 +380,6 @@ def delta_lower_bound(e: ExponentPair, grid: RadialGrid) -> float:
     With psi the mean-zero cosine profile, D >= int psi K psi / (||psi||_alpha
     ||psi||_beta) by definition of the supremum.
     """
-    vals = np.cos(np.pi * grid.r / grid.length)
-    vals = vals - grid.mean_values(vals)
-    psi = GridFunction(grid, vals)
+    psi = GridFunction(grid, _cosine_profile(grid))
     kpsi = solve_neumann(psi)
-    return grid.integrate_values(vals * kpsi.values) / (psi.lp_norm(e.alpha) * psi.lp_norm(e.beta))
+    return grid.integrate_values(psi.values * kpsi.values) / (psi.lp_norm(e.alpha) * psi.lp_norm(e.beta))

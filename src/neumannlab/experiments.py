@@ -54,7 +54,6 @@ class SweepSpec:
     ts: Sequence[float]
     grid: RadialGrid
     opts: SolverOptions = field(default_factory=SolverOptions)
-    warm_start: bool = True
 
     def __post_init__(self) -> None:
         self.ts = sorted(float(t) for t in self.ts)
@@ -109,13 +108,13 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Solve along the path, warm-starting each sample from the previous one.
 
-    Failures are recorded per sample and the sweep continues.
+    Failures are recorded per sample and the sweep continues; the sample
+    after a failure starts cold.
     """
     rows: list[dict] = []
     warm: DualPair | None = None
     for t in spec.ts:
-        row, dp = _sweep_sample(spec, t, warm)
-        warm = dp if spec.warm_start else None
+        row, warm = _sweep_sample(spec, t, warm)
         rows.append(row)
     return SweepResult(rows)
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions, _sign_change_profile
+from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
 from .greens import (
     BracketError,
     NumericalFailure,
@@ -220,6 +220,11 @@ def _solve_step(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     flux, kernel_flux = integrals - integrals[0, -1] / nodes[0, -1] * nodes
     out = grid.phi * flux - kernel_flux
     return out - grid.mean_values(out)
+
+
+def _sign_change_profile(grid: RadialGrid) -> np.ndarray:
+    """a - r with a = L 2^(-1/N), the radius that halves the domain's measure."""
+    return grid.length * 2.0 ** (-1.0 / grid.dim) - grid.r
 
 
 def _sign_fixed_point(

@@ -113,16 +113,40 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_solve_rejects_damping_flag(tmp_path):
-    with pytest.raises(SystemExit) as info:
-        main(["solve", "--p", "3", "--q", "3", "--damping", "0.5", "--outdir", str(tmp_path)])
-    assert info.value.code == 2
+    # removed knobs: the damping factor and the start options
+    for argv in (
+        ["solve", "--p", "3", "--q", "3", "--damping", "0.5"],
+        ["solve", "--p", "3", "--q", "3", "--init", "cosine"],
+        ["solve", "--p", "3", "--q", "3", "--init-file", "g.csv"],
+        ["sweep", "--path", "p:2..3,q:1", "--samples", "2", "--n", "100", "--cold"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--outdir", str(tmp_path)])
+        assert info.value.code == 2, argv
 
 
 def test_config_rejects_damping_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, "damping": 0.5}))
-    assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
-    assert "unknown config key" in capsys.readouterr().err
+    for key, value in (("damping", 0.5), ("init", "cosine"), ("init_file", "g.csv"), ("cold", "false")):
+        cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, "n": 100, key: value}))
+        assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1, key
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "3", "--q", "2", "--n", "100", "--max-iter", "0"],
+        ["solve", "--p", "0", "--q", "1", "--n", "100", "--max-iter", "0"],
+        ["sweep", "--path", "p:2..3,q:1", "--samples", "3", "--n", "100", "--max-iter", "0"],
+        ["oracle", "--n", "9", "--p", "2", "--q", "3", "--max-iter", "0"],
+        ["solve", "--p", "3", "--q", "2", "--n", "100", "--tol=-1e-10"],
+    ],
+    ids=["dual", "sign", "sweep", "oracle", "negative-tol"],
+)
+def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv):
+    assert main(argv + ["--outdir", str(tmp_path)]) == 1
+    assert "configuration error" in capsys.readouterr().err
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -136,6 +160,7 @@ def test_table1_command(tmp_path):
     assert main(["table1", "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "table1.csv").read_bytes().split(b"\r\n")
     assert lines[0] == b"N,h1,h2,h1_minus_h2"
+    assert lines[1] == b"3,-0.002723963752379501,-0.079521564043991647,0.076797600291612145"
     assert len([ln for ln in lines if ln]) == 7
 
 
@@ -201,10 +226,12 @@ def test_sweep_rejects_bad_path(tmp_path, capsys):
 
 def test_asympt_command(tmp_path):
     assert main(["asympt", "--nmin", "2", "--nmax", "12", "--outdir", str(tmp_path)]) == 0
-    rows = (tmp_path / "asympt.csv").read_text().splitlines()
-    assert len(rows) == 12  # header + 11 dimensions
-    assert rows[1].startswith("2,1,table")
-    assert rows[-1].startswith("12,1,bound")
+    raw = (tmp_path / "asympt.csv").read_bytes()
+    rows = raw.split(b"\r\n")
+    assert len(rows) == 13 and rows[-1] == b""  # header + 11 dimensions, CRLF-terminated
+    assert rows[0] == b"N,nonradial,provenance,h1,h2,neg_p,mid,rhs"
+    assert rows[1].startswith(b"2,1,table")
+    assert rows[-2] == b"12,1,bound,,,13.964470620852438,682,1589.002951829483"
 
 
 def test_oracle_command(tmp_path, capsys):

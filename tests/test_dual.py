@@ -15,7 +15,7 @@ from neumannlab.dual import (
     oracle_dual_smallgrid,
     reconstruct_solution,
 )
-from neumannlab.exponents import ExponentPair, HyperbolaError
+from neumannlab.exponents import ExponentPair, HyperbolaError, Region, classify_region
 from neumannlab.grid import interval_grid, make_grid, unit_ball_grid
 
 J11 = 3.8317059702075125  # first positive root of J_1
@@ -65,10 +65,14 @@ def test_swap_symmetry_property(dim, p, q):
 
 
 def test_delta_lower_bound_never_violated(line):
-    for p, q in [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)]:
-        e = ExponentPair(p, q, 1)
-        d = compute_dual(e, line).d_estimate
-        assert d >= delta_lower_bound(e, line) - 1e-12
+    grids = [line] + [unit_ball_grid(N, n=800) for N in range(2, 7)]
+    for grid in grids:
+        for p, q in [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)]:
+            e = ExponentPair(p, q, grid.dim)
+            if classify_region(e) == Region.SUPERCRITICAL:
+                continue  # (2, 3) on N = 5, 6
+            d = compute_dual(e, grid).d_estimate
+            assert d >= delta_lower_bound(e, grid) - 1e-12, (grid.dim, p, q)
 
 
 def test_quotient_history_feasible(line):
@@ -231,16 +235,14 @@ def test_oracle_rejects_large_grids(line):
         oracle_dual_smallgrid(ExponentPair(1.0, 1.0, 1), line)
 
 
-def test_file_initialization(tmp_path, line):
-    e = ExponentPair(2.0, 2.0, 1)
-    dp = compute_dual(e, line)
-    path = tmp_path / "g.csv"
-    dp.g.write_csv(path)
-    opts = SolverOptions(init="file", init_file=str(path))
-    dp2 = compute_dual(e, line, opts)
-    assert dp2.d_estimate == pytest.approx(dp.d_estimate, rel=1e-10)
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-10}, {"tol": math.nan}, {"tol": math.inf}],
+    ids=["max_iter=0", "max_iter=-3", "tol=-1e-10", "tol=nan", "tol=inf"],
+)
+def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(ValueError):
-        compute_dual(e, line, SolverOptions(init="file"))
+        SolverOptions(**kwargs)
 
 
 def test_compute_lambda_delegates_sign_case():

@@ -52,15 +52,15 @@ def test_sweep_rows_sorted_and_hyperbola_handled(line800):
 
 def test_sweep_warm_cold_agreement(line800):
     ts = np.linspace(1.2, 2.2, 6)
-    warm = run_sweep(SweepSpec(lambda t: t, lambda t: 1.0, ts, line800, warm_start=True))
-    cold = run_sweep(SweepSpec(lambda t: t, lambda t: 1.0, ts, line800, warm_start=False))
-    for a, b in zip(warm.column("Lambda"), cold.column("Lambda")):
+    warm = run_sweep(SweepSpec(lambda t: t, lambda t: 1.0, ts, line800))
+    cold = [1.0 / compute_dual(ExponentPair(t, 1.0, 1), line800).d_estimate for t in ts]
+    for a, b in zip(warm.column("Lambda"), cold):
         assert a == pytest.approx(b, abs=1e-8 * abs(b))
 
 
 def test_sweep_deterministic_and_parallel_order(line800, tmp_path):
     ts = np.linspace(1.5, 2.0, 5)
-    spec = SweepSpec(lambda t: t, lambda t: 1.0, ts, line800, warm_start=False)
+    spec = SweepSpec(lambda t: t, lambda t: 1.0, ts, line800)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     run_sweep(spec).write_csv(p1)
     run_sweep(spec).write_csv(p2)
