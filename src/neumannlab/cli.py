@@ -7,11 +7,14 @@ oracle (small-grid brute force against the iteration).  Flags can also come
 from a JSON config file; explicit flags win.  The solvers take only
 --tol (finite, >= 0) and --max-iter (>= 1); every dual solve starts from
 the first cosine mode, and each sweep sample after the first continues
-from the previous sample's pair.  Exit codes: 0 success,
-1 configuration error, 2 numerical failure (any NumericalFailure, an
-unconverged solve or a golden mismatch), with partial output written where
-possible.  All floats are printed with 17 significant digits so runs are
-diffable; NEUMANN_LAB_SEED overrides the seed.
+from the previous sample's pair.  `main` merges the config, makes the
+output directory and alone maps exceptions to exit codes: 0 success,
+1 configuration error (a usage error, an unreadable or ill-typed config
+file, an output directory that cannot be made or written, any ValueError),
+2 numerical failure (any NumericalFailure, an unconverged solve or a golden
+mismatch), with partial output written where possible.  All floats are
+printed with 17 significant digits so runs are diffable; NEUMANN_LAB_SEED
+overrides the seed.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from . import closed_form
 from .dual import SolverOptions, compute_dual, oracle_dual_smallgrid, reconstruct_solution
 from .exponents import ExponentPair, classify_region
 from .experiments import SweepSpec, run_sweep
-from .greens import CompatibilityError, NumericalFailure
+from .greens import NumericalFailure
 from .grid import make_grid
 from .report_io import fmt17 as _fmt
 from .report_io import write_csv_rows, write_json
@@ -67,7 +70,10 @@ def _merged_config(args: argparse.Namespace) -> dict:
         for key, val in loaded.items():
             if key not in _FLAG_TYPES:
                 raise ValueError(f"unknown config key {key!r}")
-            cfg[key] = _FLAG_TYPES[key](val)
+            try:
+                cfg[key] = _FLAG_TYPES[key](val)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     for key in _FLAG_TYPES:
         val = getattr(args, key, None)
         if val is not None:
@@ -82,32 +88,23 @@ def _solver_options(cfg: dict) -> SolverOptions:
     return SolverOptions(tol=cfg.get("tol", 1e-10), max_iter=cfg.get("max_iter", 500))
 
 
-def _grid_from(cfg: dict):
+def _grid_from(cfg: dict, n: int = 2000):
     return make_grid(
         dim=cfg.get("dim", 1),
-        n=cfg.get("n", 2000),
+        n=cfg.get("n", n),
         mode=cfg.get("mode"),
         length=cfg.get("length", 1.0),
     )
 
 
-def _cmd_solve(args) -> int:
-    cfg = _merged_config(args)
+def _cmd_solve(cfg: dict, outdir: Path) -> int:
     if "p" not in cfg or "q" not in cfg:
-        print("solve needs --p and --q", file=sys.stderr)
-        return 1
-    outdir = Path(cfg.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        grid = _grid_from(cfg)
-        e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
-        opts = _solver_options(cfg)
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("solve needs --p and --q")
+    grid = _grid_from(cfg)
+    e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
+    opts = _solver_options(cfg)
     if e.p > 0 and e.on_hyperbola:
-        print("hyperbola: level undefined (pq = 1)", file=sys.stderr)
-        return 1
+        raise ValueError("hyperbola: level undefined (pq = 1)")
     region = classify_region(e)
     try:
         if e.p == 0.0:
@@ -124,11 +121,7 @@ def _cmd_solve(args) -> int:
             "Lambda": 1.0 / d_estimate if d_estimate else None,
         }
         write_json(outdir / "solution.json", payload)
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, CompatibilityError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        raise
     payload = {
         "config": cfg,
         "region": region.value,
@@ -154,10 +147,7 @@ def _cmd_solve(args) -> int:
     return 0 if rep.converged else 2
 
 
-def _cmd_table1(args) -> int:
-    cfg = _merged_config(args)
-    outdir = Path(cfg.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_table1(cfg: dict, outdir: Path) -> int:
     rows = closed_form.table1()
     write_csv_rows(
         outdir / "table1.csv",
@@ -195,20 +185,11 @@ def _parse_path(text: str, samples: int):
     return (lambda t: p0 + (p1 - p0) * t), (lambda t: q0 + (q1 - q0) * t), ts
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _merged_config(args)
+def _cmd_sweep(cfg: dict, outdir: Path) -> int:
     if "path" not in cfg:
-        print("sweep needs --path", file=sys.stderr)
-        return 1
-    outdir = Path(cfg.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        p_of, q_of, ts = _parse_path(cfg["path"], cfg.get("samples", 11))
-        grid = _grid_from(cfg)
-        spec = SweepSpec(p_of=p_of, q_of=q_of, ts=ts, grid=grid, opts=_solver_options(cfg))
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("sweep needs --path")
+    p_of, q_of, ts = _parse_path(cfg["path"], cfg.get("samples", 11))
+    spec = SweepSpec(p_of=p_of, q_of=q_of, ts=ts, grid=_grid_from(cfg), opts=_solver_options(cfg))
     result = run_sweep(spec)
     result.write_csv(outdir / "sweep.csv")
     lams = [row["Lambda"] for row in result.rows if row.get("Lambda") is not None]
@@ -229,15 +210,11 @@ def _cmd_sweep(args) -> int:
     return 0 if not errors else 2
 
 
-def _cmd_asympt(args) -> int:
-    cfg = _merged_config(args)
-    outdir = Path(cfg.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
+def _cmd_asympt(cfg: dict, outdir: Path) -> int:
     nmin = cfg.get("nmin", 2)
     nmax = cfg.get("nmax", 50)
     if nmin < 2 or nmax < nmin:
-        print("need 2 <= nmin <= nmax", file=sys.stderr)
-        return 1
+        raise ValueError("need 2 <= nmin <= nmax")
     all_ok = True
     rows = []
     for N in range(nmin, nmax + 1):
@@ -255,25 +232,13 @@ def _cmd_asympt(args) -> int:
     return 0 if all_ok else 2
 
 
-def _cmd_oracle(args) -> int:
-    cfg = _merged_config(args)
+def _cmd_oracle(cfg: dict, outdir: Path) -> int:
     if "p" not in cfg or "q" not in cfg:
-        print("oracle needs --p and --q", file=sys.stderr)
-        return 1
-    outdir = Path(cfg.get("outdir", "."))
-    outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        grid = make_grid(dim=cfg.get("dim", 1), n=cfg.get("n", 9), mode=cfg.get("mode"), length=cfg.get("length", 1.0))
-        e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
-        opts = _solver_options(cfg)
-        d_iter = compute_dual(e, grid, opts).d_estimate
-        d_oracle = oracle_dual_smallgrid(e, grid, restarts=cfg.get("restarts", 64), seed=cfg.get("seed", 0))
-    except NumericalFailure as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError("oracle needs --p and --q")
+    grid = _grid_from(cfg, n=9)
+    e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
+    d_iter = compute_dual(e, grid, _solver_options(cfg)).d_estimate
+    d_oracle = oracle_dual_smallgrid(e, grid, restarts=cfg.get("restarts", 64), seed=cfg.get("seed", 0))
     gap = abs(d_oracle / d_iter - 1.0)
     payload = {"config": cfg, "d_iteration": d_iter, "d_oracle": d_oracle, "relative_gap": gap}
     write_json(outdir / "oracle.json", payload)
@@ -283,8 +248,16 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the configuration-error code (argparse uses 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="neumannlab",
         description="Least-energy levels of pure-Neumann Lane-Emden systems on radial domains",
     )
@@ -333,11 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValueError as exc:
+        cfg = _merged_config(args)
+        outdir = Path(cfg.get("outdir", "."))
+        outdir.mkdir(parents=True, exist_ok=True)
+        return args.func(cfg, outdir)
+    except NumericalFailure as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

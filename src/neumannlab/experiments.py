@@ -26,7 +26,7 @@ from .dual import (
 from .exponents import ExponentPair, Region, classify_region
 from .greens import NumericalFailure, _signed_power, solve_increasing, solve_neumann
 from .grid import GridFunction, RadialGrid, interval_grid
-from .report_io import write_csv_rows, write_json
+from .report_io import write_csv_rows
 from .sign import solve_scalar_sign
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "check_pq_to_0",
     "ls_upper_bounds",
     "continuation_lambda",
-    "write_experiment",
 ]
 
 
@@ -357,7 +356,7 @@ def _constraint_scale(
     """
     absv = np.abs(vals)
     na = grid.integrate_values(absv**alpha)
-    nb = grid.integrate_values(absv**beta)
+    nb = na if beta == alpha else grid.integrate_values(absv**beta)
 
     def excess(c: float) -> float:
         return gamma1 * c**alpha * na + gamma2 * c**beta * nb - 1.0
@@ -437,8 +436,9 @@ def ls_upper_bounds(
             val, fvals = phi_of(a)
             step = 0.5
             for _ in range(400):
-                dens = gamma1 * alpha * _signed_power(fvals, alpha - 1.0)
-                dens += gamma2 * beta * _signed_power(fvals, beta - 1.0)
+                s = _signed_power(fvals, alpha - 1.0)
+                dens = gamma1 * alpha * s
+                dens += gamma2 * beta * (s if beta == alpha else _signed_power(fvals, beta - 1.0))
                 gc = modes[:k] @ (w * dens)
                 # Q^-1 grad, grad = -2 Q a, projected Q-orthogonally to Q^-1 gc;
                 # grad . d = d Q d, which has no cancellation near a stationary point
@@ -466,69 +466,3 @@ def ls_upper_bounds(
         prev_best_a = best_a
         bounds.append(best)
     return bounds
-
-
-def _report_rows(report) -> tuple[list[str], list[dict]]:
-    if isinstance(report, ClassificationReport):
-        headers = ["offset", "level", "sup_norm"]
-        rows = [
-            {"offset": o, "level": l, "sup_norm": s}
-            for o, l, s in zip(report.offsets, report.levels, report.sup_norms)
-        ]
-    elif isinstance(report, FrakCReport):
-        headers = ["t", "Lambda", "log_value"]
-        rows = [
-            {"t": t, "Lambda": lam, "log_value": lv}
-            for t, lam, lv in zip(report.ts, report.lambdas, report.log_values)
-        ]
-    elif isinstance(report, PqToZeroReport):
-        headers = ["p", "level", "ratio", "u_v_gap"]
-        rows = [
-            {"p": p, "level": l, "ratio": r, "u_v_gap": g}
-            for p, l, r, g in zip(report.ps, report.levels, report.ratios, report.u_v_gaps)
-        ]
-    else:
-        raise TypeError(f"no CSV layout for {type(report).__name__}")
-    return headers, rows
-
-
-def _report_passes(report) -> dict:
-    if isinstance(report, ClassificationReport):
-        return {
-            "direction_consistent": report.consistent,
-            "sup_norms_monotone": report.monotone,
-        }
-    if isinstance(report, FrakCReport):
-        return {
-            "within_one_percent_of_reference": report.relative_gap <= 0.01,
-            "level_ratio_within_three_percent": abs(
-                report.c_over_offset / report.c_over_offset_target - 1.0
-            )
-            <= 0.03,
-        }
-    if isinstance(report, PqToZeroReport):
-        return {
-            "ratios_monotone_toward_one": report.monotone_toward_one,
-            "diagonal_symmetry": all(g <= 1e-6 for g in report.u_v_gaps),
-            "smallest_sample_within_two_percent": abs(report.ratios[-1] - 1.0) <= 0.02,
-        }
-    raise TypeError(f"no summary for {type(report).__name__}")
-
-
-def write_experiment(report, outdir, name: str) -> dict:
-    """Persist an experiment as name.csv plus a name.json pass/fail summary."""
-    from dataclasses import asdict
-    from pathlib import Path
-
-    outdir = Path(outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    headers, rows = _report_rows(report)
-    write_csv_rows(outdir / f"{name}.csv", headers, rows)
-    scalars = {
-        k: v
-        for k, v in asdict(report).items()
-        if isinstance(v, (int, float, str, bool)) or v is None
-    }
-    summary = {"report": type(report).__name__, "config": scalars, "passes": _report_passes(report)}
-    write_json(outdir / f"{name}.json", summary)
-    return summary

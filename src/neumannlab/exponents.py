@@ -84,11 +84,6 @@ class ExponentPair:
     def on_hyperbola(self) -> bool:
         return abs(self.p * self.q - 1.0) <= HYPERBOLA_TOL
 
-    def swapped(self) -> "ExponentPair":
-        if self.q <= 0 or self.p <= 0:
-            raise ValueError("swap needs p, q > 0")
-        return ExponentPair(self.q, self.p, self.dim)
-
 
 def _critical_balance(e: ExponentPair) -> float:
     return 1.0 / (e.p + 1.0) + 1.0 / (e.q + 1.0) - (e.dim - 2.0) / e.dim

@@ -122,7 +122,7 @@ def test_solve_rejects_damping_flag(tmp_path):
     ):
         with pytest.raises(SystemExit) as info:
             main(argv + ["--outdir", str(tmp_path)])
-        assert info.value.code == 2, argv
+        assert info.value.code == 1, argv  # a usage error is a configuration error
 
 
 def test_config_rejects_damping_key(tmp_path, capsys):
@@ -147,6 +147,34 @@ def test_config_rejects_damping_key(tmp_path, capsys):
 def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv):
     assert main(argv + ["--outdir", str(tmp_path)]) == 1
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["solve", "--p", "3", "--q", "2", "--bogus", "1"], None),
+        ([], None),
+        (["solve", "--p", "3", "--q", "2", "--tol", "-1e-10"], None),
+        (["solve", "--config", "missing.json"], None),
+        (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": [1]}),
+        (["--help"], None),
+    ],
+    ids=["unknown-flag", "no-subcommand", "negative-e-notation", "missing-config", "ill-typed-config", "help"],
+)
+def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
+    monkeypatch.chdir(tmp_path)
+    if config is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+    try:
+        code = main(argv)
+    except SystemExit as info:  # argparse stops on --help and on usage errors
+        code = info.code
+    err = capsys.readouterr().err
+    assert code == (0 if argv == ["--help"] else 1)
+    if "--config" in argv:  # reported as a message, not raised
+        assert "configuration error" in err
+    if config is not None:
+        assert "'n'" in err  # the message names the ill-typed key
 
 
 def test_env_seed_override(tmp_path, monkeypatch):

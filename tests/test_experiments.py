@@ -218,15 +218,3 @@ def test_ls_upper_bounds_validation():
     ball = unit_ball_grid(2, n=200)
     with pytest.raises(ValueError):
         ls_upper_bounds(ExponentPair(2.0, 2.0, 2), 3, ball)
-
-
-def test_write_experiment_outputs(tmp_path):
-    rep = classify_pq_to_1(1.0, 1, "above", 1.0, n=600)
-    from neumannlab.experiments import write_experiment
-    import json
-
-    summary = write_experiment(rep, tmp_path, "classify")
-    assert (tmp_path / "classify.csv").read_bytes().startswith(b"offset,level,sup_norm\r\n")
-    loaded = json.loads((tmp_path / "classify.json").read_text())
-    assert loaded["passes"]["direction_consistent"] is True
-    assert summary["report"] == "ClassificationReport"
