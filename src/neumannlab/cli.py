@@ -3,18 +3,19 @@
 Subcommands: solve (one exponent pair, writes solution.json + u.csv/v.csv),
 table1 (closed-form energy table with golden diff), sweep (exponent-path
 study to CSV), asympt (symmetry-breaking verdicts across dimensions) and
-oracle (small-grid brute force against the iteration).  Flags can also come
-from a JSON config file; explicit flags win.  The solvers take only
---tol (finite, >= 0) and --max-iter (>= 1); every dual solve starts from
-the first cosine mode, and each sweep sample after the first continues
-from the previous sample's pair.  `main` merges the config, makes the
-output directory and alone maps exceptions to exit codes: 0 success,
-1 configuration error (a usage error, an unreadable or ill-typed config
-file, an output directory that cannot be made or written, any ValueError),
-2 numerical failure (any NumericalFailure, an unconverged solve or a golden
-mismatch), with partial output written where possible.  All floats are
-printed with 17 significant digits so runs are diffable; NEUMANN_LAB_SEED
-overrides the seed.
+oracle (small-grid brute force against the iteration).  Each subcommand
+declares only the flags it reads; they can also come from a JSON config
+file, whose keys are those flags' names (max_iter for --max-iter), and
+explicit flags win.  The solvers take only --tol (finite, >= 0) and
+--max-iter (>= 1); every dual solve starts from the first cosine mode, and
+each sweep sample after the first continues from the previous sample's
+pair.  `main` merges the config, makes the output directory and alone maps
+exceptions to exit codes: 0 success, 1 configuration error (a usage error,
+an unreadable or ill-typed config file, an output directory that cannot be
+made or written, any ValueError), 2 numerical failure (any
+NumericalFailure, an unconverged solve or a golden mismatch), with partial
+output written where possible.  All floats are printed with 17 significant
+digits so runs are diffable; NEUMANN_LAB_SEED overrides the seed.
 """
 
 from __future__ import annotations
@@ -40,46 +41,58 @@ from .sign import solve_sign_system
 __all__ = ["main"]
 
 
-_FLAG_TYPES = {
-    "p": float,
-    "q": float,
-    "dim": int,
-    "n": int,
-    "mode": str,
-    "length": float,
-    "tol": float,
-    "max_iter": int,
-    "seed": int,
-    "outdir": str,
-    "path": str,
-    "samples": int,
-    "nmin": int,
-    "nmax": int,
-    "restarts": int,
+# config key: (type, help); the flag is --key with "_" spelled "-"
+_FLAGS = {
+    "outdir": (str, "output directory (default .)"),
+    "p": (float, None),
+    "q": (float, None),
+    "dim": (int, "space dimension N"),
+    "n": (int, "grid panels (default 2000)"),
+    "mode": (str, "domain kind"),
+    "length": (float, "interval length (interval mode)"),
+    "tol": (float, "iteration tolerance"),
+    "max_iter": (int, "iteration budget"),
+    "seed": (int, "random seed"),
+    "path": (str, "e.g. 'p:0.5..3,q:1'"),
+    "samples": (int, "number of samples"),
+    "nmin": (int, None),
+    "nmax": (int, None),
+    "restarts": (int, None),
 }
+_SOLVER_KEYS = ("dim", "n", "mode", "length", "tol", "max_iter")  # grid and iteration
 
 
-def _merged_config(args: argparse.Namespace) -> dict:
-    """defaults < config file < explicit flags; unknown config keys rejected."""
+def _config_value(key: str, val):
+    kind = _FLAGS[key][0]
+    if isinstance(val, bool):  # no flag takes a boolean; int(True) would read 1
+        raise TypeError(f"{val!r} is not a {kind.__name__}")
+    if kind is int and isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{val!r} is not an integer")
+    return kind(val)
+
+
+def _merged_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
+    """defaults < config file < explicit flags; keys the subcommand does not
+    declare are rejected."""
     cfg: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             loaded = json.load(fh)
         if not isinstance(loaded, dict):
             raise ValueError("config file must hold a JSON object")
         for key, val in loaded.items():
-            if key not in _FLAG_TYPES:
+            if key not in keys:
                 raise ValueError(f"unknown config key {key!r}")
             try:
-                cfg[key] = _FLAG_TYPES[key](val)
+                cfg[key] = _config_value(key, val)
             except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"config key {key!r}: {exc}") from None
-    for key in _FLAG_TYPES:
-        val = getattr(args, key, None)
+    for key in keys:
+        val = getattr(args, key)
         if val is not None:
             cfg[key] = val
     env_seed = os.environ.get("NEUMANN_LAB_SEED")
-    if env_seed is not None:
+    if env_seed is not None and "seed" in keys:
         cfg["seed"] = int(env_seed)
     return cfg
 
@@ -256,59 +269,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# subcommand: (handler, help, the config keys it reads besides outdir)
+_COMMANDS = {
+    "solve": (_cmd_solve, "solve one exponent pair", ("p", "q", *_SOLVER_KEYS, "seed")),
+    "table1": (_cmd_table1, "closed-form energy table for N = 3..8", ()),
+    "sweep": (_cmd_sweep, "solve along an exponent path", ("path", "samples", *_SOLVER_KEYS, "seed")),
+    "asympt": (_cmd_asympt, "symmetry-breaking verdicts over dimensions", ("nmin", "nmax")),
+    "oracle": (_cmd_oracle, "small-grid brute force vs the iteration", ("p", "q", *_SOLVER_KEYS, "restarts", "seed")),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="neumannlab",
         description="Least-energy levels of pure-Neumann Lane-Emden systems on radial domains",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(sp):
+    for name, (func, help_text, keys) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="JSON config file; explicit flags win")
-        sp.add_argument("--outdir", help="output directory (default .)")
-        sp.add_argument("--n", type=int, help="grid panels (default 2000)")
-        sp.add_argument("--dim", type=int, help="space dimension N")
-        sp.add_argument("--mode", choices=["ball", "interval"], help="domain kind")
-        sp.add_argument("--length", type=float, help="interval length (interval mode)")
-        sp.add_argument("--tol", type=float, help="iteration tolerance")
-        sp.add_argument("--max-iter", dest="max_iter", type=int, help="iteration budget")
-        sp.add_argument("--seed", type=int, help="random seed")
-
-    sp = sub.add_parser("solve", help="solve one exponent pair")
-    add_common(sp)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--q", type=float)
-    sp.set_defaults(func=_cmd_solve)
-
-    sp = sub.add_parser("table1", help="closed-form energy table for N = 3..8")
-    add_common(sp)
-    sp.set_defaults(func=_cmd_table1)
-
-    sp = sub.add_parser("sweep", help="solve along an exponent path")
-    add_common(sp)
-    sp.add_argument("--path", help="e.g. 'p:0.5..3,q:1'")
-    sp.add_argument("--samples", type=int, help="number of samples")
-    sp.set_defaults(func=_cmd_sweep)
-
-    sp = sub.add_parser("asympt", help="symmetry-breaking verdicts over dimensions")
-    add_common(sp)
-    sp.add_argument("--nmin", type=int)
-    sp.add_argument("--nmax", type=int)
-    sp.set_defaults(func=_cmd_asympt)
-
-    sp = sub.add_parser("oracle", help="small-grid brute force vs the iteration")
-    add_common(sp)
-    sp.add_argument("--p", type=float)
-    sp.add_argument("--q", type=float)
-    sp.add_argument("--restarts", type=int)
-    sp.set_defaults(func=_cmd_oracle)
+        for key in ("outdir", *keys):
+            kind, flag_help = _FLAGS[key]
+            choices = ["ball", "interval"] if key == "mode" else None
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices, help=flag_help)
+        sp.set_defaults(func=func, keys=("outdir", *keys))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _merged_config(args)
+        cfg = _merged_config(args, args.keys)
         outdir = Path(cfg.get("outdir", "."))
         outdir.mkdir(parents=True, exist_ok=True)
         return args.func(cfg, outdir)

@@ -65,7 +65,6 @@ class DualPair:
     g: GridFunction
     d_estimate: float
     iterations: int
-    converged: bool
     d_history: list[float] = field(default_factory=list)
     warning: str | None = None
     stop_reason: str | None = None  # step-small | d-flat | d-envelope
@@ -222,7 +221,7 @@ def compute_dual(
             iterations=opts.max_iter,
         )
     f, g = GridFunction(grid, f), GridFunction(grid, g)
-    return DualPair(f, g, d_now, it, True, d_history=history, warning=warning, stop_reason=stop)
+    return DualPair(f, g, d_now, it, d_history=history, warning=warning, stop_reason=stop)
 
 
 def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None = None) -> float:
@@ -269,7 +268,7 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     res_v = float(np.max(np.abs(-discrete_radial_laplacian(v).values - rhs_v)))
     scale_u = max(float(np.max(np.abs(rhs_u))), 1e-300)
     scale_v = max(float(np.max(np.abs(rhs_v))), 1e-300)
-    converged = dp.converged and res_u / scale_u <= RESIDUAL_TOL and res_v / scale_v <= RESIDUAL_TOL
+    converged = res_u / scale_u <= RESIDUAL_TOL and res_v / scale_v <= RESIDUAL_TOL
     return SolutionReport(
         u=u,
         v=v,

@@ -87,7 +87,7 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
             row["c"] = None
             row["u_max"] = None
             row["v_max"] = None
-            row["converged"] = dp.converged
+            row["converged"] = True  # compute_dual raises unless it converged
         else:
             rep = reconstruct_solution(e, dp)
             row["c"] = rep.c

@@ -52,6 +52,23 @@ _STENCIL_INV = {
 }
 
 
+def _stencil_starts(cells: np.ndarray, n: int) -> np.ndarray:
+    """First node of the four-node stencil serving each panel (cell)."""
+    return np.clip(cells - 1, 0, n - 3)
+
+
+def local_cubic(values: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Cubic through the four stencil nodes of each cell.
+
+    Returns (starts, coeffs): row k of coeffs holds the increasing-power
+    coefficients of the cubic in t = (r - r[starts[k]]) / h.  In t the
+    interpolation map is the fixed, well-conditioned inverse Vandermonde
+    matrix of the left-end panel stencil; a fit in absolute r is not.
+    """
+    starts = _stencil_starts(np.asarray(cells), len(values) - 1)
+    return starts, values[starts[:, None] + np.arange(4)] @ _STENCIL_INV[0]
+
+
 def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray, np.ndarray]:
     """Node indices and weights of the moment-fitted cubic panel rule.
 
@@ -60,7 +77,7 @@ def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray
     the s^weight_power moments are exact.
     """
     n = len(r) - 1
-    starts = np.clip(np.arange(n) - 1, 0, n - 3)
+    starts = _stencil_starts(np.arange(n), n)
     geom = starts - np.arange(n)
     mexp = np.arange(4)
     mu = np.zeros((n, 4))

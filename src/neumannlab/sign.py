@@ -11,6 +11,14 @@ fixed-point loop through the Green machinery, started once from the
 balanced sign-change profile a - r: the sign pattern determines the next
 iterate exactly, so iterates live in a finite state space and the loop
 either reaches a fixed pattern or exposes a cycle.
+
+Level sets are measured below the grid scale, in one way throughout: the
+crossings of u are the roots of its four-node local cubic, and {u >= 0},
+{u < 0} are unions of the intervals between them, each of exact measure
+sigma_N (W(b) - W(a)).  Every iterate is shifted to balance these
+measures, and certify_balanced tests the returned solution with the same
+measure, so the solvers return the fixed point itself and its first
+crossing is the interface radius.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
+from .exponents import ExponentPair, c_from_lambda
 from .greens import (
     BracketError,
     NumericalFailure,
@@ -30,7 +39,7 @@ from .greens import (
     solve_increasing,
     solve_neumann,
 )
-from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
+from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cubic
 
 __all__ = [
     "BalancedFunction",
@@ -57,10 +66,8 @@ class BalancedFunction:
     """A grid function with certified balanced level sets."""
 
     u: GridFunction
-    band: float
     positive_mass: float
     negative_mass: float
-    zero_mass: float
     certified: bool
 
 
@@ -79,15 +86,18 @@ def sign_of(u: GridFunction) -> GridFunction:
 
 
 def certify_balanced(u: GridFunction) -> BalancedFunction:
-    """Measure the level sets of u and test balanced-class membership."""
-    band = SIGN_BAND * u.sup_norm()
+    """Measure the level sets of u and test balanced-class membership.
+
+    {u >= 0} and {u < 0} are measured between the cubic-refined crossings,
+    the measure the sign solvers balance; u is certified when the two
+    differ by at most 1e-12 |Omega|.
+    """
     grid = u.grid
-    w = grid.weights * grid.surface
-    pos = float(w[u.values > band].sum())
-    neg = float(w[u.values < -band].sum())
-    zero = float(w[np.abs(u.values) <= band].sum())
-    slack = 1e-12 * grid.domain_measure
-    return BalancedFunction(u, band, pos, neg, zero, abs(pos - neg) <= zero + slack)
+    signs, marks = _level_sets(grid, u.values)
+    seglen = np.diff(grid.weight_primitive(marks))
+    pos = grid.surface * float(seglen[signs > 0].sum())
+    neg = grid.surface * float(seglen[signs < 0].sum())
+    return BalancedFunction(u, pos, neg, abs(pos - neg) <= 1e-12 * grid.domain_measure)
 
 
 def _pattern_key(s: np.ndarray) -> bytes:
@@ -109,26 +119,33 @@ def _interface_mask(sign_vals: np.ndarray, halo: int = 2) -> np.ndarray:
 
 
 def _crossing_radii(grid: RadialGrid, vals: np.ndarray) -> list[float]:
-    """All sign-change radii of the nodal values, cubic-refined."""
-    r = grid.r
+    """All sign-change radii of the nodal values, cubic-refined.
+
+    In each cell where vals >= 0 flips, the crossing is the root of the
+    local cubic nearest the cell's left node; a cubic with no real root in
+    the cell (possible only at rounding level) falls back to the chord.
+    """
     nonneg = vals >= 0.0
     cells = np.nonzero(nonneg[:-1] != nonneg[1:])[0]
+    starts, coeffs = local_cubic(vals, cells)
     roots = []
-    n = grid.n
-    for i in cells:
-        s0 = int(np.clip(i - 1, 0, n - 3))
-        coeffs = np.polyfit(r[s0 : s0 + 4], vals[s0 : s0 + 4], 3)
-        candidates = [
-            float(z.real)
-            for z in np.roots(coeffs)
-            if abs(z.imag) < 1e-10 and r[i] - 1e-12 <= z.real <= r[i + 1] + 1e-12
+    for i, s0, c in zip(cells, starts, coeffs):
+        left = i - s0  # the cell is t in [left, left + 1]
+        inside = [
+            z.real - left for z in np.roots(c[::-1]) if abs(z.imag) < 1e-8 and -1e-8 <= z.real - left <= 1.0 + 1e-8
         ]
-        if candidates:
-            roots.append(min(candidates, key=lambda z: abs(z - r[i])))
-        else:
-            t = vals[i] / (vals[i] - vals[i + 1])
-            roots.append(float(r[i] + t * (r[i + 1] - r[i])))
+        t = min(inside, key=abs) if inside else vals[i] / (vals[i] - vals[i + 1])
+        roots.append(float(grid.r[i] + t * grid.h))
     return roots
+
+
+def _level_sets(grid: RadialGrid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The intervals between the crossings of vals: (signs, marks), where
+    vals has sign signs[k] on (marks[k], marks[k + 1]) and vals >= 0 counts
+    as positive."""
+    cuts = _crossing_radii(grid, vals)
+    lead = 1.0 if vals[0] >= 0 else -1.0
+    return lead * (-1.0) ** np.arange(len(cuts) + 1), np.array([0.0] + cuts + [grid.length])
 
 
 def _subcell_balance_shift(grid: RadialGrid, vals: np.ndarray) -> float:
@@ -139,19 +156,13 @@ def _subcell_balance_shift(grid: RadialGrid, vals: np.ndarray) -> float:
     placement error the sign solvers cannot afford; the interpolated
     balance puts the fixed-point interface at the exact measure-median
     radius.  The map c -> signed measure difference is monotone, so
-    solve_increasing converges; the returned function still needs the nodal
-    median shift afterwards if certified balanced-class membership is
-    required.
+    solve_increasing converges; data it cannot bracket (a constant, which
+    no shift makes change sign) falls back to the nodal median.
     """
 
     def imbalance(c: float) -> float:
-        shifted = vals + c
-        cuts = _crossing_radii(grid, shifted)
-        lead = 1.0 if (shifted[0] >= 0 or not cuts) else -1.0
-        marks = np.array([0.0] + cuts + [grid.length])
-        seglen = np.diff(grid.weight_primitive(marks))
-        signs = lead * (-1.0) ** np.arange(len(seglen))
-        return float((signs * seglen).sum())
+        signs, marks = _level_sets(grid, vals + c)
+        return float((signs * np.diff(grid.weight_primitive(marks))).sum())
 
     lo, hi = -float(np.max(vals)), -float(np.min(vals))
     # the shift moves values of size ||u||_inf: a few of their float spacings
@@ -164,10 +175,6 @@ def _subcell_balance_shift(grid: RadialGrid, vals: np.ndarray) -> float:
     return 0.5 * (lo + hi)
 
 
-def _l1(grid: RadialGrid, vals: np.ndarray) -> float:
-    return grid.integrate_values(np.abs(vals))
-
-
 def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
     """L^1 norm split at the sign changes.
 
@@ -175,22 +182,16 @@ def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
     integrating the smooth cumulative antiderivative of u between
     cubic-refined roots keeps fourth order.
     """
-    cuts = _crossing_radii(grid, vals)
-    if not cuts:
-        return _l1(grid, vals)
+    cuts = np.array(_crossing_radii(grid, vals))
+    if not cuts.size:
+        return grid.lp_norm_values(vals, 1)
     cum = grid.cumulative_weighted(vals)
-    r = grid.r
-
-    def cum_at(x: float) -> float:
-        i = int(np.clip(np.searchsorted(r, x) - 1, 0, grid.n - 3))
-        s0 = int(np.clip(i - 1, 0, grid.n - 3))
-        coeffs = np.polyfit(r[s0 : s0 + 4], cum[s0 : s0 + 4], 3)
-        return float(np.polyval(coeffs, x))
-
-    marks = [0.0] + cuts + [grid.length]
-    values = [cum[0]] + [cum_at(x) for x in cuts] + [cum[-1]]
-    total = sum(abs(values[k + 1] - values[k]) for k in range(len(marks) - 1))
-    return grid.surface * total
+    cells = np.clip(np.searchsorted(grid.r, cuts) - 1, 0, grid.n - 1)
+    starts, c = local_cubic(cum, cells)
+    t = (cuts - grid.r[starts]) / grid.h
+    at_cuts = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+    values = np.concatenate(([cum[0]], at_cuts, [cum[-1]]))
+    return grid.surface * float(np.abs(np.diff(values)).sum())
 
 
 def _solve_step(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
@@ -203,12 +204,9 @@ def _solve_step(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     int_0^r Phi dH before the mean is removed, and both integrals are
     differences of the grid's elementary primitives W and G.
     """
-    cuts = _crossing_radii(grid, vals)
-    if not cuts:
+    signs, marks = _level_sets(grid, vals)
+    if len(signs) == 1:
         raise ValueError("sign data does not change sign; the iterate degenerated")
-    lead = 1.0 if vals[0] >= 0 else -1.0
-    marks = np.array([0.0] + cuts + [grid.length])
-    signs = lead * (-1.0) ** np.arange(len(marks) - 1)
     # rows W and G, at the nodes and at the marks; both increase, so
     # clipping their values clips the radius
     nodes = np.stack([grid.weight_primitive(grid.r), grid.kernel_primitive(grid.r)])
@@ -250,9 +248,9 @@ def _sign_fixed_point(
         seen[key] = it
         w, v = step(u)
         u_new = w + _subcell_balance_shift(grid, w)
-        l1_step = _l1(grid, u_new - u)
+        l1_step = grid.lp_norm_values(u_new - u, 1)
         u = u_new
-        if l1_step <= opts.tol * max(1.0, _l1(grid, u)):
+        if l1_step <= opts.tol * max(1.0, grid.lp_norm_values(u, 1)):
             return u, v, it, True
         if prev_it is not None and it - prev_it > 1:
             raise OscillationDetected(it - prev_it)
@@ -279,15 +277,15 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
         return solve_neumann(GridFunction(grid, _signed_power(v.values, q))).values, v.values
 
     u, v, iters, ok = _sign_fixed_point(grid, step, opts)
-    lam = _sign_lambda(q, grid, u, v)
     if u[0] < 0:
         u, v = -u, -v
-
+    # Lambda = ||Lap u||_beta / ||u||_1 with Lap u = -|v|^(q-1) v
     beta_int = grid.integrate_values(np.abs(v) ** (q + 1.0))
-    c = -(lam ** -(q + 1.0)) / (q + 1.0)
-    c_energy = q / (q + 1.0) * beta_int - _l1_sharp(grid, u)
+    l1 = _l1_sharp(grid, u)
+    lam = beta_int ** (q / (q + 1.0)) / l1
+    c = c_from_lambda(ExponentPair(0.0, q, grid.dim), lam)
+    c_energy = q / (q + 1.0) * beta_int - l1
     u = GridFunction(grid, u)
-    u = u.shifted(balanced_shift(u))  # pin a node so membership certifies
     v = GridFunction(grid, v)
 
     smooth = ~_interface_mask(sign_of(u).values)
@@ -312,12 +310,6 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     )
 
 
-def _sign_lambda(q: float, grid: RadialGrid, u: np.ndarray, v: np.ndarray) -> float:
-    """Rayleigh value ||Lap u||_beta / ||u||_1 with Lap u = -|v|^(q-1) v."""
-    beta_int = grid.integrate_values(np.abs(v) ** (q + 1.0))
-    return beta_int ** (q / (q + 1.0)) / _l1_sharp(grid, u)
-
-
 def solve_scalar_sign(grid: RadialGrid, opts: SolverOptions | None = None) -> tuple[GridFunction, float]:
     """Least-energy solution of -Lap u = sign(u) and its level.
 
@@ -330,7 +322,4 @@ def solve_scalar_sign(grid: RadialGrid, opts: SolverOptions | None = None) -> tu
     u, _, iters, ok = _sign_fixed_point(grid, lambda u: (_solve_step(grid, u), None), opts)
     if not ok:
         raise NumericalFailure(f"scalar sign iteration did not settle in {iters} sweeps")
-    c0 = -0.5 * _l1_sharp(grid, u)
-    u = GridFunction(grid, u)
-    u = u.shifted(balanced_shift(u))  # pin a node so membership certifies
-    return u, c0
+    return GridFunction(grid, u), -0.5 * _l1_sharp(grid, u)

@@ -34,7 +34,7 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     code = main(["solve", "--p", "0", "--q", "1", "--dim", "2", "--n", "800", "--outdir", str(tmp_path)])
     assert code == 0
     payload = json.loads((tmp_path / "solution.json").read_text())
-    assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=3e-3)
+    assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=1e-10)
     assert payload["stop_reason"] is None  # the sign solver has no dual stop rule
 
 
@@ -107,9 +107,11 @@ def test_config_file_and_flag_precedence(tmp_path):
 
 def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, "bogus": 1}))
-    assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
-    assert "bogus" in capsys.readouterr().err
+    # nmin is a key of asympt, not of solve
+    for key in ("bogus", "nmin"):
+        cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, key: 1}))
+        assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
 def test_solve_rejects_damping_flag(tmp_path):
@@ -157,9 +159,22 @@ def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv
         (["solve", "--p", "3", "--q", "2", "--tol", "-1e-10"], None),
         (["solve", "--config", "missing.json"], None),
         (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": [1]}),
+        (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": 600.9}),
+        (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": True}),
+        (["table1", "--n", "5"], None),
         (["--help"], None),
     ],
-    ids=["unknown-flag", "no-subcommand", "negative-e-notation", "missing-config", "ill-typed-config", "help"],
+    ids=[
+        "unknown-flag",
+        "no-subcommand",
+        "negative-e-notation",
+        "missing-config",
+        "ill-typed-config",
+        "fractional-config-int",
+        "boolean-config-int",
+        "flag-of-another-subcommand",
+        "help",
+    ],
 )
 def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
     monkeypatch.chdir(tmp_path)

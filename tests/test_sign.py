@@ -60,8 +60,7 @@ def test_scalar_disk_matches_radial_profile():
     diff = u.values - scalar_profile(2, grid.r)
     assert (diff.max() - diff.min()) / 2.0 <= 1e-6
     assert certify_balanced(u).certified
-    # single sign change at 2^{-1/2}, up to two cells (a node pinned to
-    # zero counts once)
+    # single sign change, in a cell within two cells of 2^{-1/2}
     nonneg = u.values >= 0
     sign_changes = np.nonzero(nonneg[:-1] != nonneg[1:])[0]
     assert len(sign_changes) == 1
@@ -75,11 +74,14 @@ def test_scalar_ball3_matches_radial_profile():
     assert (diff.max() - diff.min()) / 2.0 <= 1e-6
 
 
-def test_sign_system_disk_zero_radius():
-    grid = unit_ball_grid(2, n=2000)
+@pytest.mark.parametrize("dim", [2, 3, 4, 5, 6])
+def test_sign_system_disk_zero_radius(dim):
+    # the first crossing of the returned fixed point is its sub-cell
+    # interface, at the radius 2^(-1/N) that halves the ball's measure
+    grid = unit_ball_grid(dim, n=2000)
     rep = solve_sign_system(1.0, grid)
     assert rep.converged
-    assert abs(rep.zero_radius - zero_radius(2)) <= 2.0 * grid.h
+    assert abs(rep.zero_radius - zero_radius(dim)) <= 1e-10
     node_weight = float(np.max(grid.weights)) * grid.surface
     assert abs(sign_of(rep.u).integral()) <= node_weight
     assert certify_balanced(rep.u).certified
@@ -144,6 +146,16 @@ def test_step_solve_is_exact(dim):
         exact = scalar_profile(dim, grid.r)
     diff = sign._solve_step(grid, a - grid.r) - exact
     assert (diff.max() - diff.min()) / 2.0 <= 1e-14
+
+
+def test_crossing_radii_on_cubic_data_fine_grid():
+    # a cubic fit in absolute r is ill-conditioned at this spacing and warns;
+    # one in the local variable t = (r - r_s) / h is not
+    grid = unit_ball_grid(2, n=200000)
+    root = 0.912
+    cuts = sign._crossing_radii(grid, (grid.r - root) * (1.0 + grid.r + 0.5 * grid.r**2))
+    assert len(cuts) == 1
+    assert abs(cuts[0] - root) <= 1e-14
 
 
 def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
