@@ -29,7 +29,6 @@ from .dual import (
     SolverOptions,
     compute_dual,
     compute_lambda,
-    delta_lower_bound,
     oracle_dual_smallgrid,
     reconstruct_solution,
 )
@@ -40,7 +39,6 @@ from .exponents import (
     c_from_lambda,
     classify_region,
     lambda_from_c,
-    primal_scaling,
 )
 from .experiments import (
     ClassificationReport,
@@ -57,7 +55,6 @@ from .experiments import (
 from .greens import (
     CompatibilityError,
     NumericalFailure,
-    apply_K_t,
     balanced_shift,
     kappa_shift,
     solve_neumann,
@@ -74,7 +71,6 @@ from .sign import (
     BalancedFunction,
     OscillationDetected,
     certify_balanced,
-    sign_of,
     solve_scalar_sign,
     solve_sign_system,
 )

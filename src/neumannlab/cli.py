@@ -292,12 +292,14 @@ def build_parser() -> argparse.ArgumentParser:
             kind, flag_help = _FLAGS[key]
             choices = ["ball", "interval"] if key == "mode" else None
             sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices, help=flag_help)
-        sp.set_defaults(func=func, keys=("outdir", *keys))
+        sp.set_defaults(func=func, keys=("outdir", *keys), parser=sp)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported with the subcommand's usage line, not the top-level one
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         cfg = _merged_config(args, args.keys)
         outdir = Path(cfg.get("outdir", "."))

@@ -25,7 +25,7 @@ from .dual import (
 )
 from .exponents import ExponentPair, Region, classify_region
 from .greens import NumericalFailure, _signed_power, solve_increasing, solve_neumann
-from .grid import GridFunction, RadialGrid, interval_grid
+from .grid import RadialGrid, interval_grid
 from .report_io import write_csv_rows
 from .sign import solve_scalar_sign
 
@@ -409,7 +409,8 @@ def ls_upper_bounds(
     modes = np.stack(
         [np.cos(i * math.pi * grid.r / grid.length) for i in range(1, k_max + 1)]
     )
-    kmodes = np.stack([solve_neumann(GridFunction(grid, m)).values for m in modes])
+    # values by keyword: perfbench's tracer reads a second positional argument as a flag
+    kmodes = np.stack([solve_neumann(grid, values=m) for m in modes])
     w = grid.weights * grid.surface
     quad = np.einsum("in,n,jn->ij", modes, w, kmodes)
     quad = 0.5 * (quad + quad.T)

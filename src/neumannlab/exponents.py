@@ -21,7 +21,6 @@ __all__ = [
     "classify_region",
     "c_from_lambda",
     "lambda_from_c",
-    "primal_scaling",
 ]
 
 HYPERBOLA_TOL = 1e-12
@@ -156,14 +155,3 @@ def lambda_from_c(e: ExponentPair, c: float) -> float:
         raise ValueError(f"level c = {c} has the wrong sign for pq - 1 = {e.p * e.q - 1}")
     return base ** (1.0 / ratio)
 
-
-def primal_scaling(e: ExponentPair, lam: float) -> tuple[float, float]:
-    """Multipliers (s_u, s_v) turning a Lambda-normalized eigenfunction pair
-    into a solution of the unscaled system: (Lambda^((q+1)/(pq-1)) u,
-    Lambda^((q+1)/(q(pq-1))) v)."""
-    if not lam > 0:
-        raise ValueError(f"Lambda must be positive, got {lam}")
-    if e.p == 0.0 or e.on_hyperbola:
-        raise HyperbolaError("primal scaling needs p > 0 and pq != 1")
-    denom = e.p * e.q - 1.0
-    return lam ** ((e.q + 1.0) / denom), lam ** ((e.q + 1.0) / (e.q * denom))

@@ -1,12 +1,17 @@
 """Inverse Neumann Laplacian on radial grids and its normalizing shifts.
 
+Every function here works on nodal arrays: it takes (grid, values) and
+returns an array or a float; GridFunction is built only where a result
+leaves the library.
+
 solve_neumann realizes K: given mean-zero data h it returns the mean-zero
 u with -Lap u = h and u'(0) = u'(L) = 0.  The radial Neumann kernel is
 -Phi(min(r, s)) s^(N-1) with Phi(x) = int_x^L t^(1-N) dt, so the discrete
-K is semiseparable and green_apply applies it with two cumulative sums in
-O(n) (Vandebril, Van Barel and Mastronardi, Matrix Computations and
-Semiseparable Matrices, 2008).  It is self-adjoint in the quadrature inner
-product by construction and needs no division by the quadrature weights.
+K is semiseparable and green_apply, the unchecked kernel behind
+solve_neumann, applies it with two cumulative sums in O(n) (Vandebril, Van
+Barel and Mastronardi, Matrix Computations and Semiseparable Matrices,
+2008).  It is self-adjoint in the quadrature inner product by construction
+and needs no division by the quadrature weights.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and balanced_shift finds the constant putting a
@@ -24,8 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .grid import GridFunction
-
 __all__ = [
     "CompatibilityError",
     "NumericalFailure",
@@ -33,7 +36,6 @@ __all__ = [
     "solve_neumann",
     "kappa_shift",
     "balanced_shift",
-    "apply_K_t",
     "solve_increasing",
     "BracketError",
 ]
@@ -73,23 +75,22 @@ def green_apply(grid, values: np.ndarray) -> np.ndarray:
     return u - grid.mean_values(u)
 
 
-def solve_neumann(h: GridFunction) -> GridFunction:
-    """Apply the Neumann Green operator K to mean-zero data.
+def solve_neumann(grid, values: np.ndarray) -> np.ndarray:
+    """Apply the Neumann Green operator K to mean-zero nodal data h.
 
     Requires |int h| <= 1e-10 * ||h||_1.  Returns the unique mean-zero u
     with -Lap u = h and zero normal derivative at both ends.
     """
-    grid = h.grid
-    total = h.integral()
-    scale = h.lp_norm(1)
+    total = grid.integrate_values(values)
+    scale = grid.lp_norm_values(values, 1)
     if abs(total) > COMPATIBILITY_TOL * scale:
         raise CompatibilityError(
             f"incompatible Neumann data: int h = {total:.3e} exceeds {COMPATIBILITY_TOL:.0e} * ||h||_1 = "
             f"{COMPATIBILITY_TOL * scale:.3e}"
         )
     if scale == 0.0:
-        return GridFunction(grid, np.zeros_like(h.values))
-    return GridFunction(grid, green_apply(grid, h.values))
+        return np.zeros_like(values)
+    return green_apply(grid, values)
 
 
 def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
@@ -146,8 +147,8 @@ def solve_increasing(
     return lo, hi
 
 
-def kappa_shift(u: GridFunction, t: float) -> float:
-    """Constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0.
+def kappa_shift(grid, values: np.ndarray, t: float) -> float:
+    """Constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0, u = values.
 
     The map kappa -> int sign(u + kappa) |u + kappa|^t is continuous and
     nondecreasing.  At kappa = +-2 ||u||_inf every node value of u + kappa
@@ -161,19 +162,17 @@ def kappa_shift(u: GridFunction, t: float) -> float:
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
-    grid = u.grid
-    vals = u.values
-    bound = float(np.max(np.abs(vals)))
+    bound = float(np.max(np.abs(values)))
     if bound == 0.0:
         return 0.0
 
     def moment(kappa: float) -> float:
-        value = grid.integrate_values(_signed_power(vals + kappa, t))
-        if not math.isfinite(value):
+        total = grid.integrate_values(_signed_power(values + kappa, t))
+        if not math.isfinite(total):
             raise KappaShiftError(
-                f"moment at kappa = {kappa:.3e} is not finite: {value} (||u||_inf = {bound:.3e}, t = {t})"
+                f"moment at kappa = {kappa:.3e} is not finite: {total} (||u||_inf = {bound:.3e}, t = {t})"
             )
-        return value
+        return total
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
@@ -188,20 +187,17 @@ def kappa_shift(u: GridFunction, t: float) -> float:
     return float(kappa)
 
 
-def balanced_shift(u: GridFunction) -> float:
-    """Constant c making the level sets of u + c balanced.
+def balanced_shift(grid, values: np.ndarray) -> float:
+    """Constant c making the level sets of u + c balanced, u = values.
 
     The weighted measures of {u + c > 0} and {u + c < 0} must differ by at
     most the measure of the zero band.  c = -m where m is a weighted median
     of the nodal values; plateaus make the admissible interval wide, and
     its midpoint is returned so the output is deterministic.
     """
-    grid = u.grid
-    w = grid.weights
-    vals = u.values
-    order = np.argsort(vals, kind="stable")
-    vs = vals[order]
-    ws = w[order]
+    order = np.argsort(values, kind="stable")
+    vs = values[order]
+    ws = grid.weights[order]
     total = float(ws.sum())
     half = 0.5 * total + 1e-15 * total
     cum = np.concatenate(([0.0], np.cumsum(ws)))
@@ -212,10 +208,3 @@ def balanced_shift(u: GridFunction) -> float:
     m_hi = vs[np.nonzero(below <= half)[0][-1]]
     return -0.5 * float(m_lo + m_hi)
 
-
-def apply_K_t(h: GridFunction, t: float) -> GridFunction:
-    """K_t h = K h + kappa_t: the Neumann solve renormalized so that the
-    t-mean int |w|^(t-1) w of the output vanishes."""
-    w = solve_neumann(h)
-    kappa = kappa_shift(w, t)
-    return w.shifted(kappa)

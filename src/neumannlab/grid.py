@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -272,28 +271,8 @@ class GridFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("grid function has non-finite values")
 
-    @classmethod
-    def from_callable(cls, grid: RadialGrid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridFunction":
-        return cls(grid, np.asarray(fn(grid.r), dtype=float))
-
-    @classmethod
-    def constant(cls, grid: RadialGrid, c: float) -> "GridFunction":
-        return cls(grid, np.full_like(grid.r, float(c)))
-
-    def integral(self) -> float:
-        return self.grid.integrate_values(self.values)
-
-    def mean(self) -> float:
-        return self.grid.mean_values(self.values)
-
-    def lp_norm(self, s: float) -> float:
-        return self.grid.lp_norm_values(self.values, s)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def shifted(self, c: float) -> "GridFunction":
-        return GridFunction(self.grid, self.values + c)
 
     def write_csv(self, path) -> None:
         """Two-column CSV (r, value), RFC 4180 line endings, 17 significant digits."""
@@ -302,17 +281,15 @@ class GridFunction:
             fh.write("r,value\r\n" + rows)
 
 
-def discrete_radial_laplacian(g: GridFunction) -> GridFunction:
-    """Second-order radial Laplacian g'' + (dim-1) g'/r.
+def discrete_radial_laplacian(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
+    """Second-order radial Laplacian y'' + (dim-1) y'/r of nodal values y.
 
-    One-sided stencils at both ends assume the Neumann data g'(0) = g'(L) = 0
+    One-sided stencils at both ends assume the Neumann data y'(0) = y'(L) = 0
     (even reflection); the coordinate singularity at the origin is replaced
-    by the limit value dim * g''(0).
+    by the limit value dim * y''(0).
     """
-    grid = g.grid
     if grid.n + 1 < 4:
         raise ValueError("laplacian needs at least 4 nodes")
-    y = g.values
     h = grid.h
     out = np.empty_like(y)
     d2 = (y[:-2] - 2.0 * y[1:-1] + y[2:]) / h**2
@@ -326,4 +303,4 @@ def discrete_radial_laplacian(g: GridFunction) -> GridFunction:
         out[1:-1] = d2 + (grid.dim - 1) * d1 / grid.r[1:-1]
     else:
         out[1:-1] = d2
-    return GridFunction(grid, out)
+    return out

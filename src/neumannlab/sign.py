@@ -44,7 +44,6 @@ from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cub
 __all__ = [
     "BalancedFunction",
     "OscillationDetected",
-    "sign_of",
     "certify_balanced",
     "solve_sign_system",
     "solve_scalar_sign",
@@ -72,17 +71,13 @@ class BalancedFunction:
 
 
 def _signs(values: np.ndarray) -> np.ndarray:
-    band = SIGN_BAND * float(np.max(np.abs(values)))
-    return np.where(values > band, 1.0, np.where(values < -band, -1.0, 0.0))
-
-
-def sign_of(u: GridFunction) -> GridFunction:
     """Nodewise sign with a zero band |u| <= 1e-10 ||u||_inf.
 
     The relative band keeps nodes that straddle the interface from
     chattering between iterations.
     """
-    return GridFunction(u.grid, _signs(u.values))
+    band = SIGN_BAND * float(np.max(np.abs(values)))
+    return np.where(values > band, 1.0, np.where(values < -band, -1.0, 0.0))
 
 
 def certify_balanced(u: GridFunction) -> BalancedFunction:
@@ -171,7 +166,7 @@ def _subcell_balance_shift(grid: RadialGrid, vals: np.ndarray) -> float:
     try:
         lo, hi = solve_increasing(imbalance, lo, hi, width=width)
     except BracketError:
-        return balanced_shift(GridFunction(grid, vals))
+        return balanced_shift(grid, vals)
     return 0.5 * (lo + hi)
 
 
@@ -206,7 +201,7 @@ def _solve_step(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     """
     signs, marks = _level_sets(grid, vals)
     if len(signs) == 1:
-        raise ValueError("sign data does not change sign; the iterate degenerated")
+        raise NumericalFailure("sign data does not change sign; the iterate degenerated")
     # rows W and G, at the nodes and at the marks; both increase, so
     # clipping their values clips the radius
     nodes = np.stack([grid.weight_primitive(grid.r), grid.kernel_primitive(grid.r)])
@@ -236,7 +231,8 @@ def _sign_fixed_point(
     before the sub-cell balance shift, v whatever the caller reports with
     it.  Stops when the L^1 step falls below tol * max(1, ||u||_1).
     Returns (u, v, iterations, converged); raises OscillationDetected when
-    a sign pattern recurs after more than one sweep.
+    a sign pattern recurs after more than one sweep and NumericalFailure
+    when w is not finite.
     """
     u = _sign_change_profile(grid)
     u = u + _subcell_balance_shift(grid, u)
@@ -247,6 +243,8 @@ def _sign_fixed_point(
         prev_it = seen.get(key)
         seen[key] = it
         w, v = step(u)
+        if not np.all(np.isfinite(w)):
+            raise NumericalFailure(f"sweep {it} produced a non-finite iterate")
         u_new = w + _subcell_balance_shift(grid, w)
         l1_step = grid.lp_norm_values(u_new - u, 1)
         u = u_new
@@ -272,9 +270,10 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     opts = opts or SolverOptions()
 
     def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = GridFunction(grid, _solve_step(grid, u))
-        v = v.shifted(kappa_shift(v, q))
-        return solve_neumann(GridFunction(grid, _signed_power(v.values, q))).values, v.values
+        v = _solve_step(grid, u)
+        v = v + kappa_shift(grid, v, q)
+        # values by keyword: perfbench's tracer reads a second positional argument as a flag
+        return solve_neumann(grid, values=_signed_power(v, q)), v
 
     u, v, iters, ok = _sign_fixed_point(grid, step, opts)
     if u[0] < 0:
@@ -285,19 +284,19 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     lam = beta_int ** (q / (q + 1.0)) / l1
     c = c_from_lambda(ExponentPair(0.0, q, grid.dim), lam)
     c_energy = q / (q + 1.0) * beta_int - l1
-    u = GridFunction(grid, u)
-    v = GridFunction(grid, v)
 
-    smooth = ~_interface_mask(sign_of(u).values)
-    res_u_all = np.abs(-discrete_radial_laplacian(u).values - _signed_power(v.values, q))
-    res_v_all = np.abs(-discrete_radial_laplacian(v).values - sign_of(u).values)
+    signs = _signs(u)
+    smooth = ~_interface_mask(signs)
+    res_u_all = np.abs(-discrete_radial_laplacian(grid, u) - _signed_power(v, q))
+    res_v_all = np.abs(-discrete_radial_laplacian(grid, v) - signs)
     res_u = float(res_u_all[smooth].max())
     res_v = float(res_v_all[smooth].max())
+    cuts = _crossing_radii(grid, u)
+    u = GridFunction(grid, u)
     converged = ok and certify_balanced(u).certified and res_v <= RESIDUAL_TOL
-    cuts = _crossing_radii(grid, u.values)
     return SolutionReport(
         u=u,
-        v=v,
+        v=GridFunction(grid, v),
         lam=lam,
         D=1.0 / lam,
         c=c,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from neumannlab import dual, sign
+from neumannlab import dual, greens, sign
 from neumannlab.cli import main
 from neumannlab.dual import DegenerateIterateError, NonConvergenceError
 from neumannlab.greens import KappaShiftError
@@ -85,6 +85,21 @@ def test_solve_sign_case_numerical_failure_exit_code(tmp_path, monkeypatch):
     code = main(["solve", "--p", "0", "--q", "1", "--dim", "2", "--n", "300", "--outdir", str(tmp_path)])
     assert code == 2
     assert json.loads((tmp_path / "solution.json").read_text())["error"] == "shift failed"
+
+
+@pytest.mark.parametrize("p, q", [("3", "2"), ("0", "1")], ids=["dual", "sign"])
+def test_non_finite_green_apply_is_a_numerical_failure(tmp_path, monkeypatch, capsys, p, q):
+    real_apply = greens.green_apply
+
+    def one_nan(grid, values):
+        out = real_apply(grid, values)
+        out[len(out) // 3] = np.nan
+        return out
+
+    monkeypatch.setattr(greens, "green_apply", one_nan)
+    code = main(["solve", "--p", p, "--q", q, "--n", "200", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_solve_ball3_fine_grid_converges(tmp_path):
@@ -190,6 +205,8 @@ def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
         assert "configuration error" in err
     if config is not None:
         assert "'n'" in err  # the message names the ill-typed key
+    if argv and code == 1 and "--config" not in argv:  # a usage error shows the subcommand's usage line
+        assert err.startswith(f"usage: neumannlab {argv[0]} ")
 
 
 def test_env_seed_override(tmp_path, monkeypatch):
@@ -234,10 +251,10 @@ def test_sweep_command(tmp_path):
 def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):
     real_shift = dual.kappa_shift
 
-    def shift_failing_at_p2(w, t):
+    def shift_failing_at_p2(grid, w, t):
         if t == 2.0:
             raise KappaShiftError("shift failed")
-        return real_shift(w, t)
+        return real_shift(grid, w, t)
 
     monkeypatch.setattr(dual, "kappa_shift", shift_failing_at_p2)
     code = main(["sweep", "--path", "p:1.5..2.5,q:1", "--samples", "3", "--n", "300", "--outdir", str(tmp_path)])

@@ -11,7 +11,6 @@ from neumannlab.dual import (
     SolverOptions,
     compute_dual,
     compute_lambda,
-    delta_lower_bound,
     oracle_dual_smallgrid,
     reconstruct_solution,
 )
@@ -44,8 +43,8 @@ def test_disk_radial_bessel_eigenvalue(disk):
 def test_unit_norm_invariant(line):
     e = ExponentPair(2.0, 3.0, 1)
     dp = compute_dual(e, line)
-    assert dp.f.lp_norm(e.alpha) == pytest.approx(1.0, abs=1e-12)
-    assert dp.g.lp_norm(e.beta) == pytest.approx(1.0, abs=1e-12)
+    assert line.lp_norm_values(dp.f.values, e.alpha) == pytest.approx(1.0, abs=1e-12)
+    assert line.lp_norm_values(dp.g.values, e.beta) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_swap_symmetry(line):
@@ -64,14 +63,19 @@ def test_swap_symmetry_property(dim, p, q):
 
 
 def test_delta_lower_bound_never_violated(line):
+    """D is a supremum, so the quotient of the mean-zero first cosine mode bounds it below."""
     grids = [line] + [unit_ball_grid(N, n=800) for N in range(2, 7)]
     for grid in grids:
+        psi = np.cos(math.pi * grid.r / grid.length)
+        psi -= grid.mean_values(psi)
+        psi_k_psi = grid.integrate_values(psi * greens.solve_neumann(grid, psi))
         for p, q in [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)]:
             e = ExponentPair(p, q, grid.dim)
             if classify_region(e) == Region.SUPERCRITICAL:
                 continue  # (2, 3) on N = 5, 6
             d = compute_dual(e, grid).d_estimate
-            assert d >= delta_lower_bound(e, grid) - 1e-12, (grid.dim, p, q)
+            bound = psi_k_psi / (grid.lp_norm_values(psi, e.alpha) * grid.lp_norm_values(psi, e.beta))
+            assert d >= bound - 1e-12, (grid.dim, p, q)
 
 
 def test_quotient_history_feasible(line):
@@ -210,6 +214,13 @@ def test_warm_start_agrees_with_cold(line):
     lam_warm = 1.0 / compute_dual(e2, line, warm_start=warm).d_estimate
     lam_cold = 1.0 / compute_dual(e2, line).d_estimate
     assert lam_warm == pytest.approx(lam_cold, abs=1e-8 * lam_cold)
+
+
+@pytest.mark.parametrize("dim, n", [(1, 1000), (2, 2000)], ids=["other-n", "disk-same-n"])
+def test_warm_start_on_another_grid_is_rejected(line, dim, n):
+    warm = compute_dual(ExponentPair(2.0, 1.0, 1), line)
+    with pytest.raises(ValueError, match="warm start is on another grid"):
+        compute_dual(ExponentPair(2.1, 1.0, dim), make_grid(dim, n), warm_start=warm)
 
 
 @pytest.mark.parametrize("pq", [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)])

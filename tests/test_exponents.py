@@ -11,7 +11,6 @@ from neumannlab.exponents import (
     c_from_lambda,
     classify_region,
     lambda_from_c,
-    primal_scaling,
 )
 
 EPS = 2.220446049250313e-16
@@ -136,13 +135,3 @@ def test_c_from_lambda_rejects_hyperbola():
     with pytest.raises(HyperbolaError):
         lambda_from_c(ExponentPair(1.0, 1.0, 3), 1.0)
 
-
-def test_primal_scaling():
-    e = ExponentPair(2.0, 3.0, 1)
-    assert primal_scaling(e, 1.0) == (1.0, 1.0)
-    e33 = ExponentPair(3.0, 3.0, 1)
-    su, sv = primal_scaling(e33, 4.0)
-    assert su == pytest.approx(2.0, rel=1e-15)
-    assert sv == pytest.approx(4.0 ** (1.0 / 6.0), rel=1e-15)
-    with pytest.raises(HyperbolaError):
-        primal_scaling(ExponentPair(1.0, 1.0, 1), 2.0)

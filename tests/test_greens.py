@@ -9,14 +9,12 @@ from neumannlab.greens import (
     CompatibilityError,
     KappaShiftError,
     _signed_power,
-    apply_K_t,
     balanced_shift,
     kappa_shift,
     solve_increasing,
     solve_neumann,
 )
 from neumannlab.grid import (
-    GridFunction,
     RadialGrid,
     discrete_radial_laplacian,
     interval_grid,
@@ -26,7 +24,7 @@ from neumannlab.grid import (
 
 
 def _mean_zero(grid, values):
-    return GridFunction(grid, values - grid.mean_values(values))
+    return values - grid.mean_values(values)
 
 
 def _trig(grid, coeffs):
@@ -36,36 +34,35 @@ def _trig(grid, coeffs):
 
 def test_zero_data_gives_zero():
     grid = interval_grid(1.0, n=100)
-    u = solve_neumann(GridFunction.constant(grid, 0.0))
-    assert u.sup_norm() == 0.0
+    u = solve_neumann(grid, np.zeros_like(grid.r))
+    assert u.shape == grid.r.shape and not u.any()
 
 
 def test_cosine_eigenfunction_identity():
     grid = interval_grid(1.0, n=2000)
-    h = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r))
-    u = solve_neumann(h)
+    u = solve_neumann(grid, np.cos(math.pi * grid.r))
     exact = np.cos(math.pi * grid.r) / math.pi**2
-    assert np.max(np.abs(u.values - exact)) <= 1e-8
+    assert np.max(np.abs(u - exact)) <= 1e-8
 
 
 def test_incompatible_data_rejected():
     grid = interval_grid(1.0, n=100)
     with pytest.raises(CompatibilityError):
-        solve_neumann(GridFunction.constant(grid, 1.0))
+        solve_neumann(grid, np.ones_like(grid.r))
 
 
 def test_output_mean_zero():
     grid = unit_ball_grid(2, n=500)
     rng = np.random.default_rng(0)
     h = _trig(grid, rng.standard_normal(4))
-    u = solve_neumann(h)
-    assert abs(u.integral()) <= 1e-12 * h.lp_norm(1)
+    u = solve_neumann(grid, h)
+    assert abs(grid.integrate_values(u)) <= 1e-12 * grid.lp_norm_values(h, 1)
 
 
 def test_neumann_conditions_hold():
     grid = interval_grid(1.0, n=2000)
     h = _trig(grid, [1.0, -0.4, 0.2])
-    u = solve_neumann(h).values
+    u = solve_neumann(grid, h)
     hh = grid.h
     # second-order one-sided derivatives ~ 0 at both ends
     left = (-3.0 * u[0] + 4.0 * u[1] - u[2]) / (2.0 * hh)
@@ -79,9 +76,9 @@ def test_self_adjointness_smooth():
         rng = np.random.default_rng(5)
         f = _trig(grid, rng.standard_normal(5))
         g = _trig(grid, rng.standard_normal(5))
-        lhs = grid.integrate_values(f.values * solve_neumann(g).values)
-        rhs = grid.integrate_values(g.values * solve_neumann(f).values)
-        assert abs(lhs - rhs) <= 1e-10 * f.lp_norm(2) * g.lp_norm(2)
+        lhs = grid.integrate_values(f * solve_neumann(grid, g))
+        rhs = grid.integrate_values(g * solve_neumann(grid, f))
+        assert abs(lhs - rhs) <= 1e-10 * grid.lp_norm_values(f, 2) * grid.lp_norm_values(g, 2)
 
 
 def test_self_adjointness_symmetric_variant_rough():
@@ -89,9 +86,9 @@ def test_self_adjointness_symmetric_variant_rough():
     rng = np.random.default_rng(11)
     f = _mean_zero(grid, rng.standard_normal(grid.n + 1))
     g = _mean_zero(grid, rng.standard_normal(grid.n + 1))
-    lhs = grid.integrate_values(f.values * solve_neumann(g).values)
-    rhs = grid.integrate_values(g.values * solve_neumann(f).values)
-    assert abs(lhs - rhs) <= 1e-14 * max(1.0, f.lp_norm(2) * g.lp_norm(2))
+    lhs = grid.integrate_values(f * solve_neumann(grid, g))
+    rhs = grid.integrate_values(g * solve_neumann(grid, f))
+    assert abs(lhs - rhs) <= 1e-14 * max(1.0, grid.lp_norm_values(f, 2) * grid.lp_norm_values(g, 2))
 
 
 @given(
@@ -106,9 +103,9 @@ def test_self_adjointness_rough_property(dim, n, seed, decade):
     rng = np.random.default_rng(seed)
     f = _mean_zero(grid, 10.0**decade * rng.standard_normal(n + 1))
     g = _mean_zero(grid, rng.standard_normal(n + 1))
-    lhs = grid.integrate_values(f.values * solve_neumann(g).values)
-    rhs = grid.integrate_values(g.values * solve_neumann(f).values)
-    assert abs(lhs - rhs) <= 1e-13 * f.lp_norm(2) * g.lp_norm(2)
+    lhs = grid.integrate_values(f * solve_neumann(grid, g))
+    rhs = grid.integrate_values(g * solve_neumann(grid, f))
+    assert abs(lhs - rhs) <= 1e-13 * grid.lp_norm_values(f, 2) * grid.lp_norm_values(g, 2)
 
 
 def _manufactured(r, dim, k):
@@ -125,7 +122,7 @@ def test_manufactured_solutions_pointwise(dim, n, tol):
     grid = make_grid(dim=dim, n=n)
     for k in (0, 1):
         u, h = _manufactured(grid.r, dim, k)
-        got = solve_neumann(_mean_zero(grid, h)).values
+        got = solve_neumann(grid, _mean_zero(grid, h))
         assert np.max(np.abs(got - (u - grid.mean_values(u)))) <= tol
 
 
@@ -134,7 +131,7 @@ def test_quadratic_form_positive():
         rng = np.random.default_rng(7)
         for _ in range(5):
             f = _trig(grid, rng.standard_normal(6))
-            val = grid.integrate_values(f.values * solve_neumann(f).values)
+            val = grid.integrate_values(f * solve_neumann(grid, f))
             assert val >= 0.0
 
 
@@ -142,41 +139,38 @@ def test_inverse_identity_interior():
     grids = [(interval_grid(1.0, n=1000), 5e-6)] + [(unit_ball_grid(dim, n=1000), 5e-5) for dim in range(2, 7)]
     for grid, tol in grids:
         h = _trig(grid, [0.7, 0.3])
-        u = solve_neumann(h)
-        lap = discrete_radial_laplacian(u).values
+        lap = discrete_radial_laplacian(grid, solve_neumann(grid, h))
         interior = slice(3, -3)
-        assert np.max(np.abs(lap[interior] + h.values[interior])) <= tol
+        assert np.max(np.abs(lap[interior] + h[interior])) <= tol
 
 
 def test_kappa_shift_odd_symmetry():
     grid = interval_grid(1.0, n=400)
-    u = GridFunction.from_callable(grid, lambda r: np.sin(2.0 * math.pi * r))  # odd about 1/2
+    u = np.sin(2.0 * math.pi * grid.r)  # odd about 1/2
     for t in (0.5, 1.0, 2.0, 3.0):
-        assert abs(kappa_shift(u, t)) <= 1e-10
+        assert abs(kappa_shift(grid, u, t)) <= 1e-10
 
 
 def test_kappa_shift_linear_case_is_mean():
     grid = unit_ball_grid(2, n=400)
-    u = GridFunction.from_callable(grid, lambda r: r**2 + 0.3)
-    assert kappa_shift(u, 1.0) == pytest.approx(-u.mean(), abs=1e-12)
+    u = grid.r**2 + 0.3
+    assert kappa_shift(grid, u, 1.0) == pytest.approx(-grid.mean_values(u), abs=1e-12)
 
 
 def test_kappa_shift_cubic_closed_form():
     # solve ((1+k)^4 - k^4)/4 = 0 -> k = -1/2
     grid = interval_grid(1.0, n=1000)
-    u = GridFunction.from_callable(grid, lambda r: r)
-    assert kappa_shift(u, 3.0) == pytest.approx(-0.5, abs=1e-12)
+    assert kappa_shift(grid, grid.r, 3.0) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_kappa_shift_monotone_in_data():
     grid = interval_grid(1.0, n=300)
     rng = np.random.default_rng(2)
     for t in (0.5, 1.5, 3.0):
-        base = rng.standard_normal(grid.n + 1)
-        u = GridFunction(grid, base)
-        v = GridFunction(grid, base + np.abs(rng.standard_normal(grid.n + 1)))
-        assert u.values.max() <= v.values.max() + 1e-12
-        assert kappa_shift(u, t) >= kappa_shift(v, t) - 1e-10
+        u = rng.standard_normal(grid.n + 1)
+        v = u + np.abs(rng.standard_normal(grid.n + 1))
+        assert u.max() <= v.max() + 1e-12
+        assert kappa_shift(grid, u, t) >= kappa_shift(grid, v, t) - 1e-10
 
 
 def _assert_sign_change(fn, lo, hi):
@@ -209,7 +203,7 @@ def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
     lo, hi = solve_increasing(moment, lo, hi)
     _assert_sign_change(moment, lo, hi)
     assert lo == hi or hi == np.nextafter(lo, np.inf)
-    kappa = kappa_shift(GridFunction(grid, vals), t)
+    kappa = kappa_shift(grid, vals, t)
     # kappa_shift's own acceptance: the residual meets its target, or (t < 1
     # with a node value on the root) the moment changes sign within one float
     # spacing of kappa, so no representable shift does better
@@ -243,7 +237,7 @@ def test_root_solver_halves_the_bracket_every_five_steps():
 def test_kappa_shift_moment_evaluations(t, monkeypatch):
     # plain bisection to the residual target takes about 57 moment evaluations
     grid = interval_grid(1.0, n=2000)
-    u = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r) + 0.3 * np.cos(2.0 * math.pi * r))
+    u = np.cos(math.pi * grid.r) + 0.3 * np.cos(2.0 * math.pi * grid.r)
     calls = []
     integrate = RadialGrid.integrate_values
 
@@ -252,18 +246,17 @@ def test_kappa_shift_moment_evaluations(t, monkeypatch):
         return integrate(self, values)
 
     monkeypatch.setattr(RadialGrid, "integrate_values", counted)
-    kappa = kappa_shift(u, t)
+    kappa = kappa_shift(grid, u, t)
     monkeypatch.undo()
     assert abs(kappa) > 0.05
-    assert abs(grid.integrate_values(_signed_power(u.values + kappa, t))) <= 1e-12 * u.sup_norm() ** t
+    assert abs(grid.integrate_values(_signed_power(u + kappa, t))) <= 1e-12 * np.max(np.abs(u)) ** t
     assert len(calls) <= 16
 
 
 def test_kappa_shift_rejects_non_finite_moment():
     grid = interval_grid(1.0, n=200)
-    u = GridFunction.from_callable(grid, lambda r: 1e100 * (r - 0.3))
     with pytest.raises(KappaShiftError, match="not finite"):
-        kappa_shift(u, 4.0)
+        kappa_shift(grid, 1e100 * (grid.r - 0.3), 4.0)
 
 
 def test_kappa_shift_rejects_a_root_without_sign_change(monkeypatch):
@@ -278,18 +271,25 @@ def test_kappa_shift_rejects_a_root_without_sign_change(monkeypatch):
 
     monkeypatch.setattr(RadialGrid, "integrate_values", step_moment(0.5 + np.nextafter(-0.5, np.inf)))
     with pytest.raises(KappaShiftError, match="did not converge"):
-        kappa_shift(GridFunction.constant(grid, 0.5), 1.0)
+        kappa_shift(grid, np.full_like(grid.r, 0.5), 1.0)
     # without the dip the same adjacent pair is accepted
     monkeypatch.setattr(RadialGrid, "integrate_values", step_moment(None))
-    assert kappa_shift(GridFunction.constant(grid, 0.5), 1.0) == -0.5
+    assert kappa_shift(grid, np.full_like(grid.r, 0.5), 1.0) == -0.5
+
+
+def _apply_K_t(grid, h, t):
+    """K_t h = K h + kappa_t: the Neumann solve renormalized so that the
+    t-mean int |w|^(t-1) w of the output vanishes."""
+    w = solve_neumann(grid, h)
+    return w + kappa_shift(grid, w, t)
 
 
 def test_apply_K_t_matches_plain_solve_at_t_one():
     grid = interval_grid(1.0, n=500)
     h = _trig(grid, [1.0, 0.5, -0.1])
-    w1 = apply_K_t(h, 1.0)
-    w2 = solve_neumann(h)
-    assert np.max(np.abs(w1.values - w2.values)) <= 1e-13
+    w1 = _apply_K_t(grid, h, 1.0)
+    w2 = solve_neumann(grid, h)
+    assert np.max(np.abs(w1 - w2)) <= 1e-13
 
 
 def test_apply_K_t_normalization_residual():
@@ -297,24 +297,22 @@ def test_apply_K_t_normalization_residual():
     rng = np.random.default_rng(9)
     for t in (0.5, 2.0, 3.0):
         h = _trig(grid, rng.standard_normal(4))
-        w = apply_K_t(h, t)
-        moment = grid.integrate_values(np.sign(w.values) * np.abs(w.values) ** t)
-        assert abs(moment) <= 1e-11 * max(w.sup_norm() ** t * grid.domain_measure, 1e-30)
+        w = _apply_K_t(grid, h, t)
+        moment = grid.integrate_values(np.sign(w) * np.abs(w) ** t)
+        assert abs(moment) <= 1e-11 * max(np.max(np.abs(w)) ** t * grid.domain_measure, 1e-30)
 
 
 def test_balanced_shift_examples():
     grid = interval_grid(1.0, n=1000)
-    assert balanced_shift(GridFunction.from_callable(grid, lambda r: r)) == pytest.approx(-0.5, abs=1e-12)
-    assert balanced_shift(GridFunction.from_callable(grid, lambda r: r**2)) == pytest.approx(-0.25, abs=1e-12)
-    cos = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r))
-    assert abs(balanced_shift(cos)) <= 1e-12
+    assert balanced_shift(grid, grid.r) == pytest.approx(-0.5, abs=1e-12)
+    assert balanced_shift(grid, grid.r**2) == pytest.approx(-0.25, abs=1e-12)
+    assert abs(balanced_shift(grid, np.cos(math.pi * grid.r))) <= 1e-12
 
 
 def test_balanced_shift_weighted_measures():
     # on the disk the median is in the r^{N-1} measure: {r^2 + c > 0} has mass 1/2
     grid = unit_ball_grid(2, n=1000)
-    u = GridFunction.from_callable(grid, lambda r: r**2)
-    c = balanced_shift(u)
+    c = balanced_shift(grid, grid.r**2)
     # measure{r^2 > -c} = 1 - (-c) must equal 1/2 in the r dr measure
     assert c == pytest.approx(-0.5, abs=1e-3)
 
@@ -323,5 +321,5 @@ def test_balanced_shift_plateau_midpoint():
     grid = interval_grid(1.0, n=1000)
     vals = np.where(grid.r < 0.3, -1.0, np.where(grid.r > 0.7, 1.0, 0.0))
     # admissible interval is the plateau gap; its midpoint is deterministic
-    c = balanced_shift(GridFunction(grid, vals))
+    c = balanced_shift(grid, vals)
     assert c == pytest.approx(0.0, abs=1e-12)

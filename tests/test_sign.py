@@ -10,7 +10,6 @@ from neumannlab.greens import NumericalFailure, balanced_shift
 from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
 from neumannlab.sign import (
     certify_balanced,
-    sign_of,
     solve_scalar_sign,
     solve_sign_system,
 )
@@ -18,13 +17,13 @@ from neumannlab.sign import (
 
 def test_sign_of_constant():
     grid = interval_grid(1.0, n=50)
-    s = sign_of(GridFunction.constant(grid, 3.0))
-    assert np.all(s.values == 1.0)
+    s = sign._signs(np.full_like(grid.r, 3.0))
+    assert np.all(s == 1.0)
 
 
 def test_sign_of_linear_split():
     grid = interval_grid(1.0, n=100)
-    s = sign_of(GridFunction.from_callable(grid, lambda r: r - 0.5)).values
+    s = sign._signs(grid.r - 0.5)
     assert np.all(s[grid.r < 0.499] == -1.0)
     assert np.all(s[grid.r > 0.501] == 1.0)
     assert abs(s[np.argmin(np.abs(grid.r - 0.5))]) <= 1.0
@@ -32,10 +31,9 @@ def test_sign_of_linear_split():
 
 def test_sign_of_balanced_integral():
     grid = interval_grid(1.0, n=1000)
-    u = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r))
-    s = sign_of(u)
+    s = sign._signs(np.cos(math.pi * grid.r))
     node_weight = float(np.max(grid.weights)) * grid.surface
-    assert abs(s.integral()) <= node_weight
+    assert abs(grid.integrate_values(s)) <= node_weight
 
 
 def test_scalar_interval_closed_form():
@@ -83,7 +81,7 @@ def test_sign_system_disk_zero_radius(dim):
     assert rep.converged
     assert abs(rep.zero_radius - zero_radius(dim)) <= 1e-10
     node_weight = float(np.max(grid.weights)) * grid.surface
-    assert abs(sign_of(rep.u).integral()) <= node_weight
+    assert abs(grid.integrate_values(sign._signs(rep.u.values))) <= node_weight
     assert certify_balanced(rep.u).certified
 
 
@@ -126,10 +124,10 @@ def test_sign_system_rejects_bad_exponent():
 
 def test_certify_balanced_reports_measures():
     grid = interval_grid(1.0, n=1000)
-    bal = certify_balanced(GridFunction.from_callable(grid, lambda r: r - 0.5))
+    bal = certify_balanced(GridFunction(grid, grid.r - 0.5))
     assert bal.certified
     assert bal.positive_mass == pytest.approx(0.5, abs=2e-3)
-    off = certify_balanced(GridFunction.from_callable(grid, lambda r: r - 0.1))
+    off = certify_balanced(GridFunction(grid, grid.r - 0.1))
     assert not off.certified
 
 
@@ -148,6 +146,12 @@ def test_step_solve_is_exact(dim):
     assert (diff.max() - diff.min()) / 2.0 <= 1e-14
 
 
+def test_step_without_sign_change_is_a_numerical_failure():
+    grid = interval_grid(1.0, n=100)
+    with pytest.raises(NumericalFailure, match="degenerated"):
+        sign._solve_step(grid, np.full_like(grid.r, 0.25))
+
+
 def test_crossing_radii_on_cubic_data_fine_grid():
     # a cubic fit in absolute r is ill-conditioned at this spacing and warns;
     # one in the local variable t = (r - r_s) / h is not
@@ -160,7 +164,7 @@ def test_crossing_radii_on_cubic_data_fine_grid():
 
 def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
     grid = unit_ball_grid(2, n=400)
-    u = GridFunction.from_callable(grid, lambda r: np.cos(math.pi * r) + 0.2 * r)
+    u = np.cos(math.pi * grid.r) + 0.2 * grid.r
     crossings, evaluations = [], []
     crossing_radii, solve_increasing = sign._crossing_radii, sign.solve_increasing
 
@@ -177,14 +181,14 @@ def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
 
     monkeypatch.setattr(sign, "_crossing_radii", counted_crossings)
     monkeypatch.setattr(sign, "solve_increasing", counted_solve)
-    c = sign._subcell_balance_shift(grid, u.values)
+    c = sign._subcell_balance_shift(grid, u)
     assert len(evaluations) > 2
     assert len(crossings) == len(evaluations)  # the bracket ends are not evaluated twice
-    cut = crossing_radii(grid, u.values + c)[0]
+    cut = crossing_radii(grid, u + c)[0]
     assert abs(cut**2 - 0.5) <= 1e-12  # equal disk areas on either side
 
 
 def test_subcell_balance_shift_falls_back_without_sign_change():
     grid = interval_grid(1.0, n=100)
-    u = GridFunction.constant(grid, 0.25)
-    assert sign._subcell_balance_shift(grid, u.values) == balanced_shift(u)
+    u = np.full_like(grid.r, 0.25)
+    assert sign._subcell_balance_shift(grid, u) == balanced_shift(grid, u)
