@@ -18,8 +18,8 @@ kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 function into the balanced class (positive and negative level sets of
 equal weighted measure), which is the natural normalization for the
 sign-nonlinearity limit.  solve_increasing, Illinois regula falsi with a
-bisection safeguard, is the one root finder behind every monotone scalar
-normalization of the package.
+bisection safeguard and guarded Newton steps where the slope is known, is
+the one root finder behind every monotone scalar normalization.
 """
 
 from __future__ import annotations
@@ -98,10 +98,10 @@ def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
 
 
 def solve_increasing(
-    fn: Callable[[float], float], lo: float, hi: float, tol: float = 0.0, width: float = 0.0
+    fn: Callable, lo: float, hi: float, tol: float = 0.0, width: float = 0.0, start: float | None = None
 ) -> tuple[float, float]:
     """Root of a nondecreasing fn by Illinois regula falsi, safeguarded by
-    bisection (Dowell and Jarratt 1971).
+    bisection (Dowell and Jarratt 1971), or by guarded Newton steps.
 
     Needs fn(lo) <= 0 <= fn(hi), else raises BracketError.  Returns (x, x)
     for the first evaluated x with |fn(x)| <= tol.  Otherwise returns a
@@ -110,24 +110,38 @@ def solve_increasing(
     unique, the one plain bisection reaches.  Whenever the bracket has
     failed to halve over the last four steps the next step bisects, so it
     halves at least once every five evaluations.
+
+    With `start` inside the bracket, fn returns (f(x), f'(x)) and the search
+    begins at start.  The next point is then the Newton step from the latest
+    iterate if that lies strictly inside the bracket and the halving guard
+    allows a non-bisection step; a slope that is not positive gives none.
+    The ends are evaluated only if the bracket closes on one of them.
     """
-    flo, fhi = fn(lo), fn(hi)
-    if abs(flo) <= tol:
-        return lo, lo
-    if abs(fhi) <= tol:
-        return hi, hi
+    if start is None:
+        flo, fhi = fn(lo), fn(hi)
+        if abs(flo) <= tol:
+            return lo, lo
+        if abs(fhi) <= tol:
+            return hi, hi
+    else:
+        flo, fhi = -math.inf, math.inf  # unevaluated ends: the secant through them bisects
     if not flo < 0.0 < fhi:
         raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: fn = {flo:.3e}, {fhi:.3e}")
     widths = [hi - lo]
     moved = 0  # end the last step replaced: -1 lo, +1 hi
+    newton = math.nan if start is None else start  # the first Newton point is start
     mid = 0.5 * (lo + hi)
     while hi - lo > width and lo < mid < hi:
         x = mid
         if len(widths) < 5 or widths[-1] <= 0.5 * widths[-5]:
-            secant = lo + (hi - lo) * (flo / (flo - fhi))
+            secant = newton if lo < newton < hi else lo + (hi - lo) * (flo / (flo - fhi))
             if lo < secant < hi:
                 x = secant
-        fx = fn(x)
+        if start is None:
+            fx = fn(x)
+        else:
+            fx, slope = fn(x)
+            newton = x - fx / slope if slope > 0.0 else math.nan
         if abs(fx) <= tol:
             return x, x
         # Illinois: an end kept for a second step in a row has its value
@@ -144,21 +158,24 @@ def solve_increasing(
             moved = 1
         widths.append(hi - lo)
         mid = 0.5 * (lo + hi)
+    if start is not None and math.isinf(flo - fhi):  # closed on an end no iterate replaced: check it
+        return solve_increasing(lambda end: fn(end)[0], lo, hi, tol, width)
     return lo, hi
 
 
 def kappa_shift(grid, values: np.ndarray, t: float) -> float:
     """Constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0, u = values.
 
-    The map kappa -> int sign(u + kappa) |u + kappa|^t is continuous and
+    The moment M(kappa) = int sign(u + kappa) |u + kappa|^t is continuous and
     nondecreasing.  At kappa = +-2 ||u||_inf every node value of u + kappa
     has one sign, so that bracket holds the root whatever the signs of the
     quadrature weights, and solve_increasing finds it to the residual target
-    1e-12 ||u||_inf^t |Omega|.  For t < 1 a node value near the root makes
-    the moment steeper than float spacing resolves; the root is then the
-    adjacent pair of floats across which the moment changes sign.  Raises
-    KappaShiftError when the moment is not finite or kappa meets neither
-    rule.
+    1e-12 ||u||_inf^t |Omega|; for t >= 1 by Newton steps from -mean(u), the
+    root at t = 1, with M' = t int |u + kappa|^(t-1) from M's power array.
+    For t < 1, M' is infinite at a nodal zero, and a node value near the root
+    makes M steeper than float spacing resolves; the root is then the
+    adjacent pair of floats across which M changes sign.  Raises
+    KappaShiftError when M is not finite or kappa meets neither rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -166,18 +183,23 @@ def kappa_shift(grid, values: np.ndarray, t: float) -> float:
     if bound == 0.0:
         return 0.0
 
-    def moment(kappa: float) -> float:
-        total = grid.integrate_values(_signed_power(values + kappa, t))
+    def moment(kappa: float, slope: bool = False):
+        x = values + kappa
+        size = np.abs(x)
+        power = size**t
+        total = grid.integrate_values(np.sign(x) * power)
         if not math.isfinite(total):
             raise KappaShiftError(
                 f"moment at kappa = {kappa:.3e} is not finite: {total} (||u||_inf = {bound:.3e}, t = {t})"
             )
-        return total
+        # a node at x = 0 makes the slope nan, which solve_increasing skips
+        return (total, t * grid.integrate_values(power / size)) if slope else total
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
         tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
-        lo, hi = solve_increasing(moment, -2.0 * bound, 2.0 * bound, tol)
+        start = -grid.mean_values(values) if t >= 1.0 else None
+        lo, hi = solve_increasing(lambda k: moment(k, start is not None), -2.0 * bound, 2.0 * bound, tol, start=start)
         kappa = 0.5 * (lo + hi)
         # lo == hi met tol; adjacent ends must have the sign change across kappa
         if lo < hi and not moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf)):

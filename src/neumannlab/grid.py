@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,11 @@ class RadialGrid:
     phi: np.ndarray = field(repr=False)
     green_diagonal: np.ndarray = field(repr=False)
     _table_weighted: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def csv_r_column(self) -> list[str]:
+        """The r cells of GridFunction.write_csv, '%.17g,' per node, formatted on first use."""
+        return ["%.17g," % x for x in self.r.tolist()]
 
     @property
     def h(self) -> float:
@@ -276,9 +282,11 @@ class GridFunction:
 
     def write_csv(self, path) -> None:
         """Two-column CSV (r, value), RFC 4180 line endings, 17 significant digits."""
-        rows = "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(self.grid.r.tolist(), self.values.tolist()))
+        column = self.grid.csv_r_column
+        cells = [None] * (2 * len(column))
+        cells[::2], cells[1::2] = column, self.values.tolist()
         with open(path, "w", newline="") as fh:
-            fh.write("r,value\r\n" + rows)
+            fh.write("r,value\r\n" + "%s%.17g\r\n" * len(column) % tuple(cells))
 
 
 def discrete_radial_laplacian(grid: RadialGrid, y: np.ndarray) -> np.ndarray:

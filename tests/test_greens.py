@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neumannlab.greens import (
+    BracketError,
     CompatibilityError,
     KappaShiftError,
     _signed_power,
@@ -203,6 +204,18 @@ def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
     lo, hi = solve_increasing(moment, lo, hi)
     _assert_sign_change(moment, lo, hi)
     assert lo == hi or hi == np.nextafter(lo, np.inf)
+
+    def moment_and_slope(kappa):
+        with np.errstate(divide="ignore"):  # t < 1 with a node on the root: an infinite slope
+            return moment(kappa), t * grid.integrate_values(np.abs(vals + kappa) ** (t - 1.0))
+
+    start = -grid.mean_values(vals)
+    lo, hi = solve_increasing(moment_and_slope, -2.0 * bound, 2.0 * bound, width=width, start=start)
+    _assert_sign_change(moment, lo, hi)
+    assert hi - lo <= width
+    lo, hi = solve_increasing(moment_and_slope, -2.0 * bound, 2.0 * bound, start=start)
+    _assert_sign_change(moment, lo, hi)
+    assert lo == hi or hi == np.nextafter(lo, np.inf)
     kappa = kappa_shift(grid, vals, t)
     # kappa_shift's own acceptance: the residual meets its target, or (t < 1
     # with a node value on the root) the moment changes sign within one float
@@ -211,32 +224,83 @@ def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
     assert in_tol or moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf))
 
 
-def test_root_solver_halves_the_bracket_every_five_steps():
+def _lopsided(root, seen):
     # lopsided data keep the secant on the flat side: without the bisection
     # safeguard Illinois needs about 60 halvings of the steep end's value
     # before the bracket shrinks
-    root = 0.9
-    seen = []
-
     def fn(x):
         value = 1e10 * (x - root) if x > root else -1e-10
         seen.append((x, value))
         return value
 
-    lo, hi = solve_increasing(fn, 0.0, 1.0)
-    assert lo == root and hi == np.nextafter(root, np.inf)
-    lo, hi = 0.0, 1.0
+    return fn
+
+
+def _assert_halves_every_five_steps(seen, lo, hi):
     widths = [hi - lo]
-    for x, value in seen[2:]:
-        lo, hi = (x, hi) if value < 0.0 else (lo, x)
-        widths.append(hi - lo)
+    for x, value in seen:
+        if lo < x < hi:  # a step; an end evaluated again after the loop is not
+            lo, hi = (x, hi) if value < 0.0 else (lo, x)
+            widths.append(hi - lo)
     assert all(widths[k + 5] <= 0.5 * widths[k] for k in range(len(widths) - 5))
 
 
-@pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
-def test_kappa_shift_moment_evaluations(t, monkeypatch):
-    # plain bisection to the residual target takes about 57 moment evaluations
-    grid = interval_grid(1.0, n=2000)
+def test_root_solver_halves_the_bracket_every_five_steps():
+    root = 0.9
+    seen = []
+    lo, hi = solve_increasing(_lopsided(root, seen), 0.0, 1.0)
+    assert lo == root and hi == np.nextafter(root, np.inf)
+    _assert_halves_every_five_steps(seen[2:], 0.0, 1.0)
+
+
+WRONG_SLOPES = {
+    "zero": lambda s: 0.0,
+    "negative": lambda s: -s,
+    "nan": lambda s: math.nan,
+    "1e6x": lambda s: 1e6 * s,
+}
+
+
+@pytest.mark.parametrize("wrong", WRONG_SLOPES)
+@pytest.mark.parametrize("start", [0.3, 0.95])
+def test_root_solver_survives_a_wrong_slope(wrong, start):
+    # a slope the Newton step cannot use leaves the bracket and its halving intact
+    root = 0.9
+    seen = []
+    fn = _lopsided(root, seen)
+
+    def with_slope(x):
+        value = fn(x)
+        return value, WRONG_SLOPES[wrong](1e10 if x > root else 1e-10)
+
+    lo, hi = solve_increasing(with_slope, 0.0, 1.0, start=start)
+    assert lo == root and hi == np.nextafter(root, np.inf)
+    _assert_halves_every_five_steps(seen, 0.0, 1.0)
+    # a smooth function: the returned bracket still holds the sign change
+    def cubic(x):
+        return (x - 0.3) ** 3 + 1e-3 * (x - 0.3)
+
+    def cubic_with_slope(x):
+        return cubic(x), WRONG_SLOPES[wrong](3.0 * (x - 0.3) ** 2 + 1e-3)
+
+    lo, hi = solve_increasing(cubic_with_slope, 0.0, 1.0, start=start)
+    _assert_sign_change(cubic, lo, hi)
+    assert lo == hi or hi == np.nextafter(lo, np.inf)
+
+
+def test_root_solver_with_slope_checks_the_ends_it_never_replaced():
+    # every iterate lies above the root, so the bracket closes on lo, which
+    # is then evaluated: no sign change raises, a root there is returned
+    with pytest.raises(BracketError, match="no sign change"):
+        solve_increasing(lambda x: (x + 1.0, 1.0), 0.0, 1.0, start=0.5)
+    assert solve_increasing(lambda x: (x, 1.0), 0.0, 1.0, start=0.5) == (0.0, 0.0)
+    with pytest.raises(BracketError, match="no sign change"):
+        solve_increasing(lambda x: (x - 2.0, 1.0), 0.0, 1.0, start=0.5)
+
+
+def _kappa_shift_quadratures(grid, t, monkeypatch):
+    # quadratures: one for the start -mean(u), then two per moment evaluation
+    # (M and M'); plain bisection to the residual target takes about 57
     u = np.cos(math.pi * grid.r) + 0.3 * np.cos(2.0 * math.pi * grid.r)
     calls = []
     integrate = RadialGrid.integrate_values
@@ -249,8 +313,21 @@ def test_kappa_shift_moment_evaluations(t, monkeypatch):
     kappa = kappa_shift(grid, u, t)
     monkeypatch.undo()
     assert abs(kappa) > 0.05
-    assert abs(grid.integrate_values(_signed_power(u + kappa, t))) <= 1e-12 * np.max(np.abs(u)) ** t
-    assert len(calls) <= 16
+    target = 1e-12 * np.max(np.abs(u)) ** t * grid.domain_measure
+    assert abs(grid.integrate_values(_signed_power(u + kappa, t))) <= target
+    return len(calls)
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
+def test_kappa_shift_moment_evaluations(t, monkeypatch):
+    # Illinois steps from the bracket ends need 9, 10 and 11 quadratures here
+    assert _kappa_shift_quadratures(interval_grid(1.0, n=2000), t, monkeypatch) <= 9
+
+
+@pytest.mark.parametrize("dim, t, bound", [(2, 2.0, 11), (2, 3.0, 11), (3, 2.0, 11), (3, 3.0, 13)])
+def test_kappa_shift_moment_evaluations_on_balls(dim, t, bound, monkeypatch):
+    # Illinois steps from the bracket ends need 13 and 16 on the disk, 16 and 20 on the 3-ball
+    assert _kappa_shift_quadratures(unit_ball_grid(dim, n=2000), t, monkeypatch) <= bound
 
 
 def test_kappa_shift_rejects_non_finite_moment():

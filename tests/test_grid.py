@@ -163,3 +163,25 @@ def test_grid_function_csv_bytes(tmp_path):
     expected = "r,value\r\n" + "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(grid.r, values))
     assert (tmp_path / "g.csv").read_bytes() == expected.encode()
     assert b"\r\n0,-0\r\n" in expected.encode()
+
+
+def test_grid_function_csv_pair_bytes(tmp_path):
+    # u.csv and v.csv of one solve share a grid: the r column is formatted
+    # once, and both files keep the bytes of the per-row f-string writer
+    grid = interval_grid(1.0, n=2000)
+    rng = np.random.default_rng(5)
+    special = [-0.0, 0.0, 2.0**-1074, -(2.0**-1074), 1e300, -1e300, 1e-300, -1e-300, 1.0 / 3.0]
+    pair = []
+    for _ in range(2):
+        values = rng.standard_normal(grid.n + 1) * 10.0 ** rng.integers(-300, 300, grid.n + 1)
+        values[rng.choice(grid.n + 1, len(special), replace=False)] = special
+        pair.append(values)
+    assert "csv_r_column" not in vars(grid)
+    column = None
+    for name, values in zip(("u", "v"), pair):
+        GridFunction(grid, values).write_csv(tmp_path / f"{name}.csv")
+        if column is None:
+            column = vars(grid)["csv_r_column"]
+        assert vars(grid)["csv_r_column"] is column
+        expected = "r,value\r\n" + "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(grid.r.tolist(), values.tolist()))
+        assert (tmp_path / f"{name}.csv").read_bytes() == expected.encode()
