@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import closed_form
+from . import __version__, closed_form
 from .dual import SolverOptions, compute_dual, oracle_dual_smallgrid, reconstruct_solution
 from .exponents import ExponentPair, classify_region
 from .experiments import SweepSpec, run_sweep
@@ -118,7 +118,13 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
     opts = _solver_options(cfg)
     if e.p > 0 and e.on_hyperbola:
         raise ValueError("hyperbola: level undefined (pq = 1)")
-    region = classify_region(e)
+    run = {
+        "config": cfg,
+        "region": classify_region(e).value,
+        "neumannlab_version": __version__,
+        "numpy_version": np.__version__,
+        "quadrature_defect": grid.quadrature_defect(),
+    }
     try:
         if e.p == 0.0:
             rep = solve_sign_system(e.q, grid, opts)
@@ -127,8 +133,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
     except NumericalFailure as exc:
         d_estimate = getattr(exc, "d_estimate", None)
         payload = {
-            "config": cfg,
-            "region": region.value,
+            **run,
             "converged": False,
             "error": str(exc),
             "Lambda": 1.0 / d_estimate if d_estimate else None,
@@ -136,8 +141,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         write_json(outdir / "solution.json", payload)
         raise
     payload = {
-        "config": cfg,
-        "region": region.value,
+        **run,
         "Lambda": rep.lam,
         "D": rep.D,
         "c": rep.c,
@@ -192,6 +196,8 @@ def _parse_path(text: str, samples: int):
             moves[name] = (val, val)
     if "p" not in moves or "q" not in moves:
         raise ValueError("path must set both p and q")
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     ts = np.linspace(0.0, 1.0, samples)
     p0, p1 = moves["p"]
     q0, q1 = moves["q"]

@@ -347,12 +347,17 @@ def _constraint_scale(
 ) -> float:
     """Positive c with gamma1 ||c f||_alpha^alpha + gamma2 ||c f||_beta^beta = 1.
 
-    Term i alone equals 1 at c_i = (gamma_i ||f||^e_i)^(-1/e_i), e_i the
+    At alpha = beta (every p = q pair) the two terms share one power of c,
+    so c = ((gamma1 + gamma2) ||f||_alpha^alpha)^(-1/alpha) in closed form.
+    The rounding of -1/alpha puts that c off by about |log ||f||| ulp (6
+    ulp at ||f|| ~ 1e3), so one Newton step on the sum itself follows; it
+    leaves c within 3 ulp of the sum's adjacent-float root.  Otherwise
+    term i alone equals 1 at c_i = (gamma_i ||f||^e_i)^(-1/e_i), e_i the
     term's exponent.  Below min_i c_i 4^(-1/e_i) both terms are at most 1/4
-    and above min_i c_i 2^(1/e_i) one of them is at least 2, so that bracket
-    holds the root with a margin rounding cannot cross.  (At p = q, where
-    c_1 = c_2 and alpha = beta, the tighter lower end min_i c_i 2^(-1/e_i)
-    puts both terms at 1/2, and their sum can round to just above 1.)
+    and above min_i c_i 2^(1/e_i) one of them is at least 2, so that
+    bracket holds the root with a margin rounding cannot cross (a lower end
+    where both terms sit at 1/2 would not: their sum can round to just
+    above 1), and solve_increasing narrows it to adjacent floats.
     """
     absv = np.abs(vals)
     na = grid.integrate_values(absv**alpha)
@@ -361,6 +366,10 @@ def _constraint_scale(
     def excess(c: float) -> float:
         return gamma1 * c**alpha * na + gamma2 * c**beta * nb - 1.0
 
+    if beta == alpha:
+        c = ((gamma1 + gamma2) * na) ** (-1.0 / alpha)
+        f = excess(c)
+        return c * (1.0 - f / (alpha * (f + 1.0)))  # Newton: the sum's slope is alpha (f + 1) / c
     unit = [((gamma1 * na) ** (-1.0 / alpha), alpha), ((gamma2 * nb) ** (-1.0 / beta), beta)]
     lo = min(c * 4.0 ** (-1.0 / e) for c, e in unit)
     hi = min(c * 2.0 ** (1.0 / e) for c, e in unit)

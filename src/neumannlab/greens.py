@@ -8,10 +8,10 @@ solve_neumann realizes K: given mean-zero data h it returns the mean-zero
 u with -Lap u = h and u'(0) = u'(L) = 0.  The radial Neumann kernel is
 -Phi(min(r, s)) s^(N-1) with Phi(x) = int_x^L t^(1-N) dt, so the discrete
 K is semiseparable and green_apply, the unchecked kernel behind
-solve_neumann, applies it with two cumulative sums in O(n) (Vandebril, Van
-Barel and Mastronardi, Matrix Computations and Semiseparable Matrices,
-2008).  It is self-adjoint in the quadrature inner product by construction
-and needs no division by the quadrature weights.
+solve_neumann, applies it in O(n) with two cumulative sums, taken in one
+complex pass (Vandebril, Van Barel and Mastronardi, Matrix Computations and
+Semiseparable Matrices, 2008).  It is self-adjoint in the quadrature inner
+product by construction and needs no division by the quadrature weights.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and balanced_shift finds the constant putting a
@@ -69,9 +69,14 @@ def green_apply(grid, values: np.ndarray) -> np.ndarray:
     kink of that kernel; P, the kernel and any diagonal are self-adjoint in
     the quadrature inner product, so K is too.  Sums from the origin, not
     tails, keep the large Phi near the origin off the rounding of the total.
+    Both sums run in one pass, as the real and imaginary parts of one
+    complex cumsum: complex addition adds the parts separately in the same
+    order, so the result equals two real cumsums bit for bit.
     """
-    wx = grid.weights * values
-    u = grid.phi * np.cumsum(wx) - np.cumsum(grid.phi * wx) + grid.green_diagonal * values
+    sums = (grid.weights * values).astype(complex)
+    sums.imag = grid.phi * sums.real
+    np.cumsum(sums, out=sums)
+    u = grid.phi * sums.real - sums.imag + grid.green_diagonal * values
     return u - grid.mean_values(u)
 
 

@@ -5,11 +5,18 @@ import math
 import numpy as np
 import pytest
 
+import neumannlab
 from neumannlab import dual, greens, sign
 from neumannlab.cli import main
 from neumannlab.dual import DegenerateIterateError, NonConvergenceError
 from neumannlab.greens import KappaShiftError
 from neumannlab.sign import OscillationDetected
+
+
+def _assert_run_metadata(payload):
+    assert payload["neumannlab_version"] == neumannlab.__version__
+    assert payload["numpy_version"] == np.__version__
+    assert 0.0 <= payload["quadrature_defect"] <= 1e-12
 
 
 def test_solve_subcritical(tmp_path):
@@ -21,6 +28,7 @@ def test_solve_subcritical(tmp_path):
     assert payload["converged"] is True
     assert payload["Lambda"] * payload["D"] == pytest.approx(1.0, rel=1e-12)
     assert payload["stop_reason"] in ("step-small", "d-flat", "d-envelope")
+    _assert_run_metadata(payload)
     for name in ("u.csv", "v.csv"):
         raw = (tmp_path / name).read_bytes()
         assert raw.startswith(b"r,value\r\n")
@@ -51,6 +59,7 @@ def test_solve_nonconvergence_exit_code(tmp_path):
     assert code == 2
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["converged"] is False  # partial output still written
+    _assert_run_metadata(payload)
 
 
 @pytest.mark.parametrize(
@@ -75,6 +84,7 @@ def test_solve_numerical_failure_exit_code(tmp_path, monkeypatch, capsys, failur
     assert payload["converged"] is False
     assert payload["error"] == str(failure)
     assert payload["Lambda"] == (4.0 if isinstance(failure, NonConvergenceError) else None)
+    _assert_run_metadata(payload)
 
 
 def test_solve_sign_case_numerical_failure_exit_code(tmp_path, monkeypatch):
@@ -177,6 +187,7 @@ def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv
         (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": 600.9}),
         (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": True}),
         (["table1", "--n", "5"], None),
+        (["sweep", "--path", "p:1..2,q:1", "--samples", "0"], None),
         (["--help"], None),
     ],
     ids=[
@@ -188,6 +199,7 @@ def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv
         "fractional-config-int",
         "boolean-config-int",
         "flag-of-another-subcommand",
+        "zero-samples",
         "help",
     ],
 )
@@ -201,11 +213,15 @@ def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
         code = info.code
     err = capsys.readouterr().err
     assert code == (0 if argv == ["--help"] else 1)
-    if "--config" in argv:  # reported as a message, not raised
+    reported = "--config" in argv or "--samples" in argv  # a message, not a usage error
+    if reported:
         assert "configuration error" in err
     if config is not None:
         assert "'n'" in err  # the message names the ill-typed key
-    if argv and code == 1 and "--config" not in argv:  # a usage error shows the subcommand's usage line
+    if "--samples" in argv:
+        assert "samples must be at least 1" in err
+        assert not (tmp_path / "sweep.csv").exists()  # rejected before any solve
+    if argv and code == 1 and not reported:  # a usage error shows the subcommand's usage line
         assert err.startswith(f"usage: neumannlab {argv[0]} ")
 
 

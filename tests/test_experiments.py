@@ -18,7 +18,7 @@ from neumannlab.experiments import (
     ls_upper_bounds,
     run_sweep,
 )
-from neumannlab.greens import solve_neumann
+from neumannlab.greens import solve_increasing, solve_neumann
 from neumannlab.grid import interval_grid, unit_ball_grid
 from neumannlab.sign import solve_sign_system
 
@@ -199,6 +199,7 @@ def test_ls_upper_bounds_k2_matches_an_angle_scan(p, q):
     scale=st.floats(1e-3, 1e3),
 )
 @example(alpha=3.0, beta=3.0, same=True, gamma1=0.5, scale=1.0)  # p = q: both terms equal
+@example(alpha=1.95, beta=1.95, same=True, gamma1=0.5, scale=1e-3)  # closed form alone: 5 ulp off
 @settings(max_examples=200, deadline=None)
 def test_constraint_scale_bracket_holds_the_root(alpha, beta, same, gamma1, scale):
     # a bracket without a sign change raises BracketError inside the scale
@@ -209,6 +210,19 @@ def test_constraint_scale_bracket_holds_the_root(alpha, beta, same, gamma1, scal
     absv = np.abs(c * vals)
     total = gamma1 * grid.integrate_values(absv**alpha) + (1.0 - gamma1) * grid.integrate_values(absv**beta)
     assert total == pytest.approx(1.0, abs=1e-12)
+    if same:
+        # the closed form against the adjacent-float root of the two-term sum;
+        # that root is itself up to ~2 ulp from the exact one when alpha is
+        # near 1, hence 3 ulp (the closed form without its Newton step is up
+        # to 6 ulp off at scale 1e3)
+        na = grid.integrate_values(np.abs(vals) ** alpha)
+
+        def excess(x):
+            return gamma1 * x**alpha * na + (1.0 - gamma1) * x**alpha * na - 1.0
+
+        lo, hi = solve_increasing(excess, 0.0, 2.0 * na ** (-1.0 / alpha))
+        root = 0.5 * (lo + hi)
+        assert abs(c - root) <= 3.0 * math.ulp(root)
 
 
 def test_ls_upper_bounds_validation():

@@ -11,6 +11,7 @@ from neumannlab.greens import (
     KappaShiftError,
     _signed_power,
     balanced_shift,
+    green_apply,
     kappa_shift,
     solve_increasing,
     solve_neumann,
@@ -70,6 +71,19 @@ def test_neumann_conditions_hold():
     right = (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * hh)
     for du in (left, right):
         assert abs(du) <= 1e-6
+
+
+@pytest.mark.parametrize("n", [7, 2000])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_green_apply_equals_two_real_cumsums_bytewise(dim, n):
+    # the two-cumsum formula itself is the reference: summing both prefix
+    # sums in one pass must reproduce its arithmetic exactly, not to rounding
+    grid = make_grid(dim=dim, n=n)
+    rng = np.random.default_rng(100 * dim + n)
+    for x in (_mean_zero(grid, rng.standard_normal(n + 1)), _trig(grid, [1.0])):
+        wx = grid.weights * x
+        u = grid.phi * np.cumsum(wx) - np.cumsum(grid.phi * wx) + grid.green_diagonal * x
+        assert green_apply(grid, x).tobytes() == (u - grid.mean_values(u)).tobytes()
 
 
 def test_self_adjointness_smooth():
