@@ -150,17 +150,13 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         "residual_v": rep.residual_v,
         "iterations": rep.iterations,
         "converged": rep.converged,
-        "warning": rep.warning,
         "stop_reason": rep.stop_reason,
         "zero_radius": rep.zero_radius,
     }
     write_json(outdir / "solution.json", payload)
     rep.u.write_csv(outdir / "u.csv")
     rep.v.write_csv(outdir / "v.csv")
-    print(
-        f"Lambda={_fmt(rep.lam)} c={_fmt(rep.c)} converged={rep.converged}"
-        + (f" warning={rep.warning}" if rep.warning else "")
-    )
+    print(f"Lambda={_fmt(rep.lam)} c={_fmt(rep.c)} converged={rep.converged}")
     return 0 if rep.converged else 2
 
 

@@ -7,8 +7,8 @@ best-response iteration: with g fixed, the maximizing f is the normalized
 signed power |K g + kappa|^(p-1) (K g + kappa) where the shift kappa makes
 that power mean-zero, and symmetrically for g.  Each half-step solves its
 subproblem exactly, so in exact arithmetic the quotient is nondecreasing.
-Rounding lets D drop by up to 3.8e-5 between sweeps on critical pairs with
-N >= 3 (N = 3, (5, 5), n = 400); compute_dual then damps the f step.
+Critical pairs are refused: on the radial grid their maximizer concentrates
+at the origin at grid scale, so the discrete level is a quadrature artifact.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
@@ -65,7 +65,6 @@ class DualPair:
     d_estimate: float
     iterations: int
     d_history: list[float] = field(default_factory=list)
-    warning: str | None = None
     stop_reason: str | None = None  # step-small | d-flat | d-envelope
 
 
@@ -81,7 +80,6 @@ class SolutionReport:
     residual_v: float
     iterations: int
     converged: bool
-    warning: str | None = None
     zero_radius: float | None = None
     stop_reason: str | None = None  # the dual loop's stop rule; None for p = 0
 
@@ -97,7 +95,7 @@ class NonConvergenceError(NumericalFailure):
 
 
 class DegenerateIterateError(NumericalFailure):
-    """An iterate collapsed toward the constants (norm below 1e-14)."""
+    """An iterate collapsed toward the constants (its mean-free part below 1e-14 of its mean)."""
 
 
 def _cosine_profile(grid: RadialGrid) -> np.ndarray:
@@ -119,9 +117,12 @@ def _best_response(grid: RadialGrid, w: np.ndarray, expo: float, norm_expo: floa
     y = _signed_power(w + kappa, expo)
     # for expo < 1 the kappa root carries a nodal Hoelder floor; project the
     # leftover mean so the iterate stays exactly feasible
-    y -= grid.mean_values(y)
+    mean = grid.mean_values(y)
+    y -= mean
     nrm = grid.lp_norm_values(y, norm_expo)
-    if nrm < 1e-14:
+    # a collapse to the constants leaves only rounding once the mean is gone;
+    # relative, as |w + kappa|^expo scales like ||w||^expo (tiny for a large expo)
+    if not nrm > 1e-14 * abs(mean):
         raise DegenerateIterateError("iterate collapsed to the constants")
     return y / nrm
 
@@ -141,11 +142,12 @@ def compute_dual(
       L^alpha x L^beta change of (f, g) is at most 2 opts.tol;
     - d-flat: D changed by at most opts.tol relative over 8 sweeps in a row;
     - d-envelope: from sweep 64 on, every 8th sweep, the last 32 D values
-      lie within ENVELOPE_TOL relative; the best pair visited is returned.
-    A spent budget raises NonConvergenceError.  Subcritical and
-    critical-admissible exponents are accepted; critical-inadmissible ones
-    run too but the result is flagged discrete-only (the continuum problem
-    may lose compactness there).
+      lie within ENVELOPE_TOL relative.
+    Every rule returns the last pair.  A spent budget raises
+    NonConvergenceError.  Only subcritical and hyperbola exponents are
+    accepted: supercritical and critical ones raise ValueError, the critical
+    ones because the radial maximizer concentrates at the origin at grid
+    scale there.
     """
     opts = opts or SolverOptions()
     if e.p <= 0:
@@ -153,11 +155,13 @@ def compute_dual(
     if e.dim != grid.dim and grid.mode == "ball":
         raise ValueError("exponent dimension does not match the grid")
     region = classify_region(e)
-    warning = None
     if region == Region.SUPERCRITICAL:
         raise ValueError("supercritical exponents are outside the solver's scope")
-    if region == Region.CRITICAL_INADMISSIBLE:
-        warning = "discrete-only"  # discrete maximizer exists; the continuum one may not
+    if region in (Region.CRITICAL_ADMISSIBLE, Region.CRITICAL_INADMISSIBLE):
+        raise ValueError(
+            "critical exponents are outside the solver's scope: the radial maximizer"
+            " concentrates at the origin at grid scale"
+        )
     alpha, beta = e.alpha, e.beta
 
     if warm_start is not None:
@@ -174,14 +178,9 @@ def compute_dual(
 
     history: list[float] = []
     d_prev = None
-    theta = 1.0
     stable = 0
-    best = None
     for it in range(1, opts.max_iter + 1):
         f_new = _best_response(grid, kg, e.p, alpha)
-        if theta < 1.0:
-            mix = (1.0 - theta) * f + theta * f_new
-            f_new = mix / grid.lp_norm_values(mix, alpha)
         if e.p == e.q:
             g_new = f_new  # identical best-response maps; keeps u = v exact
         else:
@@ -191,12 +190,8 @@ def compute_dual(
             grid.lp_norm_values(f_new, alpha) * grid.lp_norm_values(g_new, beta)
         )
         history.append(d_now)
-        if best is None or d_now > best[0]:
-            best = (d_now, f_new, g_new)
         df = grid.lp_norm_values(f_new - f, alpha)
         dg = grid.lp_norm_values(g_new - g, beta)
-        if d_prev is not None and d_now < d_prev - 1e-12:
-            theta = max(theta * 0.5, 1e-3)  # D dropped: damp the f step
         f, g = f_new, g_new
         d_flat = d_prev is not None and abs(d_now - d_prev) <= opts.tol * max(1.0, abs(d_now))
         stable = stable + 1 if d_flat else 0
@@ -207,13 +202,12 @@ def compute_dual(
             stop = "step-small" if df + dg <= opts.tol * 2.0 else "d-flat"
             break
         d_prev = d_now
-        # rounding-fed D drops on critical pairs can keep D cycling; once the
-        # envelope is tight the best visited pair is the answer to within it
+        # tol may be 0 or below D's rounding floor, and then neither rule above
+        # fires; a D envelope tight over 32 sweeps is the answer to within it
         if it >= 64 and it % 8 == 0:
             tail = history[-32:]
             if max(tail) - min(tail) <= ENVELOPE_TOL * max(1.0, abs(d_now)):
                 stop = "d-envelope"
-                d_now, f, g = best
                 break
     else:
         tail = history[-10:]
@@ -224,7 +218,7 @@ def compute_dual(
             iterations=opts.max_iter,
         )
     f, g = GridFunction(grid, f), GridFunction(grid, g)
-    return DualPair(f, g, d_now, it, d_history=history, warning=warning, stop_reason=stop)
+    return DualPair(f, g, d_now, it, d_history=history, stop_reason=stop)
 
 
 def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None = None) -> float:
@@ -281,7 +275,6 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
         residual_v=res_v,
         iterations=dp.iterations,
         converged=converged,
-        warning=dp.warning,
         stop_reason=dp.stop_reason,
     )
 

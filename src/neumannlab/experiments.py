@@ -58,8 +58,9 @@ class SweepSpec:
         self.ts = sorted(float(t) for t in self.ts)
         for t in self.ts:
             e = ExponentPair(self.p_of(t), self.q_of(t), self.grid.dim)
-            if classify_region(e) == Region.SUPERCRITICAL:
-                raise ValueError(f"sample t={t} leaves the admissible region")
+            region = classify_region(e)
+            if region in (Region.SUPERCRITICAL, Region.CRITICAL_ADMISSIBLE, Region.CRITICAL_INADMISSIBLE):
+                raise ValueError(f"sample t={t} is {region.value}, outside the dual solver's scope")
 
 
 @dataclass

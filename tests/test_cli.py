@@ -188,6 +188,7 @@ def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv
         (["solve", "--p", "3", "--q", "2", "--config", "cfg.json"], {"n": True}),
         (["table1", "--n", "5"], None),
         (["sweep", "--path", "p:1..2,q:1", "--samples", "0"], None),
+        (["solve", "--p", "5", "--q", "5", "--dim", "3", "--n", "400"], None),
         (["--help"], None),
     ],
     ids=[
@@ -200,6 +201,7 @@ def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv
         "boolean-config-int",
         "flag-of-another-subcommand",
         "zero-samples",
+        "critical-pair",
         "help",
     ],
 )
@@ -213,7 +215,7 @@ def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
         code = info.code
     err = capsys.readouterr().err
     assert code == (0 if argv == ["--help"] else 1)
-    reported = "--config" in argv or "--samples" in argv  # a message, not a usage error
+    reported = "--config" in argv or "--samples" in argv or "--dim" in argv  # a message, not a usage error
     if reported:
         assert "configuration error" in err
     if config is not None:
@@ -221,6 +223,9 @@ def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
     if "--samples" in argv:
         assert "samples must be at least 1" in err
         assert not (tmp_path / "sweep.csv").exists()  # rejected before any solve
+    if "--dim" in argv:  # the critical pair
+        assert "concentrates at the origin" in err
+        assert not (tmp_path / "solution.json").exists()  # refused before any solve
     if argv and code == 1 and not reported:  # a usage error shows the subcommand's usage line
         assert err.startswith(f"usage: neumannlab {argv[0]} ")
 

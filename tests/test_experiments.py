@@ -77,8 +77,11 @@ def test_sweep_diagonal_path_u_equals_v(line800):
 
 def test_sweep_rejects_supercritical_sample():
     grid = unit_ball_grid(6, n=100)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="supercritical"):
         SweepSpec(lambda t: 8.0, lambda t: 8.0, [0.0], grid)
+    # critical samples too, at construction and not as error rows: (5, 5) on N = 3
+    with pytest.raises(ValueError, match="critical"):
+        SweepSpec(lambda t: t, lambda t: t, [4.0, 5.0], unit_ball_grid(3, n=100))
 
 
 def test_classification_blowup_and_vanishing():
