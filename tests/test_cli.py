@@ -297,6 +297,7 @@ def test_sweep_failed_rows_record_lambda_and_d(tmp_path):
         assert row["error"].startswith("dual iteration did not converge")
         assert float(row["Lambda"]) * float(row["D"]) == pytest.approx(1.0, rel=1e-15)
         assert row["iterations"] == "2"
+        assert row["stop_reason"] == ""  # only a converged row names its stop rule
     assert float(rows[0]["Lambda"]) == pytest.approx(9.2842255, rel=1e-6)  # converged value at n = 300
     assert json.loads((tmp_path / "sweep.json").read_text())["continuity_ok"] is True
 
