@@ -151,6 +151,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         "iterations": rep.iterations,
         "converged": rep.converged,
         "stop_reason": rep.stop_reason,
+        "kappa_evaluations": rep.kappa_evaluations,
         "zero_radius": rep.zero_radius,
     }
     write_json(outdir / "solution.json", payload)

@@ -7,15 +7,18 @@ best-response iteration: with g fixed, the maximizing f is the normalized
 signed power |K g + kappa|^(p-1) (K g + kappa) where the shift kappa makes
 that power mean-zero, and symmetrically for g.  Each half-step solves its
 subproblem exactly, so in exact arithmetic the quotient is nondecreasing.
-Critical pairs are refused: on the radial grid their maximizer concentrates
-at the origin at grid scale, so the discrete level is a quadrature artifact.
+Each n-point quantity of a sweep is formed once: kappa_shift hands back the
+signed power it evaluated at its root, and D is read off the two already
+normalized best responses.  Critical pairs are refused: on the radial grid
+their maximizer concentrates at the origin at grid scale, so the discrete
+level is a quadrature artifact.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
-u = D^(-q(p+1)/(pq-1)) K_p g, v = D^(-p(q+1)/(pq-1)) K_q f,
-and oracle_dual_smallgrid is an independent brute-force maximizer
-(projected gradient ascent from many random starts) used to validate the
-iteration on tiny grids.
+u = D^(-q(p+1)/(pq-1)) K_p g, v = D^(-p(q+1)/(pq-1)) K_q f, shifting the
+K g and K f the pair carries from the loop, and oracle_dual_smallgrid is an
+independent brute-force maximizer (projected gradient ascent from many
+random starts) used to validate the iteration on tiny grids.
 """
 
 from __future__ import annotations
@@ -64,8 +67,11 @@ class DualPair:
     g: GridFunction
     d_estimate: float
     iterations: int
+    kf: np.ndarray  # K f and K g, the loop's last Green solves, reused by reconstruct_solution
+    kg: np.ndarray
     d_history: list[float] = field(default_factory=list)
     stop_reason: str | None = None  # step-small | d-flat | d-envelope
+    kappa_evaluations: int = 0  # moment evaluations of the loop's kappa roots
 
 
 @dataclass
@@ -82,6 +88,7 @@ class SolutionReport:
     converged: bool
     zero_radius: float | None = None
     stop_reason: str | None = None  # the dual loop's stop rule; None for p = 0
+    kappa_evaluations: int | None = None  # the dual loop's kappa moment evaluations; None for p = 0
 
 
 class NonConvergenceError(NumericalFailure):
@@ -104,17 +111,19 @@ def _cosine_profile(grid: RadialGrid) -> np.ndarray:
     return vals - grid.mean_values(vals)
 
 
-def _best_response(grid: RadialGrid, w: np.ndarray, expo: float, norm_expo: float) -> np.ndarray:
+def _best_response(
+    grid: RadialGrid, w: np.ndarray, expo: float, norm_expo: float, guess: float | None = None
+) -> tuple[np.ndarray, float, int]:
     """Maximizer of int f w over ||f||_norm_expo = 1, int f = 0, for w = K g.
 
     The optimum is the normalized signed power of the shifted potential
     w + kappa, with kappa the expo-type normalizing shift, which also makes
     the output mean-zero exactly.  K is self-adjoint in the quadrature
     inner product, so int f w = int g K f and the sweep is exact block
-    ascent on the discrete quotient.
+    ascent on the discrete quotient.  `guess` is the previous root for the
+    same exponent.  Returns (f, kappa, moment evaluations of the root).
     """
-    kappa = kappa_shift(grid, w, expo)
-    y = _signed_power(w + kappa, expo)
+    kappa, y, evaluations = kappa_shift(grid, w, expo, guess)
     # for expo < 1 the kappa root carries a nodal Hoelder floor; project the
     # leftover mean so the iterate stays exactly feasible
     mean = grid.mean_values(y)
@@ -124,7 +133,8 @@ def _best_response(grid: RadialGrid, w: np.ndarray, expo: float, norm_expo: floa
     # relative, as |w + kappa|^expo scales like ||w||^expo (tiny for a large expo)
     if not nrm > 1e-14 * abs(mean):
         raise DegenerateIterateError("iterate collapsed to the constants")
-    return y / nrm
+    y /= nrm
+    return y, kappa, evaluations
 
 
 def compute_dual(
@@ -143,7 +153,11 @@ def compute_dual(
     - d-flat: D changed by at most opts.tol relative over 8 sweeps in a row;
     - d-envelope: from sweep 64 on, every 8th sweep, the last 32 D values
       lie within ENVELOPE_TOL relative.
-    Every rule returns the last pair.  A spent budget raises
+    Every rule returns the last pair, with its K f and K g and the number
+    of kappa moment evaluations the loop took.  D is int f K g of the two
+    best responses, whose norms are 1 by construction.  Each kappa root for
+    an exponent other than 1 starts Newton from that exponent's root of the
+    previous sweep when -mean(K g) misses.  A spent budget raises
     NonConvergenceError.  Only subcritical and hyperbola exponents are
     accepted: supercritical and critical ones raise ValueError, the critical
     ones because the radial maximizer concentrates at the origin at grid
@@ -168,27 +182,31 @@ def compute_dual(
         start = warm_start.f.grid
         if (start.dim, start.n, start.mode, start.length) != (grid.dim, grid.n, grid.mode, grid.length):
             raise ValueError("warm start is on another grid: its dim, n, mode or length differs")
-        f, g = warm_start.f.values, warm_start.g.values
+        f, g, kg = warm_start.f.values, warm_start.g.values, warm_start.kg
     else:
         vals = _cosine_profile(grid)
         g = vals / grid.lp_norm_values(vals, beta)
         f = vals / grid.lp_norm_values(vals, alpha)
-    # values by keyword: perfbench's tracer reads a second positional argument as a flag
-    kg = solve_neumann(grid, values=g)  # carried: sweep k's K g_new is sweep k+1's K g
+        # values by keyword: perfbench's tracer reads a second positional argument as a flag
+        kg = solve_neumann(grid, values=g)
+    # carried: sweep k's K g_new is sweep k+1's K g, as a warm start's last K g is the first
 
     history: list[float] = []
     d_prev = None
     stable = 0
+    kappa_p = kappa_q = None
+    evaluations = 0
     for it in range(1, opts.max_iter + 1):
-        f_new = _best_response(grid, kg, e.p, alpha)
+        f_new, kappa_p, spent = _best_response(grid, kg, e.p, alpha, kappa_p)
+        kf = solve_neumann(grid, values=f_new)
         if e.p == e.q:
-            g_new = f_new  # identical best-response maps; keeps u = v exact
+            g_new, kg = f_new, kf  # identical best-response maps; keeps u = v exact
         else:
-            g_new = _best_response(grid, solve_neumann(grid, values=f_new), e.q, beta)
-        kg = solve_neumann(grid, values=g_new)
-        d_now = grid.integrate_values(f_new * kg) / (
-            grid.lp_norm_values(f_new, alpha) * grid.lp_norm_values(g_new, beta)
-        )
+            g_new, kappa_q, spent_q = _best_response(grid, kf, e.q, beta, kappa_q)
+            spent += spent_q
+            kg = solve_neumann(grid, values=g_new)
+        evaluations += spent
+        d_now = grid.integrate_values(f_new * kg)
         history.append(d_now)
         df = grid.lp_norm_values(f_new - f, alpha)
         dg = grid.lp_norm_values(g_new - g, beta)
@@ -218,7 +236,7 @@ def compute_dual(
             iterations=opts.max_iter,
         )
     f, g = GridFunction(grid, f), GridFunction(grid, g)
-    return DualPair(f, g, d_now, it, d_history=history, stop_reason=stop)
+    return DualPair(f, g, d_now, it, kf, kg, d_history=history, stop_reason=stop, kappa_evaluations=evaluations)
 
 
 def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None = None) -> float:
@@ -237,17 +255,16 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     -Lap u = |v|^(q-1) v, -Lap v = |u|^(p-1) u.  The level c is reported
     from the exact power identity; the discrete energy integral (with
     grad u . grad v integrated by parts into int |v|^(q+1)) is stored as a
-    cross-check channel.
+    cross-check channel.  K_p g and K_q f shift the pair's carried K g and
+    K f, so no Green solve runs here.
     """
     if e.on_hyperbola:
         raise HyperbolaError("no least-energy normalization on pq = 1")
     grid = dp.f.grid
     D = dp.d_estimate
     denom = e.p * e.q - 1.0
-    wp = solve_neumann(grid, values=dp.g.values)
-    u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (wp + kappa_shift(grid, wp, e.p))
-    wq = solve_neumann(grid, values=dp.f.values)
-    v_vals = D ** (-e.p * (e.q + 1.0) / denom) * (wq + kappa_shift(grid, wq, e.q))
+    u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (dp.kg + kappa_shift(grid, dp.kg, e.p).kappa)
+    v_vals = D ** (-e.p * (e.q + 1.0) / denom) * (dp.kf + kappa_shift(grid, dp.kf, e.q).kappa)
     if u_vals[0] < 0:
         u_vals, v_vals = -u_vals, -v_vals
 
@@ -276,6 +293,7 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
         iterations=dp.iterations,
         converged=converged,
         stop_reason=dp.stop_reason,
+        kappa_evaluations=dp.kappa_evaluations,
     )
 
 

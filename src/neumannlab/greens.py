@@ -14,18 +14,21 @@ Semiseparable Matrices, 2008).  It is self-adjoint in the quadrature inner
 product by construction and needs no division by the quadrature weights.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
-(the K_t normalization) and balanced_shift finds the constant putting a
-function into the balanced class (positive and negative level sets of
-equal weighted measure), which is the natural normalization for the
-sign-nonlinearity limit.  solve_increasing, Illinois regula falsi with a
-bisection safeguard and guarded Newton steps where the slope is known, is
-the one root finder behind every monotone scalar normalization.
+(the K_t normalization) and hands back the signed power it evaluated there,
+so a caller never forms that n-point power twice.  balanced_shift finds the
+constant putting a function into the balanced class (positive and negative
+level sets of equal weighted measure), which is the natural normalization
+for the sign-nonlinearity limit.  solve_increasing, Illinois regula falsi
+with a bisection safeguard and guarded Newton steps where the slope is
+known, is the bracketing root finder behind kappa_shift and the sign
+solver's sub-cell balance; the genus bounds' constraint scale
+(experiments._constraint_scale) runs its own row-wise Newton iteration.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,7 @@ __all__ = [
     "KappaShiftError",
     "solve_neumann",
     "kappa_shift",
+    "ShiftRoot",
     "balanced_shift",
     "solve_increasing",
     "BracketError",
@@ -168,50 +172,90 @@ def solve_increasing(
     return lo, hi
 
 
-def kappa_shift(grid, values: np.ndarray, t: float) -> float:
+class ShiftRoot(NamedTuple):
+    """A kappa_shift root with what its search already computed."""
+
+    kappa: float
+    power: np.ndarray  # sign(u + kappa) |u + kappa|^t, bit for bit _signed_power(u + kappa, t)
+    evaluations: int  # moment evaluations the root took (0 for the closed form at t = 1)
+
+
+def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) -> ShiftRoot:
     """Constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0, u = values.
 
-    The moment M(kappa) = int sign(u + kappa) |u + kappa|^t is continuous and
-    nondecreasing.  At kappa = +-2 ||u||_inf every node value of u + kappa
-    has one sign, so that bracket holds the root whatever the signs of the
-    quadrature weights, and solve_increasing finds it to the residual target
-    1e-12 ||u||_inf^t |Omega|; for t >= 1 by Newton steps from -mean(u), the
-    root at t = 1, with M' = t int |u + kappa|^(t-1) from M's power array.
-    For t < 1, M' is infinite at a nodal zero, and a node value near the root
-    makes M steeper than float spacing resolves; the root is then the
-    adjacent pair of floats across which M changes sign.  Raises
-    KappaShiftError when M is not finite or kappa meets neither rule.
+    Returns the root together with the signed power |u + kappa|^(t-1) (u + kappa)
+    evaluated there and the number of moment evaluations.  At t = 1 the
+    moment int (u + kappa) is affine and the root is -mean(u) in closed form.
+    Otherwise the moment M(kappa) = int sign(u + kappa) |u + kappa|^t is
+    continuous and nondecreasing.  At kappa = +-2 ||u||_inf every node value
+    of u + kappa has one sign, so that bracket holds the root whatever the
+    signs of the quadrature weights, and solve_increasing finds it to the
+    residual target 1e-12 ||u||_inf^t |Omega|.  For t > 1 the first
+    evaluation is at -mean(u); if that misses the target, Newton steps with
+    M' = t int |u + kappa|^(t-1), from M's power array, continue from
+    `guess` (a previous root for the same exponent) when it lies on the
+    root's side, else from the Newton step at -mean(u).  For t < 1, M' is
+    infinite at a nodal zero, and a node value near the root makes M
+    steeper than float spacing resolves; the root is then the adjacent pair
+    of floats across which M changes sign.  Raises KappaShiftError when u
+    or M is not finite or kappa meets neither rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
+    if t == 1.0:
+        kappa = -grid.mean_values(values)
+        if not math.isfinite(kappa):
+            raise KappaShiftError(f"mean of u is not finite: {-kappa} (t = 1)")
+        return ShiftRoot(kappa, values + kappa, 0)
     bound = float(np.max(np.abs(values)))
     if bound == 0.0:
-        return 0.0
+        return ShiftRoot(0.0, np.zeros_like(values), 0)
+    # the last evaluation on each side of the root, keyed by M < 0: the
+    # bracket ends solve_increasing keeps, so the root's power is one of them
+    ends: dict[bool, tuple[float, np.ndarray]] = {}
+    evaluations = 0
 
     def moment(kappa: float, slope: bool = False):
+        nonlocal evaluations
+        evaluations += 1
         x = values + kappa
         size = np.abs(x)
         power = size**t
-        total = grid.integrate_values(np.sign(x) * power)
+        signed = np.sign(x) * power
+        total = grid.integrate_values(signed)
         if not math.isfinite(total):
             raise KappaShiftError(
                 f"moment at kappa = {kappa:.3e} is not finite: {total} (||u||_inf = {bound:.3e}, t = {t})"
             )
+        ends[total < 0.0] = (kappa, signed)
         # a node at x = 0 makes the slope nan, which solve_increasing skips
         return (total, t * grid.integrate_values(power / size)) if slope else total
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
         tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
-        start = -grid.mean_values(values) if t >= 1.0 else None
-        lo, hi = solve_increasing(lambda k: moment(k, start is not None), -2.0 * bound, 2.0 * bound, tol, start=start)
+        lo, hi = -2.0 * bound, 2.0 * bound
+        if t < 1.0:
+            lo, hi = solve_increasing(moment, lo, hi, tol)
+        else:
+            start = -grid.mean_values(values)  # the root at t = 1
+            total, slope = moment(start, True)
+            if abs(total) <= tol:
+                return ShiftRoot(start, ends[total < 0.0][1], evaluations)
+            lo, hi = (start, hi) if total < 0.0 else (lo, start)
+            newton = start - total / slope if slope > 0.0 else math.nan
+            start = guess if guess is not None and lo < guess < hi else newton
+            lo, hi = solve_increasing(lambda k: moment(k, True), lo, hi, tol, start=start)
         kappa = 0.5 * (lo + hi)
+        root_power = next((signed for at, signed in ends.values() if at == kappa), None)
         # lo == hi met tol; adjacent ends must have the sign change across kappa
         if lo < hi and not moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf)):
             raise KappaShiftError(
                 f"normalizing shift did not converge (residual {moment(kappa):.3e}, target {tol:.3e})"
             )
-    return float(kappa)
+    if root_power is None:  # a later evaluation on kappa's side replaced it: an end checked again
+        root_power = _signed_power(values + kappa, t)
+    return ShiftRoot(float(kappa), root_power, evaluations)
 
 
 def balanced_shift(grid, values: np.ndarray) -> float:

@@ -271,9 +271,9 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
 
     def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = _solve_step(grid, u)
-        v = v + kappa_shift(grid, v, q)
+        kappa, power, _ = kappa_shift(grid, v, q)
         # values by keyword: perfbench's tracer reads a second positional argument as a flag
-        return solve_neumann(grid, values=_signed_power(v, q)), v
+        return solve_neumann(grid, values=power), v + kappa
 
     u, v, iters, ok = _sign_fixed_point(grid, step, opts)
     if u[0] < 0:

@@ -28,6 +28,8 @@ def test_solve_subcritical(tmp_path):
     assert payload["converged"] is True
     assert payload["Lambda"] * payload["D"] == pytest.approx(1.0, rel=1e-12)
     assert payload["stop_reason"] in ("step-small", "d-flat", "d-envelope")
+    # p = q = 3: one t = 3 root per sweep, at least one moment evaluation each
+    assert payload["iterations"] <= payload["kappa_evaluations"] <= 8 * payload["iterations"]
     _assert_run_metadata(payload)
     for name in ("u.csv", "v.csv"):
         raw = (tmp_path / name).read_bytes()
@@ -44,6 +46,7 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=1e-10)
     assert payload["stop_reason"] is None  # the sign solver has no dual stop rule
+    assert payload["kappa_evaluations"] is None
 
 
 def test_solve_rejects_hyperbola(tmp_path, capsys):
@@ -272,10 +275,10 @@ def test_sweep_command(tmp_path):
 def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):
     real_shift = dual.kappa_shift
 
-    def shift_failing_at_p2(grid, w, t):
+    def shift_failing_at_p2(grid, w, t, guess=None):
         if t == 2.0:
             raise KappaShiftError("shift failed")
-        return real_shift(grid, w, t)
+        return real_shift(grid, w, t, guess)
 
     monkeypatch.setattr(dual, "kappa_shift", shift_failing_at_p2)
     code = main(["sweep", "--path", "p:1.5..2.5,q:1", "--samples", "3", "--n", "300", "--outdir", str(tmp_path)])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from neumannlab import greens
+from neumannlab import dual, greens
 from neumannlab.dual import (
     DegenerateIterateError,
     NonConvergenceError,
@@ -189,8 +190,8 @@ def test_large_exponent_is_not_a_collapse(p, q):
 def test_best_response_scale_invariant_and_collapse_detected():
     grid = unit_ball_grid(3, n=400)
     w = _cosine_profile(grid)
-    f = _best_response(grid, w, 12.0, 13.0 / 12.0)
-    assert np.max(np.abs(_best_response(grid, 1e-3 * w, 12.0, 13.0 / 12.0) - f)) <= 1e-12
+    f = _best_response(grid, w, 12.0, 13.0 / 12.0)[0]
+    assert np.max(np.abs(_best_response(grid, 1e-3 * w, 12.0, 13.0 / 12.0)[0] - f)) <= 1e-12
     with pytest.raises(DegenerateIterateError):
         _best_response(grid, np.full(grid.n + 1, 0.3), 2.0, 1.5)
 
@@ -235,6 +236,50 @@ def test_green_applies_per_sweep(line, monkeypatch, p, q, per_sweep):
     monkeypatch.setattr(greens, "green_apply", counted)
     dp = compute_dual(ExponentPair(p, q, 1), line)
     assert len(calls) <= per_sweep * dp.iterations + 1  # the start's K g is carried
+
+
+@pytest.mark.parametrize("p, q, dim", [(3.0, 2.0, 1), (2.0, 2.0, 3), (0.5, 3.0, 2)])
+def test_reconstruction_from_the_carried_k_images(p, q, dim):
+    e = ExponentPair(p, q, dim)
+    grid = make_grid(dim, 1000)
+    dp = compute_dual(e, grid)
+    kf, kg = greens.solve_neumann(grid, dp.f.values), greens.solve_neumann(grid, dp.g.values)
+    assert np.array_equal(dp.kf, kf) and np.array_equal(dp.kg, kg)
+    carried = reconstruct_solution(e, dp)
+    recomputed = reconstruct_solution(e, dataclasses.replace(dp, kf=kf, kg=kg))
+    assert np.array_equal(carried.u.values, recomputed.u.values)
+    assert np.array_equal(carried.v.values, recomputed.v.values)
+
+
+def test_kappa_evaluations_add_up(line, monkeypatch):
+    spent = []
+    real_shift = dual.kappa_shift
+
+    def counted(grid, values, t, guess=None):
+        root = real_shift(grid, values, t, guess)
+        spent.append(root.evaluations)
+        return root
+
+    monkeypatch.setattr(dual, "kappa_shift", counted)
+    dp = compute_dual(ExponentPair(3.0, 2.0, 1), line)
+    assert dp.kappa_evaluations == sum(spent) >= 2 * dp.iterations
+    spent.clear()
+    # at p = q = 1 every root is the closed form -mean(K g)
+    assert compute_dual(ExponentPair(1.0, 1.0, 1), line).kappa_evaluations == 0 == sum(spent)
+
+
+def test_warm_start_reuses_the_carried_k_image(line, monkeypatch):
+    warm = compute_dual(ExponentPair(2.0, 1.0, 1), line)
+    calls = []
+    real_apply = greens.green_apply
+
+    def counted(grid, values):
+        calls.append(1)
+        return real_apply(grid, values)
+
+    monkeypatch.setattr(greens, "green_apply", counted)
+    dp = compute_dual(ExponentPair(2.1, 1.0, 1), line, warm_start=warm)
+    assert len(calls) == 2 * dp.iterations
 
 
 def test_warm_start_agrees_with_cold(line):

@@ -163,19 +163,19 @@ def test_kappa_shift_odd_symmetry():
     grid = interval_grid(1.0, n=400)
     u = np.sin(2.0 * math.pi * grid.r)  # odd about 1/2
     for t in (0.5, 1.0, 2.0, 3.0):
-        assert abs(kappa_shift(grid, u, t)) <= 1e-10
+        assert abs(kappa_shift(grid, u, t).kappa) <= 1e-10
 
 
 def test_kappa_shift_linear_case_is_mean():
     grid = unit_ball_grid(2, n=400)
     u = grid.r**2 + 0.3
-    assert kappa_shift(grid, u, 1.0) == pytest.approx(-grid.mean_values(u), abs=1e-12)
+    assert kappa_shift(grid, u, 1.0).kappa == pytest.approx(-grid.mean_values(u), abs=1e-12)
 
 
 def test_kappa_shift_cubic_closed_form():
     # solve ((1+k)^4 - k^4)/4 = 0 -> k = -1/2
     grid = interval_grid(1.0, n=1000)
-    assert kappa_shift(grid, grid.r, 3.0) == pytest.approx(-0.5, abs=1e-12)
+    assert kappa_shift(grid, grid.r, 3.0).kappa == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_kappa_shift_monotone_in_data():
@@ -185,7 +185,7 @@ def test_kappa_shift_monotone_in_data():
         u = rng.standard_normal(grid.n + 1)
         v = u + np.abs(rng.standard_normal(grid.n + 1))
         assert u.max() <= v.max() + 1e-12
-        assert kappa_shift(grid, u, t) >= kappa_shift(grid, v, t) - 1e-10
+        assert kappa_shift(grid, u, t).kappa >= kappa_shift(grid, v, t).kappa - 1e-10
 
 
 def _assert_sign_change(fn, lo, hi):
@@ -230,7 +230,7 @@ def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
     lo, hi = solve_increasing(moment_and_slope, -2.0 * bound, 2.0 * bound, start=start)
     _assert_sign_change(moment, lo, hi)
     assert lo == hi or hi == np.nextafter(lo, np.inf)
-    kappa = kappa_shift(grid, vals, t)
+    kappa = kappa_shift(grid, vals, t).kappa
     # kappa_shift's own acceptance: the residual meets its target, or (t < 1
     # with a node value on the root) the moment changes sign within one float
     # spacing of kappa, so no representable shift does better
@@ -324,7 +324,7 @@ def _kappa_shift_quadratures(grid, t, monkeypatch):
         return integrate(self, values)
 
     monkeypatch.setattr(RadialGrid, "integrate_values", counted)
-    kappa = kappa_shift(grid, u, t)
+    kappa = kappa_shift(grid, u, t).kappa
     monkeypatch.undo()
     assert abs(kappa) > 0.05
     target = 1e-12 * np.max(np.abs(u)) ** t * grid.domain_measure
@@ -351,28 +351,80 @@ def test_kappa_shift_rejects_non_finite_moment():
 
 
 def test_kappa_shift_rejects_a_root_without_sign_change(monkeypatch):
-    # u = 1/2 puts every node at 1/2 + kappa.  The stand-in moment is -1 below
-    # the root kappa = -1/2 and +1 above it, except at the float just above,
-    # where it dips back to -1: the solver ends at the adjacent pair around
-    # -1/2, but the moment does not change sign across the floats next to it
+    # u = 1/2 puts every node at 1/2 + kappa, and t = 1/2 makes the moment's
+    # integrand sqrt(1/2 + kappa) there.  The stand-in moment is -1 below the
+    # root kappa = -1/2 and +1 above it, except at the float just above, where
+    # it dips back to -1: the solver ends at the adjacent pair around -1/2,
+    # but the moment does not change sign across the floats next to it
     grid = interval_grid(1.0, n=50)
+    t = 0.5
 
     def step_moment(dip):
         return lambda self, values: 1.0 if values[0] >= 0.0 and values[0] != dip else -1.0
 
-    monkeypatch.setattr(RadialGrid, "integrate_values", step_moment(0.5 + np.nextafter(-0.5, np.inf)))
+    monkeypatch.setattr(RadialGrid, "integrate_values", step_moment((0.5 + np.nextafter(-0.5, np.inf)) ** t))
     with pytest.raises(KappaShiftError, match="did not converge"):
-        kappa_shift(grid, np.full_like(grid.r, 0.5), 1.0)
+        kappa_shift(grid, np.full_like(grid.r, 0.5), t)
     # without the dip the same adjacent pair is accepted
     monkeypatch.setattr(RadialGrid, "integrate_values", step_moment(None))
-    assert kappa_shift(grid, np.full_like(grid.r, 0.5), 1.0) == -0.5
+    assert kappa_shift(grid, np.full_like(grid.r, 0.5), t).kappa == -0.5
+
+
+def _shift_profiles():
+    # an interval profile and an origin-peaked 3-ball profile, neither with a root at -mean
+    line = interval_grid(1.0, n=2000)
+    ball = unit_ball_grid(3, n=2000)
+    return [
+        (line, np.cos(math.pi * line.r) + 0.3 * np.cos(2.0 * math.pi * line.r)),
+        (ball, np.cos(math.pi * ball.r) + 0.3 * np.cos(2.0 * math.pi * ball.r)),
+    ]
+
+
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 3.0])
+def test_kappa_shift_returns_the_signed_power_at_its_root(t):
+    for grid, u in _shift_profiles():
+        kappa, power, evaluations = kappa_shift(grid, u, t)
+        assert np.array_equal(power, _signed_power(u + kappa, t))
+        assert (evaluations == 0) == (t == 1.0)  # only t = 1 has a closed form
+
+
+def test_kappa_shift_at_t_one_is_minus_the_mean():
+    rng = np.random.default_rng(5)
+    for grid in (interval_grid(1.0, n=500), unit_ball_grid(2, n=500), unit_ball_grid(5, n=500)):
+        for decade in (-3, 0, 3):
+            u = 10.0**decade * rng.standard_normal(grid.n + 1) + rng.standard_normal()
+            kappa, power, evaluations = kappa_shift(grid, u, 1.0)
+            assert kappa == -grid.mean_values(u) and evaluations == 0
+            # the residual target the root search used to meet
+            assert abs(grid.integrate_values(u + kappa)) <= 1e-12 * np.max(np.abs(u)) * grid.domain_measure
+        for bad in (np.nan, np.inf):
+            u = np.cos(math.pi * grid.r)
+            u[7] = bad
+            with pytest.raises(KappaShiftError, match="not finite"):
+                kappa_shift(grid, u, 1.0)
+
+
+@pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
+def test_kappa_shift_warm_start_meets_the_target_from_any_guess(t):
+    grid, u = _shift_profiles()[1]
+    bound = float(np.max(np.abs(u)))
+    target = 1e-12 * bound**t * grid.domain_measure
+    cold = kappa_shift(grid, u, t)
+    assert cold.evaluations > 1  # -mean(u) misses, so the guess is used
+    for guess in [*np.linspace(-2.0 * bound, 2.0 * bound, 41)[1:-1], cold.kappa, np.nextafter(cold.kappa, np.inf)]:
+        kappa, power, evaluations = kappa_shift(grid, u, t, guess)
+        assert abs(grid.integrate_values(power)) <= target
+        assert np.array_equal(power, _signed_power(u + kappa, t))
+        assert evaluations <= 20
+    # a guess at the previous root costs the start -mean(u) and one more evaluation
+    assert kappa_shift(grid, u, t, cold.kappa).evaluations == 2
 
 
 def _apply_K_t(grid, h, t):
     """K_t h = K h + kappa_t: the Neumann solve renormalized so that the
     t-mean int |w|^(t-1) w of the output vanishes."""
     w = solve_neumann(grid, h)
-    return w + kappa_shift(grid, w, t)
+    return w + kappa_shift(grid, w, t).kappa
 
 
 def test_apply_K_t_matches_plain_solve_at_t_one():
