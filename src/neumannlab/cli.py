@@ -46,10 +46,9 @@ _FLAGS = {
     "outdir": (str, "output directory (default .)"),
     "p": (float, None),
     "q": (float, None),
-    "dim": (int, "space dimension N"),
+    "dim": (int, "space dimension N: 1 the interval, >= 2 the unit ball"),
     "n": (int, "grid panels (default 2000)"),
-    "mode": (str, "domain kind"),
-    "length": (float, "interval length (interval mode)"),
+    "length": (float, "interval length (N = 1 only)"),
     "tol": (float, "iteration tolerance"),
     "max_iter": (int, "iteration budget"),
     "seed": (int, "random seed"),
@@ -59,7 +58,7 @@ _FLAGS = {
     "nmax": (int, None),
     "restarts": (int, None),
 }
-_SOLVER_KEYS = ("dim", "n", "mode", "length", "tol", "max_iter")  # grid and iteration
+_SOLVER_KEYS = ("dim", "n", "length", "tol", "max_iter")  # grid and iteration
 
 
 def _config_value(key: str, val):
@@ -102,12 +101,7 @@ def _solver_options(cfg: dict) -> SolverOptions:
 
 
 def _grid_from(cfg: dict, n: int = 2000):
-    return make_grid(
-        dim=cfg.get("dim", 1),
-        n=cfg.get("n", n),
-        mode=cfg.get("mode"),
-        length=cfg.get("length", 1.0),
-    )
+    return make_grid(dim=cfg.get("dim", 1), n=cfg.get("n", n), length=cfg.get("length", 1.0))
 
 
 def _cmd_solve(cfg: dict, outdir: Path) -> int:
@@ -293,8 +287,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; explicit flags win")
         for key in ("outdir", *keys):
             kind, flag_help = _FLAGS[key]
-            choices = ["ball", "interval"] if key == "mode" else None
-            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, choices=choices, help=flag_help)
+            sp.add_argument("--" + key.replace("_", "-"), dest=key, type=kind, help=flag_help)
         sp.set_defaults(func=func, keys=("outdir", *keys), parser=sp)
     return parser
 

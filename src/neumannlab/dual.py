@@ -158,15 +158,15 @@ def compute_dual(
     best responses, whose norms are 1 by construction.  Each kappa root for
     an exponent other than 1 starts Newton from that exponent's root of the
     previous sweep when -mean(K g) misses.  A spent budget raises
-    NonConvergenceError.  Only subcritical and hyperbola exponents are
-    accepted: supercritical and critical ones raise ValueError, the critical
-    ones because the radial maximizer concentrates at the origin at grid
-    scale there.
+    NonConvergenceError.  Only subcritical and hyperbola exponents whose N
+    is grid.dim are accepted: others raise ValueError, the critical ones
+    because the radial maximizer concentrates at the origin at grid scale
+    there.
     """
     opts = opts or SolverOptions()
     if e.p <= 0:
         raise ValueError("the dual method needs p > 0; use the sign-limit solver for p = 0")
-    if e.dim != grid.dim and grid.mode == "ball":
+    if e.dim != grid.dim:
         raise ValueError("exponent dimension does not match the grid")
     region = classify_region(e)
     if region == Region.SUPERCRITICAL:
@@ -179,9 +179,8 @@ def compute_dual(
     alpha, beta = e.alpha, e.beta
 
     if warm_start is not None:
-        start = warm_start.f.grid
-        if (start.dim, start.n, start.mode, start.length) != (grid.dim, grid.n, grid.mode, grid.length):
-            raise ValueError("warm start is on another grid: its dim, n, mode or length differs")
+        if warm_start.f.grid != grid:
+            raise ValueError("warm start is on another grid: its dim, n or length differs")
         f, g, kg = warm_start.f.values, warm_start.g.values, warm_start.kg
     else:
         vals = _cosine_profile(grid)

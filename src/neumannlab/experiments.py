@@ -446,7 +446,7 @@ def ls_upper_bounds(
     """
     if k_max < 1 or k_max > 8:
         raise ValueError("k_max must be between 1 and 8")
-    if grid.mode != "interval":
+    if grid.dim != 1:
         raise ValueError("the mode construction uses interval eigenfunctions")
     if classify_region(e) not in (Region.SUBCRITICAL,):
         raise ValueError("the multiplicity construction needs subcritical exponents")

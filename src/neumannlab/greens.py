@@ -189,16 +189,20 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     Otherwise the moment M(kappa) = int sign(u + kappa) |u + kappa|^t is
     continuous and nondecreasing.  At kappa = +-2 ||u||_inf every node value
     of u + kappa has one sign, so that bracket holds the root whatever the
-    signs of the quadrature weights, and solve_increasing finds it to the
-    residual target 1e-12 ||u||_inf^t |Omega|.  For t > 1 the first
-    evaluation is at -mean(u); if that misses the target, Newton steps with
-    M' = t int |u + kappa|^(t-1), from M's power array, continue from
-    `guess` (a previous root for the same exponent) when it lies on the
-    root's side, else from the Newton step at -mean(u).  For t < 1, M' is
-    infinite at a nodal zero, and a node value near the root makes M
-    steeper than float spacing resolves; the root is then the adjacent pair
-    of floats across which M changes sign.  Raises KappaShiftError when u
-    or M is not finite or kappa meets neither rule.
+    signs of the quadrature weights, and solve_increasing finds it to a
+    residual target.  For t > 1 the first evaluation is at kappa0 = -mean(u)
+    and the target is 1e-12 int |u + kappa0|^t, the moment's own mass, read
+    off that evaluation's power array (1e-12 ||u||_inf^t |Omega| lies far
+    above that mass when u peaks at the origin of a ball, where the weight
+    r^(N-1) vanishes).  For t < 1 the target is 1e-12 ||u||_inf^t |Omega|.
+    If kappa0 misses the target, Newton steps with M' = t int |u + kappa|^(t-1),
+    from M's power array, continue from `guess` (a previous root for the
+    same exponent) when it lies on the root's side, else from the Newton
+    step at kappa0.  For t < 1, M' is infinite at a nodal zero, and a node
+    value near the root makes M steeper than float spacing resolves; the
+    root is then the adjacent pair of floats across which M changes sign.
+    Raises KappaShiftError when u or M is not finite or kappa meets neither
+    rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -214,9 +218,10 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     # bracket ends solve_increasing keeps, so the root's power is one of them
     ends: dict[bool, tuple[float, np.ndarray]] = {}
     evaluations = 0
+    mass = math.nan  # int |u + kappa0|^t, set by the first evaluation for t > 1
 
     def moment(kappa: float, slope: bool = False):
-        nonlocal evaluations
+        nonlocal evaluations, mass
         evaluations += 1
         x = values + kappa
         size = np.abs(x)
@@ -228,18 +233,21 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
                 f"moment at kappa = {kappa:.3e} is not finite: {total} (||u||_inf = {bound:.3e}, t = {t})"
             )
         ends[total < 0.0] = (kappa, signed)
+        if slope and evaluations == 1:  # the Newton start -mean(u) sets the target's scale
+            mass = grid.integrate_values(power)
         # a node at x = 0 makes the slope nan, which solve_increasing skips
         return (total, t * grid.integrate_values(power / size)) if slope else total
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
         lo, hi = -2.0 * bound, 2.0 * bound
         if t < 1.0:
+            tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
             lo, hi = solve_increasing(moment, lo, hi, tol)
         else:
             start = -grid.mean_values(values)  # the root at t = 1
             total, slope = moment(start, True)
+            tol = 1e-12 * mass
             if abs(total) <= tol:
                 return ShiftRoot(start, ends[total < 0.0][1], evaluations)
             lo, hi = (start, hi) if total < 0.0 else (lo, start)

@@ -1,8 +1,8 @@
 """Radial grids on [0, L] with r^(N-1)-weighted quadrature.
 
-A grid models either the unit ball in R^N reduced to the radial coordinate
-(weight r^(N-1), surface factor sigma_N = 2 pi^(N/2) / Gamma(N/2)) or a
-plain interval (0, L) (weight 1, surface factor 1).  Nodes are uniform.
+The dimension decides the domain: N = 1 is the interval (0, L) (weight 1,
+surface factor 1), N >= 2 the radial coordinate of the unit ball in R^N (weight
+r^(N-1), surface factor sigma_N = 2 pi^(N/2) / Gamma(N/2)).  Nodes are uniform.
 
 One discretization drives everything: on each panel the integrand's smooth
 factor is replaced by the cubic through four nearby nodes and the product
@@ -10,7 +10,7 @@ with the r^(N-1) weight is integrated through exact moments.  Cumulative
 sums of the panels give antiderivatives, and the nodal quadrature weights
 of the definite integral are the column sums of the same panel scheme.
 This makes int_0^L r^(N-1) dr exact for every dimension and keeps fourth
-order on smooth data with no loss near the origin.  The plain (weight-one)
+order on smooth data with no loss near the origin.  The interval's
 coefficient pattern h * (1/3, 31/24, 5/6, 25/24, 1, ..., 1) is positive;
 for N >= 3 the combined weights of the two or three nodes nearest the
 origin can undershoot zero by a rounding-level fraction of the total mass.
@@ -103,21 +103,21 @@ def _column_sums(n: int, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
 class RadialGrid:
     """Uniform 1-D mesh with weighted quadrature for radial domains.
 
-    dim:     spatial dimension N >= 1
+    dim:     spatial dimension N >= 1; N = 1 is an interval, N >= 2 a ball
     n:       number of panels (nodes = n + 1)
-    mode:    "ball" (radial coordinate of the unit ball) or "interval"
-    length:  outer radius (1 for balls) or interval length
+    length:  interval length (1 for balls)
+
+    The other fields derive from these three, and grids compare by them.
     """
 
     dim: int
     n: int
-    mode: str
     length: float
-    r: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
-    surface: float
-    phi: np.ndarray = field(repr=False)
-    green_diagonal: np.ndarray = field(repr=False)
+    r: np.ndarray = field(repr=False, compare=False)
+    weights: np.ndarray = field(repr=False, compare=False)
+    surface: float = field(compare=False)
+    phi: np.ndarray = field(repr=False, compare=False)
+    green_diagonal: np.ndarray = field(repr=False, compare=False)
     _table_weighted: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
@@ -128,11 +128,6 @@ class RadialGrid:
     @property
     def h(self) -> float:
         return self.length / self.n
-
-    @property
-    def weight_power(self) -> int:
-        """Exponent of the radial weight: dim - 1 on balls, 0 on intervals."""
-        return self.dim - 1 if self.mode == "ball" else 0
 
     @property
     def domain_measure(self) -> float:
@@ -158,20 +153,19 @@ class RadialGrid:
         return abs(float(self.weights.sum()) - exact) / exact
 
     def cumulative_weighted(self, values: np.ndarray) -> np.ndarray:
-        """C_i = int_0^{r_i} s^(dim-1) y(s) ds (weight 1 in interval mode)."""
+        """C_i = int_0^{r_i} s^(dim-1) y(s) ds."""
         idx, wts = self._table_weighted
         panels = (wts * values[idx]).sum(axis=1)
         return np.concatenate(([0.0], np.cumsum(panels)))
 
     def weight_primitive(self, x: np.ndarray | float) -> np.ndarray:
-        """W(x) = int_0^x s^(dim-1) ds (weight 1 in interval mode)."""
-        power = self.weight_power
-        return np.asarray(x, dtype=float) ** (power + 1) / (power + 1)
+        """W(x) = int_0^x s^(dim-1) ds."""
+        return np.asarray(x, dtype=float) ** self.dim / self.dim
 
     def kernel_primitive(self, x: np.ndarray | float) -> np.ndarray:
         """G(x) = int_0^x Phi(s) s^(dim-1) ds for the Green kernel Phi = self.phi."""
         x = np.asarray(x, dtype=float)
-        power, length = self.weight_power, self.length
+        power, length = self.dim - 1, self.length
         if power == 0:
             return length * x - 0.5 * x**2
         if power == 1:
@@ -209,46 +203,31 @@ def _green_diagonal(r: np.ndarray, h: float, power: int, weights: np.ndarray, ph
     return d - (d[len(r) // 2] + h**2 / 12.0)
 
 
-def make_grid(dim: int = 1, n: int = 2000, mode: str | None = None, length: float = 1.0) -> RadialGrid:
-    """Build a radial grid.
-
-    mode defaults to "interval" for dim == 1 and "ball" otherwise.  Ball
-    grids always have length 1 (the unit ball); interval grids model the
-    1-D box (0, length).
-    """
+def make_grid(dim: int = 1, n: int = 2000, length: float = 1.0) -> RadialGrid:
+    """Build a radial grid: the interval (0, length) for dim == 1, else the
+    unit ball in R^dim, whose length must be 1."""
     if dim < 1 or dim != int(dim):
         raise ValueError(f"dimension must be a positive integer, got {dim}")
     if n < 6:
         raise ValueError("grid needs at least 6 panels")
-    if mode is None:
-        mode = "interval" if dim == 1 else "ball"
-    if mode not in ("ball", "interval"):
-        raise ValueError(f"unknown grid mode {mode!r}")
-    if mode == "ball":
-        if length != 1.0:
-            raise ValueError("ball grids are on [0, 1]")
-        surface = surface_factor(dim)
-    else:
-        if dim != 1:
-            raise ValueError("interval mode is one-dimensional")
-        surface = 1.0
+    if dim > 1 and length != 1.0:
+        raise ValueError("ball grids are on [0, 1]")
     if length <= 0:
         raise ValueError("length must be positive")
     dim = int(dim)
     r = np.linspace(0.0, length, n + 1)
     h = length / n
-    power = dim - 1 if mode == "ball" else 0
+    power = dim - 1
     table = _panel_table(r, h, power)
     weights = _column_sums(n, table)
     phi = _neumann_kernel(r, length, power)
     return RadialGrid(
         dim=dim,
         n=n,
-        mode=mode,
         length=float(length),
         r=r,
         weights=weights,
-        surface=surface,
+        surface=surface_factor(dim) if dim > 1 else 1.0,
         phi=phi,
         green_diagonal=_green_diagonal(r, h, power, weights, phi),
         _table_weighted=table,
@@ -256,11 +235,12 @@ def make_grid(dim: int = 1, n: int = 2000, mode: str | None = None, length: floa
 
 
 def unit_ball_grid(dim: int, n: int = 2000) -> RadialGrid:
-    return make_grid(dim=dim, n=n, mode="ball")
+    """The unit ball in R^dim; for dim == 1, the unit interval (0, 1)."""
+    return make_grid(dim=dim, n=n)
 
 
 def interval_grid(length: float = 1.0, n: int = 2000) -> RadialGrid:
-    return make_grid(dim=1, n=n, mode="interval", length=length)
+    return make_grid(dim=1, n=n, length=length)
 
 
 @dataclass
@@ -306,9 +286,6 @@ def discrete_radial_laplacian(grid: RadialGrid, y: np.ndarray) -> np.ndarray:
     # not vanish in general and the Neumann-constrained cubic fit is needed
     out[0] = grid.dim * 2.0 * (y[1] - y[0]) / h**2
     out[-1] = (8.0 * (y[-2] - y[-1]) - (y[-3] - y[-1])) / (2.0 * h**2)
-    if grid.dim > 1 and grid.mode == "ball":
-        d1 = (y[2:] - y[:-2]) / (2.0 * h)
-        out[1:-1] = d2 + (grid.dim - 1) * d1 / grid.r[1:-1]
-    else:
-        out[1:-1] = d2
+    d1 = (y[2:] - y[:-2]) / (2.0 * h)
+    out[1:-1] = d2 + (grid.dim - 1) * d1 / grid.r[1:-1]
     return out

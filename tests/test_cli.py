@@ -49,6 +49,15 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     assert payload["kappa_evaluations"] is None
 
 
+def test_solve_sign_case_large_q_on_a_ball(tmp_path):
+    # v peaks at the origin, where the weight r^5 vanishes: the q-normalizing
+    # shift must meet a target on the scale of int |v|^q, or the next Green
+    # solve refuses the power's leftover mean
+    code = main(["solve", "--p", "0", "--q", "5", "--dim", "6", "--n", "2000", "--outdir", str(tmp_path)])
+    assert code == 0
+    assert json.loads((tmp_path / "solution.json").read_text())["converged"] is True
+
+
 def test_solve_rejects_hyperbola(tmp_path, capsys):
     code = main(["solve", "--p", "1", "--q", "1", "--n", "300", "--outdir", str(tmp_path)])
     assert code == 1
@@ -143,9 +152,11 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 
 def test_solve_rejects_damping_flag(tmp_path):
-    # removed knobs: the damping factor and the start options
+    # removed knobs: the damping factor, the start options and the grid mode
+    # (the dimension alone decides the domain)
     for argv in (
         ["solve", "--p", "3", "--q", "3", "--damping", "0.5"],
+        ["solve", "--p", "3", "--q", "3", "--mode", "ball"],
         ["solve", "--p", "3", "--q", "3", "--init", "cosine"],
         ["solve", "--p", "3", "--q", "3", "--init-file", "g.csv"],
         ["sweep", "--path", "p:2..3,q:1", "--samples", "2", "--n", "100", "--cold"],
@@ -157,7 +168,8 @@ def test_solve_rejects_damping_flag(tmp_path):
 
 def test_config_rejects_damping_key(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for key, value in (("damping", 0.5), ("init", "cosine"), ("init_file", "g.csv"), ("cold", "false")):
+    removed = (("damping", 0.5), ("init", "cosine"), ("init_file", "g.csv"), ("cold", "false"), ("mode", "ball"))
+    for key, value in removed:
         cfg.write_text(json.dumps({"p": 3.0, "q": 3.0, "n": 100, key: value}))
         assert main(["solve", "--config", str(cfg), "--outdir", str(tmp_path)]) == 1, key
         assert f"unknown config key {key!r}" in capsys.readouterr().err

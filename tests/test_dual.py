@@ -298,6 +298,14 @@ def test_warm_start_on_another_grid_is_rejected(line, dim, n):
         compute_dual(ExponentPair(2.1, 1.0, dim), make_grid(dim, n), warm_start=warm)
 
 
+def test_compute_dual_rejects_an_exponent_dimension_other_than_the_grids():
+    # (2, 2) is subcritical on an interval but critical for N = 6; the grid decides
+    with pytest.raises(ValueError, match="dimension does not match"):
+        compute_dual(ExponentPair(2.0, 2.0, 3), interval_grid())
+    with pytest.raises(ValueError, match="dimension does not match"):
+        compute_dual(ExponentPair(2.0, 2.0, 6), interval_grid())
+
+
 @pytest.mark.parametrize("pq", [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)])
 def test_smallgrid_oracle_agreement(pq):
     grid = interval_grid(1.0, n=9)

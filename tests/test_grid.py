@@ -14,7 +14,7 @@ from neumannlab.grid import (
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
 def test_quadrature_exactness(dim):
-    grid = make_grid(dim=dim, n=2000, mode="ball" if dim > 1 else "interval")
+    grid = make_grid(dim=dim, n=2000)
     assert grid.quadrature_defect() <= 1e-12
 
 
@@ -22,7 +22,7 @@ def test_quadrature_exactness_small_grids():
     # the panel scheme integrates the weight exactly at every resolution
     for dim in (2, 3, 5):
         for n in (9, 40):
-            assert make_grid(dim=dim, n=n, mode="ball").quadrature_defect() <= 1e-12
+            assert make_grid(dim=dim, n=n).quadrature_defect() <= 1e-12
 
 
 def test_unit_disk_area():
@@ -60,7 +60,7 @@ def test_quadrature_convergence_order():
 
 def test_weights_positive_where_it_matters():
     for dim in (1, 2):
-        grid = make_grid(dim=dim, n=500, mode="ball" if dim > 1 else "interval")
+        grid = make_grid(dim=dim, n=500)
         assert np.all(grid.weights[1:] > 0)
     # higher dimensions may undershoot by a rounding-level mass near r = 0
     g5 = unit_ball_grid(5, n=500)
@@ -129,11 +129,19 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         make_grid(dim=1, n=4)
     with pytest.raises(ValueError):
-        make_grid(dim=2, n=100, mode="ball", length=2.0)
+        make_grid(dim=2, n=100, length=2.0)
     with pytest.raises(ValueError):
-        make_grid(dim=3, n=100, mode="interval")
-    with pytest.raises(ValueError):
-        make_grid(dim=1, n=100, mode="interval", length=-1.0)
+        make_grid(dim=1, n=100, length=-1.0)
+    with pytest.raises(TypeError):
+        make_grid(dim=1, n=100, mode="interval")
+
+
+def test_grids_compare_by_dim_n_and_length():
+    assert make_grid(dim=3, n=100) == unit_ball_grid(3, n=100)
+    assert interval_grid(1.0, n=100) == unit_ball_grid(1, n=100)
+    assert interval_grid(1.0, n=100) != interval_grid(2.0, n=100)
+    assert interval_grid(1.0, n=100) != interval_grid(1.0, n=101)
+    assert unit_ball_grid(2, n=100) != unit_ball_grid(3, n=100)
 
 
 def test_grid_function_validation():
