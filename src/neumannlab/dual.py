@@ -9,16 +9,19 @@ that power mean-zero, and symmetrically for g.  Each half-step solves its
 subproblem exactly, so in exact arithmetic the quotient is nondecreasing.
 Each n-point quantity of a sweep is formed once: kappa_shift hands back the
 signed power it evaluated at its root, and D is read off the two already
-normalized best responses.  Critical pairs are refused: on the radial grid
-their maximizer concentrates at the origin at grid scale, so the discrete
-level is a quadrature artifact.
+normalized best responses.  The loop applies K through the unchecked kernel
+green_apply, because every best response is mean-zero by construction; only
+the cold start goes through solve_neumann.  Critical pairs are refused: on
+the radial grid their maximizer concentrates at the origin at grid scale, so
+the discrete level is a quadrature artifact.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
 u = D^(-q(p+1)/(pq-1)) K_p g, v = D^(-p(q+1)/(pq-1)) K_q f, shifting the
-K g and K f the pair carries from the loop, and oracle_dual_smallgrid is an
-independent brute-force maximizer (projected gradient ascent from many
-random starts) used to validate the iteration on tiny grids.
+K g and K f the pair carries from the loop (by the loop's last q root of
+K f when p != q), and oracle_dual_smallgrid is an independent brute-force
+maximizer (projected gradient ascent from many random starts) used to
+validate the iteration on tiny grids.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ class DualPair:
     d_history: list[float] = field(default_factory=list)
     stop_reason: str | None = None  # step-small | d-flat | d-envelope
     kappa_evaluations: int = 0  # moment evaluations of the loop's kappa roots
+    kappa_kf: float | None = None  # the q root of kf that formed g (p != q), reused by reconstruct_solution
 
 
 @dataclass
@@ -121,7 +125,9 @@ def _best_response(
     the output mean-zero exactly.  K is self-adjoint in the quadrature
     inner product, so int f w = int g K f and the sweep is exact block
     ascent on the discrete quotient.  `guess` is the previous root for the
-    same exponent.  Returns (f, kappa, moment evaluations of the root).
+    same exponent.  Returns (f, kappa, moment evaluations of the root); f
+    has zero mean up to rounding, so the loop hands it to green_apply
+    without solve_neumann's compatibility check.
     """
     kappa, y, evaluations = kappa_shift(grid, w, expo, guess)
     # for expo < 1 the kappa root carries a nodal Hoelder floor; project the
@@ -153,11 +159,14 @@ def compute_dual(
     - d-flat: D changed by at most opts.tol relative over 8 sweeps in a row;
     - d-envelope: from sweep 64 on, every 8th sweep, the last 32 D values
       lie within ENVELOPE_TOL relative.
-    Every rule returns the last pair, with its K f and K g and the number
-    of kappa moment evaluations the loop took.  D is int f K g of the two
-    best responses, whose norms are 1 by construction.  Each kappa root for
-    an exponent other than 1 starts Newton from that exponent's root of the
-    previous sweep when -mean(K g) misses.  A spent budget raises
+    Every rule returns the last pair, with its K f and K g, the q root of
+    K f that formed g (p != q), and the number of kappa moment evaluations
+    the loop took.  D is int f K g of the two best responses, whose norms
+    are 1 by construction.  Each kappa root for an exponent other than 1
+    takes Newton steps from that exponent's root of the previous sweep (for
+    t > 1 only when -mean(K g) misses).  The loop's Green applies call the
+    kernel green_apply directly, since best responses are mean-zero by
+    construction.  A spent budget raises
     NonConvergenceError.  Only subcritical and hyperbola exponents whose N
     is grid.dim are accepted: others raise ValueError, the critical ones
     because the radial maximizer concentrates at the origin at grid scale
@@ -197,13 +206,13 @@ def compute_dual(
     evaluations = 0
     for it in range(1, opts.max_iter + 1):
         f_new, kappa_p, spent = _best_response(grid, kg, e.p, alpha, kappa_p)
-        kf = solve_neumann(grid, values=f_new)
+        kf = green_apply(grid, f_new)
         if e.p == e.q:
             g_new, kg = f_new, kf  # identical best-response maps; keeps u = v exact
         else:
             g_new, kappa_q, spent_q = _best_response(grid, kf, e.q, beta, kappa_q)
             spent += spent_q
-            kg = solve_neumann(grid, values=g_new)
+            kg = green_apply(grid, g_new)
         evaluations += spent
         d_now = grid.integrate_values(f_new * kg)
         history.append(d_now)
@@ -235,7 +244,9 @@ def compute_dual(
             iterations=opts.max_iter,
         )
     f, g = GridFunction(grid, f), GridFunction(grid, g)
-    return DualPair(f, g, d_now, it, kf, kg, d_history=history, stop_reason=stop, kappa_evaluations=evaluations)
+    return DualPair(
+        f, g, d_now, it, kf, kg, d_history=history, stop_reason=stop, kappa_evaluations=evaluations, kappa_kf=kappa_q
+    )
 
 
 def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None = None) -> float:
@@ -255,7 +266,8 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     from the exact power identity; the discrete energy integral (with
     grad u . grad v integrated by parts into int |v|^(q+1)) is stored as a
     cross-check channel.  K_p g and K_q f shift the pair's carried K g and
-    K f, so no Green solve runs here.
+    K f, so no Green solve runs here; for p != q the loop's last q root of
+    K f is reused, so the p root of K g is the only root searched.
     """
     if e.on_hyperbola:
         raise HyperbolaError("no least-energy normalization on pq = 1")
@@ -263,7 +275,8 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     D = dp.d_estimate
     denom = e.p * e.q - 1.0
     u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (dp.kg + kappa_shift(grid, dp.kg, e.p).kappa)
-    v_vals = D ** (-e.p * (e.q + 1.0) / denom) * (dp.kf + kappa_shift(grid, dp.kf, e.q).kappa)
+    kappa_v = dp.kappa_kf if dp.kappa_kf is not None else kappa_shift(grid, dp.kf, e.q).kappa
+    v_vals = D ** (-e.p * (e.q + 1.0) / denom) * (dp.kf + kappa_v)
     if u_vals[0] < 0:
         u_vals, v_vals = -u_vals, -v_vals
 

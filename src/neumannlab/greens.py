@@ -12,6 +12,8 @@ solve_neumann, applies it in O(n) with two cumulative sums, taken in one
 complex pass (Vandebril, Van Barel and Mastronardi, Matrix Computations and
 Semiseparable Matrices, 2008).  It is self-adjoint in the quadrature inner
 product by construction and needs no division by the quadrature weights.
+The dual loop calls green_apply directly, on best responses that are
+mean-zero by construction.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and hands back the signed power it evaluated there,
@@ -103,7 +105,8 @@ def solve_neumann(grid, values: np.ndarray) -> np.ndarray:
 
 
 def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
-    return np.sign(values) * np.abs(values) ** t
+    """sign(x) |x|^t for t > 0 in one pass, as np.copysign(|x|^t, x); -0.0 gives -0.0."""
+    return np.copysign(np.abs(values) ** t, values)
 
 
 def solve_increasing(
@@ -194,11 +197,15 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     and the target is 1e-12 int |u + kappa0|^t, the moment's own mass, read
     off that evaluation's power array (1e-12 ||u||_inf^t |Omega| lies far
     above that mass when u peaks at the origin of a ball, where the weight
-    r^(N-1) vanishes).  For t < 1 the target is 1e-12 ||u||_inf^t |Omega|.
-    If kappa0 misses the target, Newton steps with M' = t int |u + kappa|^(t-1),
-    from M's power array, continue from `guess` (a previous root for the
-    same exponent) when it lies on the root's side, else from the Newton
-    step at kappa0.  For t < 1, M' is infinite at a nodal zero, and a node
+    r^(N-1) vanishes); a root met there costs M and that mass alone, and the
+    slope, ||u||_inf and the bracket are formed only on a miss.  For t < 1
+    the target is 1e-12 ||u||_inf^t |Omega|.  One warm-start rule serves
+    both: guarded Newton steps with M' = t int |u + kappa|^(t-1), from the
+    power array of the same evaluation, start at `guess` (a previous root
+    for the same exponent) when it lies strictly inside the bracket, which
+    for t > 1 is the side of kappa0 holding the root; otherwise t > 1 starts
+    from the Newton step at kappa0, and t < 1 runs Illinois steps from the
+    bracket ends.  For t < 1, M' is infinite at a nodal zero, and a node
     value near the root makes M steeper than float spacing resolves; the
     root is then the adjacent pair of floats across which M changes sign.
     Raises KappaShiftError when u or M is not finite or kappa meets neither
@@ -211,55 +218,67 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
         if not math.isfinite(kappa):
             raise KappaShiftError(f"mean of u is not finite: {-kappa} (t = 1)")
         return ShiftRoot(kappa, values + kappa, 0)
-    bound = float(np.max(np.abs(values)))
-    if bound == 0.0:
-        return ShiftRoot(0.0, np.zeros_like(values), 0)
     # the last evaluation on each side of the root, keyed by M < 0: the
     # bracket ends solve_increasing keeps, so the root's power is one of them
     ends: dict[bool, tuple[float, np.ndarray]] = {}
     evaluations = 0
-    mass = math.nan  # int |u + kappa0|^t, set by the first evaluation for t > 1
 
-    def moment(kappa: float, slope: bool = False):
-        nonlocal evaluations, mass
+    def moment(kappa: float) -> tuple[float, np.ndarray, np.ndarray]:
+        """M(kappa) with the power |u + kappa|^t and |u + kappa| it formed."""
+        nonlocal evaluations
         evaluations += 1
         x = values + kappa
         size = np.abs(x)
         power = size**t
-        signed = np.sign(x) * power
+        signed = np.copysign(power, x)
         total = grid.integrate_values(signed)
         if not math.isfinite(total):
             raise KappaShiftError(
-                f"moment at kappa = {kappa:.3e} is not finite: {total} (||u||_inf = {bound:.3e}, t = {t})"
+                f"moment at kappa = {kappa:.3e} is not finite: {total}"
+                f" (||u||_inf = {float(np.max(np.abs(values))):.3e}, t = {t})"
             )
         ends[total < 0.0] = (kappa, signed)
-        if slope and evaluations == 1:  # the Newton start -mean(u) sets the target's scale
-            mass = grid.integrate_values(power)
+        return total, power, size
+
+    def slope(power: np.ndarray, size: np.ndarray) -> float:
         # a node at x = 0 makes the slope nan, which solve_increasing skips
-        return (total, t * grid.integrate_values(power / size)) if slope else total
+        return t * grid.integrate_values(power / size)
+
+    def with_slope(kappa: float) -> tuple[float, float]:
+        total, power, size = moment(kappa)
+        return total, slope(power, size)
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = -2.0 * bound, 2.0 * bound
-        if t < 1.0:
-            tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
-            lo, hi = solve_increasing(moment, lo, hi, tol)
-        else:
-            start = -grid.mean_values(values)  # the root at t = 1
-            total, slope = moment(start, True)
-            tol = 1e-12 * mass
+        if t > 1.0:
+            kappa0 = -grid.mean_values(values)  # the root at t = 1
+            total, power, size = moment(kappa0)
+            tol = 1e-12 * grid.integrate_values(power)
             if abs(total) <= tol:
-                return ShiftRoot(start, ends[total < 0.0][1], evaluations)
-            lo, hi = (start, hi) if total < 0.0 else (lo, start)
-            newton = start - total / slope if slope > 0.0 else math.nan
-            start = guess if guess is not None and lo < guess < hi else newton
-            lo, hi = solve_increasing(lambda k: moment(k, True), lo, hi, tol, start=start)
+                return ShiftRoot(kappa0, ends[total < 0.0][1], evaluations)
+        bound = float(np.max(np.abs(values)))
+        if bound == 0.0:
+            return ShiftRoot(0.0, np.zeros_like(values), 0)
+        lo, hi = -2.0 * bound, 2.0 * bound
+        start = None
+        if t > 1.0:
+            lo, hi = (kappa0, hi) if total < 0.0 else (lo, kappa0)
+            m1 = slope(power, size)
+            start = kappa0 - total / m1 if m1 > 0.0 else math.nan
+        else:
+            tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
+        if guess is not None and lo < guess < hi:
+            start = guess
+        if start is None:
+            lo, hi = solve_increasing(lambda k: moment(k)[0], lo, hi, tol)
+        else:
+            lo, hi = solve_increasing(with_slope, lo, hi, tol, start=start)
         kappa = 0.5 * (lo + hi)
         root_power = next((signed for at, signed in ends.values() if at == kappa), None)
         # lo == hi met tol; adjacent ends must have the sign change across kappa
-        if lo < hi and not moment(np.nextafter(kappa, -np.inf)) <= 0.0 <= moment(np.nextafter(kappa, np.inf)):
+        if lo < hi and not moment(np.nextafter(kappa, -np.inf))[0] <= 0.0 <= moment(np.nextafter(kappa, np.inf))[0]:
             raise KappaShiftError(
-                f"normalizing shift did not converge (residual {moment(kappa):.3e}, target {tol:.3e})"
+                f"normalizing shift did not converge (residual {moment(kappa)[0]:.3e}, target {tol:.3e})"
             )
     if root_power is None:  # a later evaluation on kappa's side replaced it: an end checked again
         root_power = _signed_power(values + kappa, t)

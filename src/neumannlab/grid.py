@@ -78,18 +78,16 @@ def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray
     """
     n = len(r) - 1
     starts = _stencil_starts(np.arange(n), n)
-    geom = starts - np.arange(n)
     mexp = np.arange(4)
     mu = np.zeros((n, 4))
     rj = r[:-1]
     for i in range(weight_power + 1):
         coef = math.comb(weight_power, i) * rj ** (weight_power - i) * h**i
         mu += coef[:, None] * (h / (mexp + i + 1.0))
-    wts = np.empty((n, 4))
-    for g, inv in _STENCIL_INV.items():
-        mask = geom == g
-        if mask.any():
-            wts[mask] = mu[mask] @ inv.T
+    # every panel but the first and the last has the interior stencil (n >= 6)
+    wts = mu @ _STENCIL_INV[-1].T
+    wts[:1] = mu[:1] @ _STENCIL_INV[0].T
+    wts[-1:] = mu[-1:] @ _STENCIL_INV[-2].T
     idx = starts[:, None] + np.arange(4)
     return idx, wts
 
@@ -123,7 +121,7 @@ class RadialGrid:
     @cached_property
     def csv_r_column(self) -> list[str]:
         """The r cells of GridFunction.write_csv, '%.17g,' per node, formatted on first use."""
-        return ["%.17g," % x for x in self.r.tolist()]
+        return ("%.17g,\n" * len(self.r) % tuple(self.r.tolist())).split("\n")[:-1]
 
     @property
     def h(self) -> float:

@@ -425,6 +425,26 @@ def test_kappa_shift_warm_start_meets_the_target_from_any_guess(t):
     assert kappa_shift(grid, u, t, cold.kappa).evaluations == 2
 
 
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
+def test_kappa_shift_below_one_meets_its_rule_from_any_guess(t):
+    for grid, u in _shift_profiles():
+        bound = float(np.max(np.abs(u)))
+        target = 1e-12 * bound**t * grid.domain_measure
+
+        def moment(kappa):
+            return grid.integrate_values(_signed_power(u + kappa, t))
+
+        cold = kappa_shift(grid, u, t)
+        for guess in [*np.linspace(-2.0 * bound, 2.0 * bound, 41)[1:-1], cold.kappa, np.nextafter(cold.kappa, np.inf)]:
+            kappa, power, evaluations = kappa_shift(grid, u, t, guess)
+            assert np.array_equal(power, _signed_power(u + kappa, t))
+            below, above = np.nextafter(kappa, -np.inf), np.nextafter(kappa, np.inf)
+            assert abs(moment(kappa)) <= target or moment(below) <= 0.0 <= moment(above)
+            assert evaluations <= 20
+        # Newton steps from the previous root: a guess at the root is met at once
+        assert kappa_shift(grid, u, t, cold.kappa).evaluations <= 2
+
+
 def test_kappa_shift_matches_bisection_on_an_origin_peaked_large_power():
     # on a ball a profile peaked at the origin has int |u|^29 far below
     # ||u||_inf^29 |Omega|, where the weight r^4 vanishes; a residual target

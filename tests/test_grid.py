@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from neumannlab.grid import (
+    _STENCIL_INV,
     GridFunction,
     discrete_radial_laplacian,
     interval_grid,
@@ -35,6 +36,33 @@ def test_weights_are_the_last_row_of_the_cumulative_map(dim):
     grid = make_grid(dim=dim, n=12)
     dense = np.column_stack([grid.cumulative_weighted(e) for e in np.eye(grid.n + 1)])
     assert np.max(np.abs(grid.weights - dense[-1])) <= 1e-14 * np.max(np.abs(dense))
+
+
+def _masked_panel_weights(grid):
+    # the panel rule's weights with each stencil geometry gathered by a mask
+    # and applied to its own panels, the way the table was first built
+    n, h, power = grid.n, grid.h, grid.dim - 1
+    starts = np.clip(np.arange(n) - 1, 0, n - 3)
+    geom = starts - np.arange(n)
+    mu = np.zeros((n, 4))
+    for i in range(power + 1):
+        coef = math.comb(power, i) * grid.r[:-1] ** (power - i) * h**i
+        mu += coef[:, None] * (h / (np.arange(4) + i + 1.0))
+    wts = np.empty((n, 4))
+    for g, inv in _STENCIL_INV.items():
+        mask = geom == g
+        wts[mask] = mu[mask] @ inv.T
+    idx = starts[:, None] + np.arange(4)
+    return wts, np.bincount(idx.ravel(), weights=wts.ravel(), minlength=n + 1)
+
+
+@pytest.mark.parametrize("n", [6, 7, 200])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_panel_weights_match_the_masked_reference(dim, n):
+    grid = make_grid(dim=dim, n=n)
+    wts, weights = _masked_panel_weights(grid)
+    assert np.array_equal(grid._table_weighted[1], wts)
+    assert np.array_equal(grid.weights, weights)
 
 
 def test_interval_linear_moment():
@@ -193,3 +221,9 @@ def test_grid_function_csv_pair_bytes(tmp_path):
         assert vars(grid)["csv_r_column"] is column
         expected = "r,value\r\n" + "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(grid.r.tolist(), values.tolist()))
         assert (tmp_path / f"{name}.csv").read_bytes() == expected.encode()
+
+
+@pytest.mark.parametrize("dim, n, length", [(1, 6, 0.7), (1, 2000, 1.0), (3, 20000, 1.0)])
+def test_csv_r_column_formats_each_node(dim, n, length):
+    grid = make_grid(dim=dim, n=n, length=length)
+    assert grid.csv_r_column == ["%.17g," % x for x in grid.r]
