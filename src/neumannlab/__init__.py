@@ -8,7 +8,12 @@ maximizers reconstruct the least-energy solution pair.  The sign-limit
 p = 0 (and the scalar limit p = q = 0) is handled by a fixed point over
 balanced level sets, and the closed-form radial solutions of the biharmonic
 sign problem certify symmetry breaking on balls.
+
+The solvers log one DEBUG record per solve to the "neumannlab" logger, which
+is silent until the application configures logging.
 """
+
+import logging
 
 from .closed_form import (
     asymptotic_bound,
@@ -76,3 +81,5 @@ from .sign import (
 )
 
 __version__ = "0.1.0"
+
+logging.getLogger(__name__).addHandler(logging.NullHandler())

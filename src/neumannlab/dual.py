@@ -26,6 +26,7 @@ validate the iteration on tiny grids.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -50,6 +51,8 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-4  # relative equation-defect bound behind `converged`
 ENVELOPE_TOL = 1e-5  # relative D envelope over 32 sweeps accepted as a limit cycle
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -236,6 +239,7 @@ def compute_dual(
                 stop = "d-envelope"
                 break
     else:
+        _log.debug("dual solve %s on n=%d: no stop rule in %d sweeps, %d kappa evaluations", e, grid.n, it, evaluations)
         tail = history[-10:]
         raise NonConvergenceError(
             f"dual iteration did not converge in {opts.max_iter} sweeps",
@@ -243,6 +247,7 @@ def compute_dual(
             oscillation=max(tail) - min(tail),
             iterations=opts.max_iter,
         )
+    _log.debug("dual solve %s on n=%d: %s after %d sweeps, %d kappa evaluations", e, grid.n, stop, it, evaluations)
     f, g = GridFunction(grid, f), GridFunction(grid, g)
     return DualPair(
         f, g, d_now, it, kf, kg, d_history=history, stop_reason=stop, kappa_evaluations=evaluations, kappa_kf=kappa_q

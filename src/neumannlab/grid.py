@@ -27,6 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .report_io import fmt17_cells, fmt17_csv_rows
+
 __all__ = [
     "RadialGrid",
     "GridFunction",
@@ -119,9 +121,10 @@ class RadialGrid:
     _table_weighted: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
 
     @cached_property
-    def csv_r_column(self) -> list[str]:
-        """The r cells of GridFunction.write_csv, '%.17g,' per node, formatted on first use."""
-        return ("%.17g,\n" * len(self.r) % tuple(self.r.tolist())).split("\n")[:-1]
+    def csv_r_cells(self) -> np.ndarray:
+        """The r cells of GridFunction.write_csv (report_io.fmt17_cells), formatted
+        on first use; u.csv and v.csv of a solve share them."""
+        return fmt17_cells(self.r)
 
     @property
     def h(self) -> float:
@@ -259,12 +262,12 @@ class GridFunction:
         return float(np.max(np.abs(self.values)))
 
     def write_csv(self, path) -> None:
-        """Two-column CSV (r, value), RFC 4180 line endings, 17 significant digits."""
-        column = self.grid.csv_r_column
-        cells = [None] * (2 * len(column))
-        cells[::2], cells[1::2] = column, self.values.tolist()
-        with open(path, "w", newline="") as fh:
-            fh.write("r,value\r\n" + "%s%.17g\r\n" * len(column) % tuple(cells))
+        """Two-column CSV (r, value) with RFC 4180 line endings; each cell is
+        the '%.17g' text of its float, written by report_io's numpy kernel
+        (fmt17_csv_rows) with the r column the grid keeps formatted."""
+        with open(path, "wb") as fh:
+            fh.write(b"r,value\r\n")
+            fh.writelines(fmt17_csv_rows(self.grid.csv_r_cells, self.values))
 
 
 def discrete_radial_laplacian(grid: RadialGrid, y: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ crossing is the interface radius.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable
 
@@ -50,6 +51,8 @@ __all__ = [
 ]
 
 SIGN_BAND = 1e-10  # zero band, relative to the sup norm
+
+_log = logging.getLogger(__name__)
 
 
 class OscillationDetected(NumericalFailure):
@@ -276,6 +279,7 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
         return solve_neumann(grid, values=power), v + kappa
 
     u, v, iters, ok = _sign_fixed_point(grid, step, opts)
+    _log.debug("sign solve q=%g, N=%d on n=%d: %d iterations, settled=%s", q, grid.dim, grid.n, iters, ok)
     if u[0] < 0:
         u, v = -u, -v
     # Lambda = ||Lap u||_beta / ||u||_1 with Lap u = -|v|^(q-1) v

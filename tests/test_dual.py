@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -411,3 +412,23 @@ def test_diagonal_level_matches_shooting_oracle():
     e = ExponentPair(0.01, 0.01, 1)
     rep = reconstruct_solution(e, compute_dual(e, interval_grid(1.0, 2000)))
     assert rep.c == pytest.approx(_shooting_level(0.01), rel=1e-6)
+
+
+def test_each_solve_logs_one_debug_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    e = ExponentPair(3.0, 2.0, 1)
+    dp = compute_dual(e, make_grid(dim=1, n=200))
+    (record,) = [r for r in caplog.records if r.name.startswith("neumannlab")]
+    assert record.levelno == logging.DEBUG and record.name == "neumannlab.dual"
+    message = record.getMessage()
+    assert f"{dp.stop_reason} after {dp.iterations} sweeps" in message
+    assert f"{dp.kappa_evaluations} kappa evaluations" in message
+    caplog.clear()
+    with pytest.raises(NonConvergenceError):
+        compute_dual(e, make_grid(dim=1, n=200), SolverOptions(max_iter=2))
+    (record,) = [r for r in caplog.records if r.name.startswith("neumannlab")]
+    assert "no stop rule in 2 sweeps" in record.getMessage()
+
+
+def test_package_logger_is_silent_by_default():
+    assert any(isinstance(h, logging.NullHandler) for h in logging.getLogger("neumannlab").handlers)

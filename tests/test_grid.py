@@ -212,13 +212,13 @@ def test_grid_function_csv_pair_bytes(tmp_path):
         values = rng.standard_normal(grid.n + 1) * 10.0 ** rng.integers(-300, 300, grid.n + 1)
         values[rng.choice(grid.n + 1, len(special), replace=False)] = special
         pair.append(values)
-    assert "csv_r_column" not in vars(grid)
-    column = None
+    assert "csv_r_cells" not in vars(grid)
+    cells = None
     for name, values in zip(("u", "v"), pair):
         GridFunction(grid, values).write_csv(tmp_path / f"{name}.csv")
-        if column is None:
-            column = vars(grid)["csv_r_column"]
-        assert vars(grid)["csv_r_column"] is column
+        if cells is None:
+            cells = vars(grid)["csv_r_cells"]
+        assert vars(grid)["csv_r_cells"] is cells
         expected = "r,value\r\n" + "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(grid.r.tolist(), values.tolist()))
         assert (tmp_path / f"{name}.csv").read_bytes() == expected.encode()
 
@@ -226,4 +226,5 @@ def test_grid_function_csv_pair_bytes(tmp_path):
 @pytest.mark.parametrize("dim, n, length", [(1, 6, 0.7), (1, 2000, 1.0), (3, 20000, 1.0)])
 def test_csv_r_column_formats_each_node(dim, n, length):
     grid = make_grid(dim=dim, n=n, length=length)
-    assert grid.csv_r_column == ["%.17g," % x for x in grid.r]
+    cells = grid.csv_r_cells.view(np.uint8)
+    assert [row[row != 0].tobytes() for row in cells] == [b"%.17g" % x for x in grid.r]

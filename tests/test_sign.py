@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -192,3 +193,11 @@ def test_subcell_balance_shift_falls_back_without_sign_change():
     grid = interval_grid(1.0, n=100)
     u = np.full_like(grid.r, 0.25)
     assert sign._subcell_balance_shift(grid, u) == balanced_shift(grid, u)
+
+
+def test_sign_solve_logs_one_debug_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    rep = solve_sign_system(1.0, unit_ball_grid(2, n=400))
+    (record,) = [r for r in caplog.records if r.name.startswith("neumannlab")]
+    assert record.levelno == logging.DEBUG and record.name == "neumannlab.sign"
+    assert f"{rep.iterations} iterations" in record.getMessage()
