@@ -166,14 +166,14 @@ def compute_dual(
     K f that formed g (p != q), and the number of kappa moment evaluations
     the loop took.  D is int f K g of the two best responses, whose norms
     are 1 by construction.  Each kappa root for an exponent other than 1
-    takes Newton steps from that exponent's root of the previous sweep (for
-    t > 1 only when -mean(K g) misses).  The loop's Green applies call the
-    kernel green_apply directly, since best responses are mean-zero by
-    construction.  A spent budget raises
-    NonConvergenceError.  Only subcritical and hyperbola exponents whose N
-    is grid.dim are accepted: others raise ValueError, the critical ones
-    because the radial maximizer concentrates at the origin at grid scale
-    there.
+    first tries -mean of its potential and, when that misses, takes Newton
+    steps from that exponent's root of the previous sweep if it lies on the
+    root's side of that mean.  The loop's Green applies call the kernel
+    green_apply directly, since best responses are mean-zero by
+    construction.  A spent budget raises NonConvergenceError.  Only
+    subcritical and hyperbola exponents whose N is grid.dim are accepted:
+    others raise ValueError, the critical ones because the radial maximizer
+    concentrates at the origin at grid scale there.
     """
     opts = opts or SolverOptions()
     if e.p <= 0:
@@ -331,17 +331,25 @@ def oracle_dual_smallgrid(
     Projected gradient ascent on the quotient int f K g / (||f||_alpha ||g||_beta)
     over mean-zero nodal vectors, from `restarts` seeded random starts plus a
     cosine start, keeping the best value found.  Independent of the
-    alternating iteration; exact gradients via the dense K matrix.
+    alternating iteration; exact gradients via the dense K matrix.  Raises
+    ValueError when a quadrature weight is not positive, as at the origin of
+    the balls with N >= 3 at these n.
     """
     if grid.n > 12:
         raise ValueError("the brute-force oracle is for grids with at most 12 panels")
     if restarts < 1:
         raise ValueError("need at least one restart")
-    alpha, beta = e.alpha, e.beta
     w = grid.weights * grid.surface
+    if np.any(w <= 0):
+        # the weighted |x|^s sums are then no norms, and the gradient divides by w
+        raise ValueError(
+            f"the brute-force oracle needs positive quadrature weights; the N = {grid.dim} grid"
+            f" with n = {grid.n} has w <= 0 at nodes {np.flatnonzero(w <= 0).tolist()}"
+        )
+    alpha, beta = e.alpha, e.beta
     kmat = _k_matrix(grid)
     total = w.sum()
-    winv = np.divide(1.0, w, out=np.zeros_like(w), where=w > 0)  # zero-weight nodes are inert
+    winv = 1.0 / w
 
     def project(x: np.ndarray) -> np.ndarray:
         return x - (w @ x) / total

@@ -17,13 +17,16 @@ mean-zero by construction.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and hands back the signed power it evaluated there,
-so a caller never forms that n-point power twice.  balanced_shift finds the
-constant putting a function into the balanced class (positive and negative
-level sets of equal weighted measure), which is the natural normalization
-for the sign-nonlinearity limit.  solve_increasing, Illinois regula falsi
-with a bisection safeguard and guarded Newton steps where the slope is
-known, is the bracketing root finder behind kappa_shift and the sign
-solver's sub-cell balance; the genus bounds' constraint scale
+so a caller never forms that n-point power twice.  It has one search for
+every exponent t != 1: it evaluates -mean(u) first, against a target on the
+moment's own mass, and on a miss takes guarded Newton steps on the side of
+-mean(u) that holds the root.  balanced_shift finds the constant putting a
+function into the balanced class (positive and negative level sets of equal
+weighted measure), which is the natural normalization for the
+sign-nonlinearity limit.  solve_increasing, Illinois regula falsi with a
+bisection safeguard and guarded Newton steps where the slope is known, is
+the bracketing root finder behind kappa_shift and the sign solver's
+sub-cell balance; the genus bounds' constraint scale
 (experiments._constraint_scale) runs its own row-wise Newton iteration.
 """
 
@@ -190,26 +193,23 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     evaluated there and the number of moment evaluations.  At t = 1 the
     moment int (u + kappa) is affine and the root is -mean(u) in closed form.
     Otherwise the moment M(kappa) = int sign(u + kappa) |u + kappa|^t is
-    continuous and nondecreasing.  At kappa = +-2 ||u||_inf every node value
-    of u + kappa has one sign, so that bracket holds the root whatever the
-    signs of the quadrature weights, and solve_increasing finds it to a
-    residual target.  For t > 1 the first evaluation is at kappa0 = -mean(u)
-    and the target is 1e-12 int |u + kappa0|^t, the moment's own mass, read
-    off that evaluation's power array (1e-12 ||u||_inf^t |Omega| lies far
-    above that mass when u peaks at the origin of a ball, where the weight
-    r^(N-1) vanishes); a root met there costs M and that mass alone, and the
-    slope, ||u||_inf and the bracket are formed only on a miss.  For t < 1
-    the target is 1e-12 ||u||_inf^t |Omega|.  One warm-start rule serves
-    both: guarded Newton steps with M' = t int |u + kappa|^(t-1), from the
-    power array of the same evaluation, start at `guess` (a previous root
-    for the same exponent) when it lies strictly inside the bracket, which
-    for t > 1 is the side of kappa0 holding the root; otherwise t > 1 starts
-    from the Newton step at kappa0, and t < 1 runs Illinois steps from the
-    bracket ends.  For t < 1, M' is infinite at a nodal zero, and a node
-    value near the root makes M steeper than float spacing resolves; the
-    root is then the adjacent pair of floats across which M changes sign.
-    Raises KappaShiftError when u or M is not finite or kappa meets neither
-    rule.
+    continuous and nondecreasing, and one rule serves every t.  The first
+    evaluation is at kappa0 = -mean(u), and the residual target is
+    1e-12 int |u + kappa0|^t, the moment's own mass, read off that
+    evaluation's power array (1e-12 ||u||_inf^t |Omega| lies far above that
+    mass when u peaks at the origin of a ball, where the weight r^(N-1)
+    vanishes); a root met there, zero data included, costs M and that mass
+    alone.  On a miss the bracket is the side of kappa0 holding the root, up
+    to kappa = +-2 ||u||_inf, where every node value of u + kappa has one
+    sign, and solve_increasing takes guarded Newton steps with
+    M' = t int |u + kappa|^(t-1), from the power array of the same
+    evaluation.  They start at `guess` (a previous root for the same
+    exponent) when it lies strictly inside that bracket, and otherwise at
+    the Newton step from kappa0.  For t < 1, M' is infinite at a nodal zero,
+    and a node value near the root makes M steeper than float spacing
+    resolves; the root is then the adjacent pair of floats across which M
+    changes sign.  Raises KappaShiftError when u or M is not finite or
+    kappa meets neither rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -250,29 +250,19 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        if t > 1.0:
-            kappa0 = -grid.mean_values(values)  # the root at t = 1
-            total, power, size = moment(kappa0)
-            tol = 1e-12 * grid.integrate_values(power)
-            if abs(total) <= tol:
-                return ShiftRoot(kappa0, ends[total < 0.0][1], evaluations)
-        bound = float(np.max(np.abs(values)))
-        if bound == 0.0:
-            return ShiftRoot(0.0, np.zeros_like(values), 0)
-        lo, hi = -2.0 * bound, 2.0 * bound
-        start = None
-        if t > 1.0:
-            lo, hi = (kappa0, hi) if total < 0.0 else (lo, kappa0)
-            m1 = slope(power, size)
-            start = kappa0 - total / m1 if m1 > 0.0 else math.nan
-        else:
-            tol = 1e-12 * float(np.float64(bound) ** t) * grid.domain_measure
+        kappa0 = -grid.mean_values(values)  # the root at t = 1
+        total, power, size = moment(kappa0)
+        tol = 1e-12 * grid.integrate_values(power)
+        if abs(total) <= tol:
+            return ShiftRoot(kappa0, ends[total < 0.0][1], evaluations)
+        bound = 2.0 * float(np.max(np.abs(values)))
+        lo, hi = (kappa0, bound) if total < 0.0 else (-bound, kappa0)
         if guess is not None and lo < guess < hi:
             start = guess
-        if start is None:
-            lo, hi = solve_increasing(lambda k: moment(k)[0], lo, hi, tol)
         else:
-            lo, hi = solve_increasing(with_slope, lo, hi, tol, start=start)
+            m1 = slope(power, size)
+            start = kappa0 - total / m1 if m1 > 0.0 else math.nan
+        lo, hi = solve_increasing(with_slope, lo, hi, tol, start=start)
         kappa = 0.5 * (lo + hi)
         root_power = next((signed for at, signed in ends.values() if at == kappa), None)
         # lo == hi met tol; adjacent ends must have the sign change across kappa

@@ -270,32 +270,14 @@ def fmt17_csv_rows(first: np.ndarray, values: np.ndarray) -> Iterator[bytes]:
         yield block.tobytes().translate(None, b"\0")
 
 
-class _RawFloat:
-    def __init__(self, value: float):
-        self.value = value
-
-
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
-        return _RawFloat(float(obj))
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_to_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _dump(obj, fh, indent=0) -> None:
+    """Write obj as JSON: floats with fmt17 and nan and inf as null; numpy
+    scalars and arrays as their Python values and lists, tuples as lists."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        obj = obj.tolist()
     pad = "  " * indent
-    if isinstance(obj, _RawFloat):
-        v = obj.value
-        fh.write("null" if (math.isnan(v) or math.isinf(v)) else fmt17(v))
+    if isinstance(obj, float):
+        fh.write(fmt17(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, dict):
         fh.write("{\n")
         items = list(obj.items())
@@ -304,7 +286,7 @@ def _dump(obj, fh, indent=0) -> None:
             _dump(v, fh, indent + 1)
             fh.write(",\n" if i + 1 < len(items) else "\n")
         fh.write(pad + "}")
-    elif isinstance(obj, list):
+    elif isinstance(obj, (list, tuple)):
         fh.write("[")
         for i, v in enumerate(obj):
             _dump(v, fh, indent)
@@ -317,7 +299,7 @@ def _dump(obj, fh, indent=0) -> None:
 
 def write_json(path, obj) -> None:
     with open(path, "w") as fh:
-        _dump(_to_jsonable(obj), fh)
+        _dump(obj, fh)
         fh.write("\n")
 
 

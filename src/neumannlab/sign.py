@@ -275,6 +275,9 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = _solve_step(grid, u)
         kappa, power, _ = kappa_shift(grid, v, q)
+        # for q < 1 the kappa root carries a nodal Hoelder floor; project the
+        # leftover mean so the Green solve sees compatible data
+        power -= grid.mean_values(power)
         # values by keyword: perfbench's tracer reads a second positional argument as a flag
         return solve_neumann(grid, values=power), v + kappa
 

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from neumannlab import closed_form as cf
-from neumannlab.dual import compute_dual, oracle_dual_smallgrid, reconstruct_solution
+from neumannlab.dual import compute_dual, reconstruct_solution
 from neumannlab.exponents import ExponentPair, c_from_lambda, lambda_from_c
 from neumannlab.experiments import (
     check_pq_to_0,
@@ -91,14 +91,16 @@ def test_criterion_3_linear_eigenvalue_oracles(line, disk):
         assert time.perf_counter() - start < 5.0
 
 
-def test_criterion_4_smallgrid_brute_force():
+def test_criterion_4_smallgrid_brute_force(smallgrid_oracle):
+    # the oracle values (64 restarts, seed 0) come from the session fixture
+    # in conftest.py, shared with tests/test_dual.py::test_smallgrid_oracle_agreement
     with criterion(4, "alternating iteration agrees with the brute-force oracle on n = 9"):
         start = time.perf_counter()
         grid = interval_grid(1.0, n=9)
         for p, q in [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)]:
             e = ExponentPair(p, q, 1)
             d_iter = compute_dual(e, grid).d_estimate
-            d_oracle = oracle_dual_smallgrid(e, grid, restarts=64, seed=0)
+            d_oracle = smallgrid_oracle[(p, q)]
             assert abs(d_oracle / d_iter - 1.0) <= 1e-6
         assert time.perf_counter() - start < 30.0
 

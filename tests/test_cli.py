@@ -342,6 +342,15 @@ def test_oracle_command(tmp_path, capsys):
     assert payload["relative_gap"] <= 1e-6
 
 
+def test_oracle_refusal_is_a_configuration_error(tmp_path, capsys):
+    code = main(["oracle", "--p", "1", "--q", "1", "--dim", "3", "--n", "9", "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "positive quadrature weights" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "oracle.json").exists()
+
+
 def test_oracle_numerical_failure_exit_code(tmp_path, monkeypatch, capsys):
     def failing_shift(*args):
         raise KappaShiftError("shift failed")

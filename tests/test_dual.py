@@ -330,11 +330,11 @@ def test_compute_dual_rejects_an_exponent_dimension_other_than_the_grids():
 
 
 @pytest.mark.parametrize("pq", [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)])
-def test_smallgrid_oracle_agreement(pq):
+def test_smallgrid_oracle_agreement(pq, smallgrid_oracle):
     grid = interval_grid(1.0, n=9)
     e = ExponentPair(pq[0], pq[1], 1)
     d_iter = compute_dual(e, grid).d_estimate
-    d_oracle = oracle_dual_smallgrid(e, grid, restarts=64, seed=0)
+    d_oracle = smallgrid_oracle[pq]  # 64 restarts, seed 0 (conftest.py)
     assert d_oracle == pytest.approx(d_iter, rel=1e-6)
 
 
@@ -349,6 +349,23 @@ def test_oracle_monotone_in_restarts():
 def test_oracle_rejects_large_grids(line):
     with pytest.raises(ValueError):
         oracle_dual_smallgrid(ExponentPair(1.0, 1.0, 1), line)
+
+
+@pytest.mark.parametrize("dim", [3, 4, 5, 6])
+def test_oracle_refuses_non_positive_weights(dim):
+    # at n = 9 the origin weight of these balls is negative (and w_1 too on
+    # N = 6), so the oracle's weighted |x|^s sums are no norms
+    grid = make_grid(dim, 9)
+    assert not np.all(grid.weights > 0)
+    with pytest.raises(ValueError, match="positive quadrature weights"):
+        oracle_dual_smallgrid(ExponentPair(1.0, 1.0, dim), grid)
+
+
+def test_oracle_runs_on_the_disk():
+    grid = make_grid(2, 9)
+    e = ExponentPair(1.0, 1.0, 2)
+    d_oracle = oracle_dual_smallgrid(e, grid, restarts=2)
+    assert d_oracle == pytest.approx(compute_dual(e, grid).d_estimate, rel=1e-6)
 
 
 @pytest.mark.parametrize(

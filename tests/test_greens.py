@@ -445,6 +445,36 @@ def test_kappa_shift_below_one_meets_its_rule_from_any_guess(t):
         assert kappa_shift(grid, u, t, cold.kappa).evaluations <= 2
 
 
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.9, 1.5, 3.0])
+def test_kappa_shift_meets_a_root_at_minus_the_mean_in_one_evaluation(t):
+    # cos(pi r) on (0, 1) is odd about 1/2, so kappa = 0 = -mean(u) is the
+    # root for every t; the first evaluation meets the target there
+    grid = interval_grid(1.0, n=2001)
+    u = np.cos(math.pi * grid.r)
+    kappa, power, evaluations = kappa_shift(grid, u, t)
+    assert evaluations == 1
+    assert abs(kappa) <= 1e-15
+    assert np.array_equal(power, _signed_power(u + kappa, t))
+    # zero data: the moment and its mass vanish at -mean(u) = 0
+    kappa, power, evaluations = kappa_shift(grid, np.zeros_like(u), t)
+    assert kappa == 0.0 and evaluations == 1 and not np.any(power)
+
+
+@pytest.mark.parametrize("t, on_line, on_ball", [(0.1, 13, 24), (0.3, 7, 10), (0.5, 6, 7), (0.7, 6, 6), (0.9, 5, 5)])
+def test_kappa_shift_below_one_cold_evaluations(t, on_line, on_ball):
+    # a cold root starts from the Newton step at -mean(u) on the side that
+    # holds the root; Illinois steps from +-2 ||u||_inf took 15, 10, 10, 8, 7
+    # on the interval and 27, 14, 13, 11, 8 on the 3-ball
+    for (grid, u), bound in zip(_shift_profiles(), (on_line, on_ball)):
+        kappa, power, evaluations = kappa_shift(grid, u, t)
+        assert evaluations <= bound
+        moment = grid.integrate_values(power)
+        below = grid.integrate_values(_signed_power(u + np.nextafter(kappa, -np.inf), t))
+        above = grid.integrate_values(_signed_power(u + np.nextafter(kappa, np.inf), t))
+        target = 1e-12 * grid.integrate_values(np.abs(u - grid.mean_values(u)) ** t)
+        assert abs(moment) <= target or below <= 0.0 <= above
+
+
 def test_kappa_shift_matches_bisection_on_an_origin_peaked_large_power():
     # on a ball a profile peaked at the origin has int |u|^29 far below
     # ||u||_inf^29 |Omega|, where the weight r^4 vanishes; a residual target

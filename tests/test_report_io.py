@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from neumannlab import report_io
-from neumannlab.report_io import fmt17_cells, fmt17_csv_rows
+from neumannlab.report_io import fmt17_cells, fmt17_csv_rows, write_json
 
 
 def texts(values: np.ndarray) -> list[bytes]:
@@ -66,3 +66,55 @@ def test_kernel_hands_ties_and_extremes_to_fmt17(monkeypatch):
     values = [1 + 2.0**-17, -(1 + 3 * 2.0**-17), -0.0, 5e-324, 1e300, 0.1, 2.5]
     assert_bytes_of_percent_17g(values)
     assert set(seen) == {1 + 2.0**-17, -(1 + 3 * 2.0**-17), 0.0, 5e-324, 1e300}
+
+
+JSON_PAYLOAD = {
+    "float": 0.1,
+    "np_float64": np.float64(1 / 3),
+    "np_float32": np.float32(0.1),
+    "int": 7,
+    "np_int": np.int64(-3),
+    "bool": True,
+    "np_bool": np.bool_(False),
+    "none": None,
+    "text": 'r\u00e9sum\u00e9 "q"',
+    "nan": float("nan"),
+    "inf": -np.inf,
+    "array": np.array([1.5, np.nan, 2e-300]),
+    "int_array": np.arange(3),
+    "tuple": (1, 2.5, "x", None, np.float64(np.inf)),
+    "nested": {"list": [[], {}, [np.float64(1e17), np.bool_(True)]], 3: "int key"},
+    "empty": {},
+}
+
+JSON_BYTES = b"""{
+  "float": 0.10000000000000001,
+  "np_float64": 0.33333333333333331,
+  "np_float32": 0.10000000149011612,
+  "int": 7,
+  "np_int": -3,
+  "bool": true,
+  "np_bool": false,
+  "none": null,
+  "text": "r\\u00e9sum\\u00e9 \\"q\\"",
+  "nan": null,
+  "inf": null,
+  "array": [1.5, null, 2.0000000000000001e-300],
+  "int_array": [0, 1, 2],
+  "tuple": [1, 2.5, "x", null, null],
+  "nested": {
+    "list": [[], {
+    }, [1e+17, true]],
+    "3": "int key"
+  },
+  "empty": {
+  }
+}
+"""
+
+
+def test_write_json_bytes(tmp_path):
+    # numpy scalars and bools, arrays, tuples, non-finite floats (null),
+    # nested and empty containers and a non-string key, byte for byte
+    write_json(tmp_path / "out.json", JSON_PAYLOAD)
+    assert (tmp_path / "out.json").read_bytes() == JSON_BYTES

@@ -117,6 +117,25 @@ def test_sign_system_general_exponent_runs():
     assert abs(moment) <= 1e-9 * max(rep.v.sup_norm() ** 2 * grid.domain_measure, 1e-30)
 
 
+@pytest.mark.parametrize("dim", [3, 4, 5])
+def test_sign_system_small_exponent_hands_the_green_solve_mean_zero_data(dim, monkeypatch):
+    # at q = 0.01 the kappa root's Hoelder floor leaves |int |v|^q sign v| up
+    # to 4e-3 of its L^1 norm, which solve_neumann refused as incompatible
+    grid = unit_ball_grid(dim, n=2000)
+    seen = []
+    solve = sign.solve_neumann
+
+    def recorded(grid, values):
+        seen.append(abs(grid.integrate_values(values)) / grid.lp_norm_values(values, 1))
+        return solve(grid, values=values)
+
+    monkeypatch.setattr(sign, "solve_neumann", recorded)
+    rep = solve_sign_system(0.01, grid)
+    assert seen and max(seen) <= 1e-14
+    assert rep.iterations == 2
+    assert rep.c < 0 and certify_balanced(rep.u).certified
+
+
 def test_sign_system_rejects_bad_exponent():
     grid = interval_grid(1.0, n=100)
     with pytest.raises(ValueError):
