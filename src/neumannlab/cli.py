@@ -146,6 +146,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         "converged": rep.converged,
         "stop_reason": rep.stop_reason,
         "kappa_evaluations": rep.kappa_evaluations,
+        "coarse_start": rep.coarse_start,
         "zero_radius": rep.zero_radius,
     }
     write_json(outdir / "solution.json", payload)

@@ -11,9 +11,16 @@ Each n-point quantity of a sweep is formed once: kappa_shift hands back the
 signed power it evaluated at its root, and D is read off the two already
 normalized best responses.  The loop applies K through the unchecked kernel
 green_apply, because every best response is mean-zero by construction; only
-the cold start goes through solve_neumann.  Critical pairs are refused: on
-the radial grid their maximizer concentrates at the origin at grid scale, so
-the discrete level is a quadrature artifact.
+the start goes through solve_neumann.  Critical pairs are refused: on the
+radial grid their maximizer concentrates at the origin at grid scale, so the
+discrete level is a quadrature artifact.
+
+A cold solve starts from the first cosine mode, except on grids with
+n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid of the
+same domain and starts from that pair, lifted to the fine nodes by cubic
+interpolation (nested iteration).  A warm start from another n of the same
+domain is lifted the same way.  The returned pair records the coarse solve
+and the two-grid D gap in `coarse_start`.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
@@ -34,7 +41,7 @@ import numpy as np
 
 from .exponents import ExponentPair, HyperbolaError, Region, classify_region, c_from_lambda
 from .greens import NumericalFailure, _signed_power, green_apply, kappa_shift, solve_neumann
-from .grid import GridFunction, RadialGrid, discrete_radial_laplacian
+from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cubic, make_grid
 
 __all__ = [
     "SolverOptions",
@@ -49,6 +56,7 @@ __all__ = [
 ]
 
 
+COARSE_N = 2000  # n of the nested start's coarse level, taken by cold solves with n >= 4 COARSE_N
 RESIDUAL_TOL = 1e-4  # relative equation-defect bound behind `converged`
 ENVELOPE_TOL = 1e-5  # relative D envelope over 32 sweeps accepted as a limit cycle
 
@@ -79,6 +87,7 @@ class DualPair:
     stop_reason: str | None = None  # step-small | d-flat | d-envelope
     kappa_evaluations: int = 0  # moment evaluations of the loop's kappa roots
     kappa_kf: float | None = None  # the q root of kf that formed g (p != q), reused by reconstruct_solution
+    coarse_start: dict | None = None  # the nested start's coarse solve (see compute_dual); None if none
 
 
 @dataclass
@@ -96,6 +105,7 @@ class SolutionReport:
     zero_radius: float | None = None
     stop_reason: str | None = None  # the dual loop's stop rule; None for p = 0
     kappa_evaluations: int | None = None  # the dual loop's kappa moment evaluations; None for p = 0
+    coarse_start: dict | None = None  # the dual loop's nested start (DualPair.coarse_start)
 
 
 class NonConvergenceError(NumericalFailure):
@@ -146,6 +156,30 @@ def _best_response(
     return y, kappa, evaluations
 
 
+def _cosine_start(e: ExponentPair, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f and g from the mean-zero first cosine mode, unit in L^alpha and L^beta, and K g."""
+    vals = _cosine_profile(grid)
+    g = vals / grid.lp_norm_values(vals, e.beta)
+    f = vals / grid.lp_norm_values(vals, e.alpha)
+    # values by keyword: perfbench's tracer reads a second positional argument as a flag
+    return f, g, solve_neumann(grid, values=g)
+
+
+def _lift(fn: GridFunction, grid: RadialGrid) -> np.ndarray:
+    """fn at the nodes of grid, by the 4-point cubic Lagrange interpolant on fn's
+    uniform nodes (grid.local_cubic's stencils); grid has fn's dim and length."""
+    x = grid.r / fn.grid.h
+    starts, coeffs = local_cubic(fn.values, np.minimum(x.astype(int), fn.grid.n - 1))
+    t = x - starts
+    return ((coeffs[:, 3] * t + coeffs[:, 2]) * t + coeffs[:, 1]) * t + coeffs[:, 0]
+
+
+def _coarse_solve(e: ExponentPair, grid: RadialGrid, opts: SolverOptions) -> DualPair:
+    """The pair solved from the cosine start on the COARSE_N grid of grid's dim and length."""
+    coarse = make_grid(grid.dim, COARSE_N, grid.length)
+    return _ascend(e, coarse, opts, *_cosine_start(e, coarse))
+
+
 def compute_dual(
     e: ExponentPair,
     grid: RadialGrid,
@@ -154,8 +188,23 @@ def compute_dual(
 ) -> DualPair:
     """Maximize the dual quotient by alternating exact best responses.
 
-    A cold start takes f and g from the mean-zero first cosine mode
-    cos(pi r / L); warm_start continues from a previous pair instead.
+    The start:
+    - warm_start continues from a previous pair.  A pair on another grid of
+      the same dim and length is lifted to this one (below); one on another
+      dim or length raises ValueError.
+    - A cold solve on a grid with n >= 4 COARSE_N first solves the same pair
+      on the COARSE_N grid of the same dim and length, with opts, and starts
+      from that pair, lifted: nested iteration (Brandt, Math. Comp. 31,
+      1977).  D converges at rate 2.5 to 4 in n, so the coarse pair is
+      already close and the fine loop takes a few sweeps instead of 8 to 18.
+      The coarse solve's cost breaks even near n = 6000 on the dual-cold
+      pairs, hence the threshold.  If the coarse solve raises NumericalFailure, the solve
+      logs one DEBUG record and takes the cosine start.
+    - Any other cold solve starts f and g from the mean-zero first cosine
+      mode cos(pi r / L).
+    The lift evaluates f and g at the new nodes by 4-point cubic Lagrange
+    interpolation on the old uniform nodes, removes their means,
+    renormalizes them in L^alpha and L^beta and forms K g by solve_neumann.
     Each sweep stops the loop, with that rule as `stop_reason`, when
     - step-small: D changed by at most opts.tol relative and the
       L^alpha x L^beta change of (f, g) is at most 2 opts.tol;
@@ -164,16 +213,21 @@ def compute_dual(
       lie within ENVELOPE_TOL relative.
     Every rule returns the last pair, with its K f and K g, the q root of
     K f that formed g (p != q), and the number of kappa moment evaluations
-    the loop took.  D is int f K g of the two best responses, whose norms
-    are 1 by construction.  Each kappa root for an exponent other than 1
-    first tries -mean of its potential and, when that misses, takes Newton
-    steps from that exponent's root of the previous sweep if it lies on the
-    root's side of that mean.  The loop's Green applies call the kernel
-    green_apply directly, since best responses are mean-zero by
-    construction.  A spent budget raises NonConvergenceError.  Only
-    subcritical and hyperbola exponents whose N is grid.dim are accepted:
-    others raise ValueError, the critical ones because the radial maximizer
-    concentrates at the origin at grid scale there.
+    the loop took; iterations, d_history, stop_reason and kappa_evaluations
+    are the fine loop's own.  `coarse_start` records the nested start as
+    {n, sweeps, kappa_evaluations, D, d_gap} of the coarse solve, with
+    d_gap = |D_coarse - D| / D, a two-grid gap and not an error estimate;
+    it is None after a cosine or a caller's warm start.  D is int f K g of
+    the two best responses, whose norms are 1 by construction.  Each kappa
+    root for an exponent other than 1 first tries -mean of its potential
+    and, when that misses, takes Newton steps from that exponent's root of
+    the previous sweep if it lies on the root's side of that mean.  The
+    loop's Green applies call the kernel green_apply directly, since best
+    responses are mean-zero by construction.  A spent budget raises
+    NonConvergenceError.  Only subcritical and hyperbola exponents whose N
+    is grid.dim are accepted: others raise ValueError, the critical ones
+    because the radial maximizer concentrates at the origin at grid scale
+    there.
     """
     opts = opts or SolverOptions()
     if e.p <= 0:
@@ -188,20 +242,45 @@ def compute_dual(
             "critical exponents are outside the solver's scope: the radial maximizer"
             " concentrates at the origin at grid scale"
         )
-    alpha, beta = e.alpha, e.beta
+    if warm_start is not None and (warm_start.f.grid.dim, warm_start.f.grid.length) != (grid.dim, grid.length):
+        raise ValueError("warm start is on another grid: its dim or length differs")
 
-    if warm_start is not None:
-        if warm_start.f.grid != grid:
-            raise ValueError("warm start is on another grid: its dim, n or length differs")
-        f, g, kg = warm_start.f.values, warm_start.g.values, warm_start.kg
+    coarse = None
+    if warm_start is None and grid.n >= 4 * COARSE_N:
+        try:
+            coarse = _coarse_solve(e, grid, opts)
+        except NumericalFailure as exc:
+            _log.debug("dual solve %s on n=%d: coarse start failed (%s), cosine start", e, grid.n, exc)
+    start = warm_start if warm_start is not None else coarse
+    if start is None:
+        f, g, kg = _cosine_start(e, grid)
+    elif start.f.grid == grid:
+        f, g, kg = start.f.values, start.g.values, start.kg
     else:
-        vals = _cosine_profile(grid)
-        g = vals / grid.lp_norm_values(vals, beta)
-        f = vals / grid.lp_norm_values(vals, alpha)
-        # values by keyword: perfbench's tracer reads a second positional argument as a flag
+        f, g = _lift(start.f, grid), _lift(start.g, grid)
+        f -= grid.mean_values(f)
+        g -= grid.mean_values(g)
+        f /= grid.lp_norm_values(f, e.alpha)
+        g /= grid.lp_norm_values(g, e.beta)
         kg = solve_neumann(grid, values=g)
-    # carried: sweep k's K g_new is sweep k+1's K g, as a warm start's last K g is the first
+    dp = _ascend(e, grid, opts, f, g, kg)
+    if coarse is not None:
+        dp.coarse_start = {
+            "n": coarse.f.grid.n,
+            "sweeps": coarse.iterations,
+            "kappa_evaluations": coarse.kappa_evaluations,
+            "D": coarse.d_estimate,
+            "d_gap": abs(coarse.d_estimate - dp.d_estimate) / dp.d_estimate,
+        }
+    return dp
 
+
+def _ascend(
+    e: ExponentPair, grid: RadialGrid, opts: SolverOptions, f: np.ndarray, g: np.ndarray, kg: np.ndarray
+) -> DualPair:
+    """compute_dual's sweeps from (f, g) and the carried K g, to a stop rule."""
+    alpha, beta = e.alpha, e.beta
+    # carried: sweep k's K g_new is sweep k+1's K g, as the start's K g is the first
     history: list[float] = []
     d_prev = None
     stable = 0
@@ -311,6 +390,7 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
         converged=converged,
         stop_reason=dp.stop_reason,
         kappa_evaluations=dp.kappa_evaluations,
+        coarse_start=dp.coarse_start,
     )
 
 

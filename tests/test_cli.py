@@ -47,6 +47,7 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=1e-10)
     assert payload["stop_reason"] is None  # the sign solver has no dual stop rule
     assert payload["kappa_evaluations"] is None
+    assert payload["coarse_start"] is None
 
 
 def test_solve_sign_case_large_q_on_a_ball(tmp_path):
@@ -128,6 +129,18 @@ def test_solve_ball3_fine_grid_converges(tmp_path):
     code = main(["solve", "--p", "2", "--q", "2", "--dim", "3", "--n", "20000", "--outdir", str(tmp_path)])
     assert code == 0
     assert json.loads((tmp_path / "solution.json").read_text())["converged"] is True
+
+
+def test_solution_json_records_the_coarse_start(tmp_path):
+    for n in ("2000", "20000"):
+        assert main(["solve", "--p", "3", "--q", "2", "--dim", "3", "--n", n, "--outdir", str(tmp_path / n)]) == 0
+    assert json.loads((tmp_path / "2000" / "solution.json").read_text())["coarse_start"] is None
+    payload = json.loads((tmp_path / "20000" / "solution.json").read_text())
+    assert payload["converged"] is True
+    start = payload["coarse_start"]
+    assert set(start) == {"n", "sweeps", "kappa_evaluations", "D", "d_gap"} and start["n"] == 2000
+    assert start["d_gap"] == pytest.approx(abs(start["D"] - payload["D"]) / payload["D"], rel=1e-12, abs=1e-300)
+    assert start["d_gap"] <= 1e-10
 
 
 def test_config_file_and_flag_precedence(tmp_path):

@@ -20,7 +20,7 @@ from neumannlab.dual import (
     reconstruct_solution,
 )
 from neumannlab.exponents import ExponentPair, HyperbolaError, Region, classify_region
-from neumannlab.grid import interval_grid, make_grid, unit_ball_grid
+from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
 
 J11 = 3.8317059702075125  # first positive root of J_1
 
@@ -314,11 +314,120 @@ def test_warm_start_agrees_with_cold(line):
     assert lam_warm == pytest.approx(lam_cold, abs=1e-8 * lam_cold)
 
 
-@pytest.mark.parametrize("dim, n", [(1, 1000), (2, 2000)], ids=["other-n", "disk-same-n"])
-def test_warm_start_on_another_grid_is_rejected(line, dim, n):
+@pytest.mark.parametrize("dim, length", [(1, 2.0), (2, 1.0)], ids=["other-length", "disk-same-n"])
+def test_warm_start_on_another_grid_is_rejected(line, dim, length):
+    # a pair is lifted across n, never across a domain
     warm = compute_dual(ExponentPair(2.0, 1.0, 1), line)
     with pytest.raises(ValueError, match="warm start is on another grid"):
-        compute_dual(ExponentPair(2.1, 1.0, dim), make_grid(dim, n), warm_start=warm)
+        compute_dual(ExponentPair(2.1, 1.0, dim), make_grid(dim, 2000, length), warm_start=warm)
+
+
+@pytest.mark.parametrize("dim, length", [(1, 0.7), (3, 1.0)])
+def test_lift_reproduces_a_cubic(dim, length):
+    def cubic(r):
+        x = r / length
+        return 1.0 + 2.0 * x - 3.0 * x**2 + 0.5 * x**3
+
+    coarse, fine = make_grid(dim, 200, length), make_grid(dim, 2001, length)
+    lifted = dual._lift(GridFunction(coarse, cubic(coarse.r)), fine)
+    assert np.max(np.abs(lifted - cubic(fine.r))) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_warm_start_from_a_coarser_grid_is_lifted(dim):
+    # the nested start is this warm start from the COARSE_N solve
+    e = ExponentPair(3.0, 2.0, dim)
+    fine = make_grid(dim, 20000)
+    warm = compute_dual(e, make_grid(dim, dual.COARSE_N))
+    lifted = compute_dual(e, fine, warm_start=warm)
+    nested = compute_dual(e, fine)
+    assert lifted.coarse_start is None  # a caller's warm start
+    assert nested.coarse_start["sweeps"] == warm.iterations
+    assert nested.coarse_start["D"] == warm.d_estimate
+    assert lifted.d_estimate == nested.d_estimate and lifted.iterations == nested.iterations
+
+
+def _cosine_pair(e: ExponentPair, grid) -> dual.DualPair:
+    # compute_dual's cosine start, handed in as a warm start: the reference path
+    vals = _cosine_profile(grid)
+    f = vals / grid.lp_norm_values(vals, e.alpha)
+    g = vals / grid.lp_norm_values(vals, e.beta)
+    kg = greens.solve_neumann(grid, g)
+    return dual.DualPair(GridFunction(grid, f), GridFunction(grid, g), 0.0, 0, kg, kg)
+
+
+def _operator_defect(e: ExponentPair, dp: dual.DualPair) -> float:
+    """Relative sup defect of the pair's solution in operator form, worse equation.
+
+    Off the hyperbola: |u - K(|v|^(q-1) v - mean) - mean u|_inf / |u|_inf and
+    its analogue for v.  On pq = 1 no D-power scaling exists, so the fixed
+    point f = BR_p(K g), g = BR_q(K f) of the pair itself is measured.
+    """
+    grid = dp.f.grid
+    if e.on_hyperbola:
+        pairs = [
+            (dp.f.values, _best_response(grid, dp.kg, e.p, e.alpha)[0]),
+            (dp.g.values, _best_response(grid, dp.kf, e.q, e.beta)[0]),
+        ]
+    else:
+        rep = reconstruct_solution(e, dp)
+        pairs = []
+        for y, z, t in ((rep.u.values, rep.v.values, e.q), (rep.v.values, rep.u.values, e.p)):
+            rhs = greens._signed_power(z, t)
+            pairs.append((y, greens.solve_neumann(grid, rhs - grid.mean_values(rhs)) + grid.mean_values(y)))
+    return max(np.max(np.abs(y - image)) / np.max(np.abs(y)) for y, image in pairs)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p, q", [(3.0, 2.0), (0.5, 3.0), (1.0, 1.0)])
+def test_nested_start_agrees_with_the_cosine_start(p, q, dim):
+    e = ExponentPair(p, q, dim)
+    grid = make_grid(dim, 20000)
+    nested = compute_dual(e, grid)
+    reference = compute_dual(e, grid, warm_start=_cosine_pair(e, grid))
+    assert nested.coarse_start["n"] == dual.COARSE_N and reference.coarse_start is None
+    assert nested.d_estimate == pytest.approx(reference.d_estimate, rel=1e-12)
+    bound = max(2.0 * _operator_defect(e, reference), 1e-12)
+    assert _operator_defect(e, nested) <= bound
+
+
+@pytest.mark.parametrize("n, nested", [(2000, False), (7999, False), (8000, True)])
+def test_only_fine_cold_solves_start_on_the_coarse_grid(n, nested):
+    e = ExponentPair(3.0, 2.0, 1)
+    opts = SolverOptions(tol=1e-6)  # the coarse level runs with the caller's options
+    dp = compute_dual(e, interval_grid(1.0, n), opts)
+    if nested:
+        coarse = compute_dual(e, interval_grid(1.0, dual.COARSE_N), opts)
+        assert dp.coarse_start == {
+            "n": dual.COARSE_N,
+            "sweeps": coarse.iterations,
+            "kappa_evaluations": coarse.kappa_evaluations,
+            "D": coarse.d_estimate,
+            "d_gap": abs(coarse.d_estimate - dp.d_estimate) / dp.d_estimate,
+        }
+    else:
+        assert dp.coarse_start is None
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [NonConvergenceError("spent", 1.0, 0.0, 3), DegenerateIterateError("collapsed")],
+    ids=["nonconvergence", "degenerate"],
+)
+def test_a_failed_coarse_solve_falls_back_to_the_cosine_start(monkeypatch, caplog, failure):
+    e = ExponentPair(3.0, 2.0, 2)
+    grid = make_grid(2, 8000)
+
+    def fails(*args):
+        raise failure
+
+    monkeypatch.setattr(dual, "_coarse_solve", fails)
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    dp = compute_dual(e, grid)
+    assert dp.coarse_start is None
+    assert sum("coarse start failed" in r.getMessage() for r in caplog.records) == 1
+    reference = compute_dual(e, grid, warm_start=_cosine_pair(e, grid))
+    assert dp.d_estimate == reference.d_estimate and dp.iterations == reference.iterations
 
 
 def test_compute_dual_rejects_an_exponent_dimension_other_than_the_grids():
