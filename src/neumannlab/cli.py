@@ -7,9 +7,10 @@ oracle (small-grid brute force against the iteration).  Each subcommand
 declares only the flags it reads; they can also come from a JSON config
 file, whose keys are those flags' names (max_iter for --max-iter), and
 explicit flags win.  The solvers take only --tol (finite, >= 0) and
---max-iter (>= 1); every dual solve starts from the first cosine mode, and
-each sweep sample after the first continues from the previous sample's
-pair.  `main` merges the config, makes the output directory and alone maps
+--max-iter (>= 1); a cold dual solve starts from the first cosine mode (with
+n >= 8000 from the n = 2000 solve), and each sweep sample after the first
+continues from the previous sample's pair unless that sample failed.
+`main` merges the config, makes the output directory and alone maps
 exceptions to exit codes: 0 success, 1 configuration error (a usage error,
 an unreadable or ill-typed config file, an output directory that cannot be
 made or written, any ValueError), 2 numerical failure (any

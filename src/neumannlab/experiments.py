@@ -5,8 +5,9 @@ theory suggests: continuity of Lambda along exponent paths, blow-up or
 vanishing of levels as pq crosses 1 depending on the first eigenvalue,
 the limit constant of Lambda^((p+1)(q+1)/(pq-1)) when the first eigenvalue
 equals one, the degeneration of both exponents to zero, and upper bounds
-for the genus min-max levels of the dual functional.  Everything is
-deterministic given (config, seed).
+for the genus min-max levels of the dual functional.  The studies that
+move the exponents toward a limit walk their paths through run_sweep, the
+one warm-started loop.  Everything is deterministic given (config, seed).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .dual import (
     compute_dual,
     reconstruct_solution,
 )
-from .exponents import ExponentPair, Region, c_from_lambda, classify_region
+from .exponents import ExponentPair, Region, classify_region
 from .greens import NumericalFailure, solve_neumann
 from .grid import RadialGrid, interval_grid
 from .report_io import write_csv_rows
@@ -120,6 +121,15 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     return SweepResult(rows)
 
 
+def _walk(spec: SweepSpec) -> list[dict]:
+    """run_sweep's rows; a failed sample raises NumericalFailure naming its (p, q)."""
+    rows = run_sweep(spec).rows
+    for row in rows:
+        if row["error"] is not None:
+            raise NumericalFailure(f"path sample p={row['p']!r}, q={row['q']!r} failed: {row['error']}")
+    return rows
+
+
 @dataclass
 class ClassificationReport:
     q: float
@@ -159,23 +169,19 @@ def classify_pq_to_1(
         raise ValueError("side must be 'above' or 'below'")
     if dim != 1:
         raise ValueError("the classification experiment runs on intervals")
+    if not all(0 < s < (1 if side == "below" else math.inf) for s in offsets):
+        raise ValueError(f"every offset must be > 0, and < 1 below pq = 1 so that p > 0, got {list(offsets)}")
     opts = opts or SolverOptions()
     grid = interval_grid(length=length, n=n)
     mu1 = 1.0 / compute_dual(ExponentPair(1.0 / q, q, dim), grid, opts).d_estimate
     if abs(mu1 - 1.0) < 1e-8:
         raise ValueError("mu_1 = 1: the trend is not classified on this domain")
     sgn = 1.0 if side == "above" else -1.0
-    levels: list[float] = []
-    sups: list[float] = []
-    offs = sorted(offsets, reverse=True)
-    warm = None
-    for s in offs:
-        e = ExponentPair((1.0 + sgn * s) / q, q, dim)
-        dp = compute_dual(e, grid, opts, warm_start=warm)
-        rep = reconstruct_solution(e, dp)
-        levels.append(abs(rep.c))
-        sups.append(rep.u.sup_norm())
-        warm = dp
+    # SweepSpec visits t ascending, so t = -offset walks toward pq = 1 and
+    # warm-starts each sample from the one farther out (as do the other studies)
+    rows = _walk(SweepSpec(lambda t: (1.0 - sgn * t) / q, lambda t: q, [-s for s in offsets], grid, opts))
+    levels = [abs(row["c"]) for row in rows]
+    sups = [row["u_max"] for row in rows]
     diffs = np.diff(levels)
     increasing = bool(np.all(diffs > 0))
     decreasing = bool(np.all(diffs < 0))
@@ -194,7 +200,7 @@ def classify_pq_to_1(
         length=length,
         side=side,
         mu1=mu1,
-        offsets=list(offs),
+        offsets=[-row["t"] for row in rows],
         levels=levels,
         sup_norms=sups,
         monotone=monotone,
@@ -245,17 +251,9 @@ def estimate_frak_c(
     if abs(e_prime) < 1e-8:
         raise ValueError("path with e'(0) = 0: the expansion degenerates")
     grid = interval_grid(length=math.pi, n=n)
-    ts = sorted(ts, reverse=True)
-    lambdas = []
-    logs = []
-    warm = None
-    for t in ts:
-        e = ExponentPair(p_of(t), q_of(t), 1)
-        dp = compute_dual(e, grid, opts, warm_start=warm)
-        lam = 1.0 / dp.d_estimate
-        lambdas.append(lam)
-        logs.append(math.log(lam) / (e.p * e.q - 1.0))
-        warm = dp
+    rows = _walk(SweepSpec(lambda t: p_of(-t), lambda t: q_of(-t), [-t for t in ts], grid, opts))
+    lambdas = [row["Lambda"] for row in rows]
+    logs = [math.log(row["Lambda"]) / (row["p"] * row["q"] - 1.0) for row in rows]
     seq = list(logs)
     while len(seq) > 1:
         seq = [2.0 * seq[i + 1] - seq[i] for i in range(len(seq) - 1)]
@@ -266,17 +264,15 @@ def estimate_frak_c(
     integrand = phi2 * np.log(phi2, out=np.zeros_like(phi2), where=phi2 > 0.0)
     reference = math.exp(-grid.integrate_values(integrand))
 
-    t_last = ts[-1]
-    e_last = ExponentPair(p_of(t_last), q_of(t_last), 1)
-    c_last = c_from_lambda(e_last, lambdas[-1])
+    last = rows[-1]
     return FrakCReport(
         extrapolated=frak_c,
         reference=reference,
         e_prime=e_prime,
-        ts=list(ts),
+        ts=[-row["t"] for row in rows],
         lambdas=lambdas,
         log_values=logs,
-        c_over_offset=c_last / (e_last.p * e_last.q - 1.0),
+        c_over_offset=last["c"] / (last["p"] * last["q"] - 1.0),
         c_over_offset_target=frak_c / 4.0,
     )
 
@@ -328,15 +324,11 @@ def continuation_lambda(
     basis {1, p, p ln p, p^2} on the four samples absorbs both slopes (plain
     Richardson overshoots on the logarithmic term).
     """
-    opts = opts or SolverOptions()
-    ps = sorted(ps, reverse=True)
-    lams = []
-    warm = None
-    for p in ps:
-        dp = compute_dual(ExponentPair(p, q, grid.dim), grid, opts, warm_start=warm)
-        lams.append(1.0 / dp.d_estimate)
-        warm = dp
-    parr = np.asarray(ps)
+    if not all(p > 0 for p in ps):
+        raise ValueError(f"every p must be > 0 for the dual solver, got {list(ps)}")
+    rows = _walk(SweepSpec(lambda t: -t, lambda t: q, [-p for p in ps], grid, opts or SolverOptions()))
+    lams = [row["Lambda"] for row in rows]
+    parr = np.asarray([row["p"] for row in rows])
     basis = np.vstack([np.ones_like(parr), parr, parr * np.log(parr), parr**2]).T
     coeffs = np.linalg.solve(basis, np.asarray(lams))
     return float(coeffs[0]), lams

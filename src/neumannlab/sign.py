@@ -266,7 +266,9 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
     gives a balanced u back.  Raises OscillationDetected when the pattern
     cycles; an exhausted budget is reported as converged=False.  Residuals
     are sup norms away from the interface, where the exact solution's second
-    derivatives jump and nodal finite differences cannot vanish.
+    derivatives jump and nodal finite differences cannot vanish.  converged
+    reads the loop settling, the balance certificate and residual_v; residual_u
+    is not gated (at q = 0.1, N = 2..6, n = 2000 it is 5.9e-2 to 7.6e-2 of max |v|^q).
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neumannlab import experiments
-from neumannlab.dual import SolverOptions, compute_dual
+from neumannlab.dual import SolverOptions, compute_dual, reconstruct_solution
 from neumannlab.exponents import ExponentPair
 from neumannlab.experiments import (
     SweepSpec,
@@ -19,7 +19,7 @@ from neumannlab.experiments import (
     ls_upper_bounds,
     run_sweep,
 )
-from neumannlab.greens import solve_increasing, solve_neumann
+from neumannlab.greens import NumericalFailure, solve_increasing, solve_neumann
 from neumannlab.grid import interval_grid, unit_ball_grid
 from neumannlab.sign import solve_sign_system
 
@@ -160,6 +160,76 @@ def test_continuation_limits():
     lam_direct = solve_sign_system(1.0, line).lam
     assert abs(lam_cont / lam_direct - 1.0) <= 1e-3
     assert len(samples) == 4
+
+
+def _warm_chain(pairs, grid):
+    """compute_dual over pairs in the given order, each warm-started from the one before."""
+    dps, warm = [], None
+    for e in pairs:
+        warm = compute_dual(e, grid, warm_start=warm)
+        dps.append(warm)
+    return dps
+
+
+def test_studies_walk_their_paths_toward_the_limit():
+    # each sample is bit for bit the sample of an explicit warm-started chain
+    # run from the farthest point to the nearest, whatever order the input has
+    grid = interval_grid(1.0, n=400)
+    rep = classify_pq_to_1(1.0, 1, "above", 1.0, n=400, offsets=(0.05, 0.2, 0.025, 0.1))
+    pairs = [ExponentPair(1.0 + s, 1.0, 1) for s in (0.2, 0.1, 0.05, 0.025)]
+    reps = [reconstruct_solution(e, dp) for e, dp in zip(pairs, _warm_chain(pairs, grid))]
+    assert rep.offsets == [0.2, 0.1, 0.05, 0.025]
+    assert rep.levels == [abs(r.c) for r in reps]
+    assert rep.sup_norms == [r.u.sup_norm() for r in reps]
+
+    frak = estimate_frak_c(n=400, ts=(0.025, 0.1, 0.05))
+    pairs = [ExponentPair(1.0 + t, 1.0, 1) for t in (0.1, 0.05, 0.025)]
+    assert frak.ts == [0.1, 0.05, 0.025]
+    assert frak.lambdas == [1.0 / dp.d_estimate for dp in _warm_chain(pairs, interval_grid(math.pi, n=400))]
+
+    _, lams = continuation_lambda(1.0, grid, ps=(0.05, 0.2, 0.025, 0.1))
+    pairs = [ExponentPair(p, 1.0, 1) for p in (0.2, 0.1, 0.05, 0.025)]
+    assert lams == [1.0 / dp.d_estimate for dp in _warm_chain(pairs, grid)]
+
+
+@pytest.mark.parametrize(
+    "study, sample",
+    [
+        (lambda opts: estimate_frak_c(n=300, opts=opts), "p=1.1, q=1.0"),
+        (lambda opts: continuation_lambda(1.0, interval_grid(1.0, n=300), opts), "p=0.2, q=1.0"),
+    ],
+    ids=["frak-c", "continuation"],
+)
+def test_study_names_the_sample_that_failed(study, sample):
+    with pytest.raises(NumericalFailure, match=f"path sample {sample} failed: dual iteration did not converge"):
+        study(SolverOptions(max_iter=1))
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("the inputs should be refused before any solve")
+
+
+@pytest.mark.parametrize(
+    "side, offsets",
+    [
+        ("above", (0.2, 0.1, -0.1)),  # -0.1 would solve a sample below pq = 1
+        ("above", (0.1, 0.0)),  # on the hyperbola
+        ("above", (0.1, float("nan"))),
+        ("below", (0.2, 1.0)),  # p = 0
+        ("below", (0.2, 1.5)),  # p < 0
+    ],
+)
+def test_classification_checks_offsets_before_solving(monkeypatch, side, offsets):
+    monkeypatch.setattr(experiments, "compute_dual", _no_solve)
+    with pytest.raises(ValueError, match="every offset must be"):
+        classify_pq_to_1(1.0, 1, side, 1.0, n=300, offsets=offsets)
+
+
+@pytest.mark.parametrize("ps", [(0.1, 0.0), (0.1, -0.05), (0.1, float("nan"))])
+def test_continuation_checks_p_before_solving(monkeypatch, ps):
+    monkeypatch.setattr(experiments, "compute_dual", _no_solve)
+    with pytest.raises(ValueError, match="every p must be > 0"):
+        continuation_lambda(1.0, interval_grid(1.0, n=300), ps=ps)
 
 
 @pytest.mark.parametrize("p,q", [(2.0, 2.0), (3.0, 1.5)])
