@@ -5,9 +5,10 @@ boundary data is solved through its dual formulation: the level
 D = sup int f K g over mean-zero densities with Lebesgue-norm constraints,
 whose reciprocal is the nonlinear Neumann eigenvalue Lambda and whose
 maximizers reconstruct the least-energy solution pair.  The sign-limit
-p = 0 (and the scalar limit p = q = 0) is handled by a fixed point over
-balanced level sets, and the closed-form radial solutions of the biharmonic
-sign problem certify symmetry breaking on balls.
+p = 0 (and the scalar limit p = q = 0) is solved by one application of the
+balanced-level-set map to the step that changes sign at the radius halving
+the measure, certified as its fixed point, and the closed-form radial
+solutions of the biharmonic sign problem certify symmetry breaking on balls.
 
 The solvers log one DEBUG record per solve to the "neumannlab" logger, which
 is silent until the application configures logging.
@@ -74,7 +75,6 @@ from .grid import (
 )
 from .sign import (
     BalancedFunction,
-    OscillationDetected,
     certify_balanced,
     solve_scalar_sign,
     solve_sign_system,

@@ -6,10 +6,12 @@ study to CSV), asympt (symmetry-breaking verdicts across dimensions) and
 oracle (small-grid brute force against the iteration).  Each subcommand
 declares only the flags it reads; they can also come from a JSON config
 file, whose keys are those flags' names (max_iter for --max-iter), and
-explicit flags win.  The solvers take only --tol (finite, >= 0) and
---max-iter (>= 1); a cold dual solve starts from the first cosine mode (with
-n >= 8000 from the n = 2000 solve), and each sweep sample after the first
-continues from the previous sample's pair unless that sample failed.
+explicit flags win.  The dual solver takes only --tol (finite, >= 0) and
+--max-iter (>= 1); solve refuses both with --p 0, whose sign problem is
+solved without iteration (iterations reads 1).  A cold dual solve starts
+from the first cosine mode (with n >= 8000 from the n = 2000 solve), and
+each sweep sample after the first continues from the previous sample's
+pair unless that sample failed.
 `main` merges the config, makes the output directory and alone maps
 exceptions to exit codes: 0 success, 1 configuration error (a usage error,
 an unreadable or ill-typed config file, an output directory that cannot be
@@ -110,6 +112,9 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         raise ValueError("solve needs --p and --q")
     grid = _grid_from(cfg)
     e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
+    refused = [f"--{key.replace('_', '-')}" for key in ("tol", "max_iter") if key in cfg]
+    if e.p == 0.0 and refused:
+        raise ValueError(f"p = 0 takes no {' or '.join(refused)}: the sign problem is solved without iteration")
     opts = _solver_options(cfg)
     if e.p > 0 and e.on_hyperbola:
         raise ValueError("hyperbola: level undefined (pq = 1)")
@@ -122,7 +127,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
     }
     try:
         if e.p == 0.0:
-            rep = solve_sign_system(e.q, grid, opts)
+            rep = solve_sign_system(e.q, grid)
         else:
             rep = reconstruct_solution(e, compute_dual(e, grid, opts))
     except NumericalFailure as exc:

@@ -334,11 +334,14 @@ def _ascend(
 
 
 def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None = None) -> float:
-    """Nonlinear eigenvalue Lambda = 1/D; delegates p = 0 to the sign solver."""
+    """Nonlinear eigenvalue Lambda = 1/D; delegates p = 0 to the sign solver,
+    which runs no iteration and so refuses opts."""
     if e.p == 0.0:
         from .sign import solve_sign_system
 
-        return solve_sign_system(e.q, grid, opts).lam
+        if opts is not None:
+            raise ValueError("p = 0 takes no solver options: the sign problem is solved without iteration")
+        return solve_sign_system(e.q, grid).lam
     return 1.0 / compute_dual(e, grid, opts).d_estimate
 
 

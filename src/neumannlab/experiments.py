@@ -240,8 +240,12 @@ def estimate_frak_c(
     with the limit factor (p+1)(q+1) = 4.  The reference value is
     exp(-int phi_1^2 ln phi_1^2) with phi_1 the L^2-normalized eigenfunction,
     evaluated by quadrature.  Paths with e'(0) = 0 (e.g. pq constant) carry
-    no first-order information and are rejected.
+    no first-order information and are rejected, as are ts that are not
+    positive and halving: the Richardson step 2 s[i+1] - s[i] assumes it.
     """
+    desc = sorted(ts, reverse=True)
+    if not all(t > 0 for t in desc) or any(not math.isclose(2.0 * b, a, rel_tol=1e-12) for a, b in zip(desc, desc[1:])):
+        raise ValueError(f"every t must be > 0 and, sorted descending, each half the one before, got {list(ts)}")
     opts = opts or SolverOptions()
     delta = 1e-6
     e0 = p_of(0.0) * q_of(0.0) - 1.0
@@ -299,7 +303,7 @@ def check_pq_to_0(
     """Levels c_{p,p} on the unit interval against the scalar sign limit 2 c_0."""
     opts = opts or SolverOptions()
     grid = interval_grid(length=1.0, n=n)
-    _, c0 = solve_scalar_sign(grid, opts)
+    _, c0 = solve_scalar_sign(grid)
     ps = sorted(ps, reverse=True)
     levels = []
     gaps = []

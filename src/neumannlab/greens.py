@@ -22,11 +22,11 @@ every exponent t != 1: it evaluates -mean(u) first, against a target on the
 moment's own mass, and on a miss takes guarded Newton steps on the side of
 -mean(u) that holds the root.  balanced_shift finds the constant putting a
 function into the balanced class (positive and negative level sets of equal
-weighted measure), which is the natural normalization for the
-sign-nonlinearity limit.  solve_increasing, Illinois regula falsi with a
-bisection safeguard and guarded Newton steps where the slope is known, is
-the bracketing root finder behind kappa_shift and the sign solver's
-sub-cell balance; the genus bounds' constraint scale
+weighted measure) at the nodal weighted median; the sign solvers balance
+at sub-cell resolution instead and no solver calls it.  solve_increasing,
+Illinois regula falsi with a bisection safeguard and guarded Newton steps
+where the slope is known, is the bracketing root finder behind
+kappa_shift; the genus bounds' constraint scale
 (experiments._constraint_scale) runs its own row-wise Newton iteration.
 """
 

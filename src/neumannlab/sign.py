@@ -6,45 +6,37 @@ balanced class (positive and negative level sets of equal measure) instead
 of a vanishing power-mean.  The eigenvalue generalizes to
 Lambda = ||Lap u||_beta / ||u||_1 over balanced u, and the level satisfies
 Lambda^(-(q+1)) = -(q+1) c.  Both the coupled problem and the scalar limit
--Lap u = sign(u) (reached when q also degenerates) are solved by one
-fixed-point loop through the Green machinery, started once from the
-balanced sign-change profile a - r: the sign pattern determines the next
-iterate exactly, so iterates live in a finite state space and the loop
-either reaches a fixed pattern or exposes a cycle.
+-Lap u = sign(u) (reached when q also degenerates) are fixed points of the
+balanced-level-set map u -> K(data of sign u) + balancing constant.  On a
+radial domain the least-energy solution is decreasing and changes sign
+once, at the radius a = L 2^(-1/N) that halves the measure, so its sign is
+the step +1 on r < a, -1 on r > a, and one application of the map to that
+step is the solution: no iteration runs, and `iterations` reads 1.
 
 Level sets are measured below the grid scale, in one way throughout: the
 crossings of u are the roots of its four-node local cubic, and {u >= 0},
 {u < 0} are unions of the intervals between them, each of exact measure
-sigma_N (W(b) - W(a)).  Every iterate is shifted to balance these
-measures, and certify_balanced tests the returned solution with the same
-measure, so the solvers return the fixed point itself and its first
-crossing is the interface radius.
+sigma_N (W(b) - W(a)).  The constructed u is shifted so that its local
+cubic vanishes at a, and the fixed-point certificate reads it back: u
+changes sign exactly once and certify_balanced certifies its level sets,
+so its sign is the step it was built from.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .dual import RESIDUAL_TOL, SolutionReport, SolverOptions
+from .dual import RESIDUAL_TOL, SolutionReport
 from .exponents import ExponentPair, c_from_lambda
-from .greens import (
-    BracketError,
-    NumericalFailure,
-    _signed_power,
-    balanced_shift,
-    kappa_shift,
-    solve_increasing,
-    solve_neumann,
-)
+from .greens import NumericalFailure, _signed_power, kappa_shift, solve_neumann
+from .greens import balanced_shift  # noqa: F401  -- unused; perfbench's tracer still patches sign.balanced_shift
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cubic
 
 __all__ = [
     "BalancedFunction",
-    "OscillationDetected",
     "certify_balanced",
     "solve_sign_system",
     "solve_scalar_sign",
@@ -53,14 +45,6 @@ __all__ = [
 SIGN_BAND = 1e-10  # zero band, relative to the sup norm
 
 _log = logging.getLogger(__name__)
-
-
-class OscillationDetected(NumericalFailure):
-    """The sign pattern entered a cycle instead of a fixed point."""
-
-    def __init__(self, cycle_length: int):
-        super().__init__(f"sign pattern cycles with period {cycle_length}")
-        self.cycle_length = cycle_length
 
 
 @dataclass
@@ -76,8 +60,8 @@ class BalancedFunction:
 def _signs(values: np.ndarray) -> np.ndarray:
     """Nodewise sign with a zero band |u| <= 1e-10 ||u||_inf.
 
-    The relative band keeps nodes that straddle the interface from
-    chattering between iterations.
+    The relative band keeps rounding-level values at the interface out of
+    the pattern.
     """
     band = SIGN_BAND * float(np.max(np.abs(values)))
     return np.where(values > band, 1.0, np.where(values < -band, -1.0, 0.0))
@@ -96,10 +80,6 @@ def certify_balanced(u: GridFunction) -> BalancedFunction:
     pos = grid.surface * float(seglen[signs > 0].sum())
     neg = grid.surface * float(seglen[signs < 0].sum())
     return BalancedFunction(u, pos, neg, abs(pos - neg) <= 1e-12 * grid.domain_measure)
-
-
-def _pattern_key(s: np.ndarray) -> bytes:
-    return s.astype(np.int8).tobytes()
 
 
 def _interface_mask(sign_vals: np.ndarray, halo: int = 2) -> np.ndarray:
@@ -137,6 +117,14 @@ def _crossing_radii(grid: RadialGrid, vals: np.ndarray) -> list[float]:
     return roots
 
 
+def _cubic_at(grid: RadialGrid, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The local cubics of vals evaluated at the radii x."""
+    cells = np.clip(np.searchsorted(grid.r, x) - 1, 0, grid.n - 1)
+    starts, c = local_cubic(vals, cells)
+    t = (x - grid.r[starts]) / grid.h
+    return ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
+
+
 def _level_sets(grid: RadialGrid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The intervals between the crossings of vals: (signs, marks), where
     vals has sign signs[k] on (marks[k], marks[k + 1]) and vals >= 0 counts
@@ -144,33 +132,6 @@ def _level_sets(grid: RadialGrid, vals: np.ndarray) -> tuple[np.ndarray, np.ndar
     cuts = _crossing_radii(grid, vals)
     lead = 1.0 if vals[0] >= 0 else -1.0
     return lead * (-1.0) ** np.arange(len(cuts) + 1), np.array([0.0] + cuts + [grid.length])
-
-
-def _subcell_balance_shift(grid: RadialGrid, vals: np.ndarray) -> float:
-    """Constant c balancing the measures of {u + c > 0} and {u + c < 0}
-    with the level sets read from the cubic interpolant.
-
-    The nodal weighted median pins the interface to a node, an O(h)
-    placement error the sign solvers cannot afford; the interpolated
-    balance puts the fixed-point interface at the exact measure-median
-    radius.  The map c -> signed measure difference is monotone, so
-    solve_increasing converges; data it cannot bracket (a constant, which
-    no shift makes change sign) falls back to the nodal median.
-    """
-
-    def imbalance(c: float) -> float:
-        signs, marks = _level_sets(grid, vals + c)
-        return float((signs * np.diff(grid.weight_primitive(marks))).sum())
-
-    lo, hi = -float(np.max(vals)), -float(np.min(vals))
-    # the shift moves values of size ||u||_inf: a few of their float spacings
-    # resolve it, and a root near zero is not chased into tiny floats
-    width = 4.0 * np.finfo(float).eps * max(abs(lo), abs(hi))
-    try:
-        lo, hi = solve_increasing(imbalance, lo, hi, width=width)
-    except BracketError:
-        return balanced_shift(grid, vals)
-    return 0.5 * (lo + hi)
 
 
 def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
@@ -184,111 +145,80 @@ def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
     if not cuts.size:
         return grid.lp_norm_values(vals, 1)
     cum = grid.cumulative_weighted(vals)
-    cells = np.clip(np.searchsorted(grid.r, cuts) - 1, 0, grid.n - 1)
-    starts, c = local_cubic(cum, cells)
-    t = (cuts - grid.r[starts]) / grid.h
-    at_cuts = ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
-    values = np.concatenate(([cum[0]], at_cuts, [cum[-1]]))
+    values = np.concatenate(([cum[0]], _cubic_at(grid, cum, cuts), [cum[-1]]))
     return grid.surface * float(np.abs(np.diff(values)).sum())
 
 
-def _solve_step(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
-    """K applied to sign(u), the step integrated exactly.
+def _balanced_radius(grid: RadialGrid) -> float:
+    """a = L 2^(-1/N), the radius that halves the domain's measure."""
+    return grid.length * 2.0 ** (-1.0 / grid.dim)
 
-    A nodal +-1 pattern misplaces the true step by up to half a cell; since
-    the data is piecewise constant by structure, the operator is instead
-    evaluated in closed form at the cubic-refined crossing radii of u.  With
-    H the flux int_0^r s^(dim-1) (step - mean) ds, K step = Phi H -
-    int_0^r Phi dH before the mean is removed, and both integrals are
-    differences of the grid's elementary primitives W and G.
+
+def _zero_at_balance(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
+    """vals shifted by the constant that puts a root of its local cubic at a
+    (the interpolating cubic of vals + c is the cubic of vals plus c)."""
+    return vals - _cubic_at(grid, vals, np.array([_balanced_radius(grid)]))[0]
+
+
+def _certified(u: GridFunction) -> bool:
+    """The fixed-point certificate: u changes sign exactly once, between
+    balanced level sets, so its interface is at a and its sign is the step
+    (or its negative) that u was built from."""
+    return len(_crossing_radii(u.grid, u.values)) == 1 and certify_balanced(u).certified
+
+
+def _step_potential(grid: RadialGrid) -> np.ndarray:
+    """K applied to the balanced step, +1 on r < a and -1 on r > a.
+
+    The step is integrated exactly rather than sampled at the nodes, which
+    would misplace it by up to half a cell.  With H the flux
+    int_0^r s^(dim-1) (step - mean) ds, K step = Phi H - int_0^r Phi dH
+    before the mean is removed, and both integrals are differences of the
+    grid's elementary primitives W and G.
     """
-    signs, marks = _level_sets(grid, vals)
-    if len(signs) == 1:
-        raise NumericalFailure("sign data does not change sign; the iterate degenerated")
-    # rows W and G, at the nodes and at the marks; both increase, so
-    # clipping their values clips the radius
+    a = _balanced_radius(grid)
+    # rows W and G, at the nodes and at a; both increase from 0 at the origin,
+    # so int_0^r step dW = 2 W(min(r, a)) - W(r), and likewise for G
     nodes = np.stack([grid.weight_primitive(grid.r), grid.kernel_primitive(grid.r)])
-    at = np.stack([grid.weight_primitive(marks), grid.kernel_primitive(marks)])[:, :, None]
-    integrals = np.zeros_like(nodes)  # int_0^r step dW and int_0^r step dG
-    for k in range(len(marks) - 1):
-        integrals += signs[k] * (np.clip(nodes, at[:, k], at[:, k + 1]) - at[:, k])
-    # the step's mean, int_0^L step dW / W(L), is removed as a constant
+    at_a = np.array([grid.weight_primitive(a), grid.kernel_primitive(a)])[:, None]
+    integrals = 2.0 * np.minimum(nodes, at_a) - nodes
+    # the step's mean, int_0^L step dW / W(L), zero up to rounding, is removed as a constant
     flux, kernel_flux = integrals - integrals[0, -1] / nodes[0, -1] * nodes
     out = grid.phi * flux - kernel_flux
     return out - grid.mean_values(out)
 
 
-def _sign_change_profile(grid: RadialGrid) -> np.ndarray:
-    """a - r with a = L 2^(-1/N), the radius that halves the domain's measure."""
-    return grid.length * 2.0 ** (-1.0 / grid.dim) - grid.r
-
-
-def _sign_fixed_point(
-    grid: RadialGrid,
-    step: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray | None]],
-    opts: SolverOptions,
-) -> tuple[np.ndarray, np.ndarray | None, int, bool]:
-    """Iterate u -> step(u) + balancing constant from the sign-change profile.
-
-    `step` maps the nodal values of u to (w, v): w is the next iterate
-    before the sub-cell balance shift, v whatever the caller reports with
-    it.  Stops when the L^1 step falls below tol * max(1, ||u||_1).
-    Returns (u, v, iterations, converged); raises OscillationDetected when
-    a sign pattern recurs after more than one sweep and NumericalFailure
-    when w is not finite.
-    """
-    u = _sign_change_profile(grid)
-    u = u + _subcell_balance_shift(grid, u)
-    seen: dict[bytes, int] = {}
-    v = None
-    for it in range(1, opts.max_iter + 1):
-        key = _pattern_key(_signs(u))
-        prev_it = seen.get(key)
-        seen[key] = it
-        w, v = step(u)
-        if not np.all(np.isfinite(w)):
-            raise NumericalFailure(f"sweep {it} produced a non-finite iterate")
-        u_new = w + _subcell_balance_shift(grid, w)
-        l1_step = grid.lp_norm_values(u_new - u, 1)
-        u = u_new
-        if l1_step <= opts.tol * max(1.0, grid.lp_norm_values(u, 1)):
-            return u, v, it, True
-        if prev_it is not None and it - prev_it > 1:
-            raise OscillationDetected(it - prev_it)
-    return u, v, opts.max_iter, False
-
-
-def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = None) -> SolutionReport:
+def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     """Solve -Lap u = |v|^(q-1) v, -Lap v = sign(u) with balanced u.
 
-    Fixed point in the sign pattern, started from the balanced sign-change
-    profile: the pattern gives v through the q-normalized Green solve, v
-    gives a balanced u back.  Raises OscillationDetected when the pattern
-    cycles; an exhausted budget is reported as converged=False.  Residuals
-    are sup norms away from the interface, where the exact solution's second
-    derivatives jump and nodal finite differences cannot vanish.  converged
-    reads the loop settling, the balance certificate and residual_v; residual_u
-    is not gated (at q = 0.1, N = 2..6, n = 2000 it is 5.9e-2 to 7.6e-2 of max |v|^q).
+    One application of the balanced-level-set map to the step: v is the
+    step's potential plus the q-normalizing kappa root, and u is the Green
+    solve of |v|^(q-1) v, shifted so that its local cubic vanishes at a.
+    Raises NumericalFailure when the Green solve is not finite and
+    ValueError when the grid is too coarse to leave a node for the
+    residuals.  Residuals are sup norms away from the interface, where the
+    exact solution's second derivatives jump and nodal finite differences
+    cannot vanish.  converged reads the fixed-point certificate and
+    residual_v; residual_u is not gated (at q = 0.1, N = 2..6, n = 2000 it
+    is 5.9e-2 to 7.6e-2 of max |v|^q).
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
-    opts = opts or SolverOptions()
-
-    def step(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        v = _solve_step(grid, u)
-        kappa, power, _ = kappa_shift(grid, v, q)
-        # for q < 1 the kappa root carries a nodal Hoelder floor; project the
-        # leftover mean so the Green solve sees compatible data
-        power -= grid.mean_values(power)
-        # values by keyword: perfbench's tracer reads a second positional argument as a flag
-        return solve_neumann(grid, values=power), v + kappa
-
-    u, v, iters, ok = _sign_fixed_point(grid, step, opts)
-    _log.debug("sign solve q=%g, N=%d on n=%d: %d iterations, settled=%s", q, grid.dim, grid.n, iters, ok)
-    if u[0] < 0:
-        u, v = -u, -v
+    v = _step_potential(grid)
+    kappa, power, _ = kappa_shift(grid, v, q)
+    v = v + kappa
+    # for q < 1 the kappa root carries a nodal Hoelder floor; project the
+    # leftover mean so the Green solve sees compatible data
+    power -= grid.mean_values(power)
+    # values by keyword: perfbench's tracer reads a second positional argument as a flag
+    u = solve_neumann(grid, values=power)
+    if not np.all(np.isfinite(u)):
+        raise NumericalFailure("the Green solve of |v|^(q-1) v is not finite")
+    u = _zero_at_balance(grid, u)
     # Lambda = ||Lap u||_beta / ||u||_1 with Lap u = -|v|^(q-1) v
     beta_int = grid.integrate_values(np.abs(v) ** (q + 1.0))
+    if not beta_int > 0:  # the negative origin weights of N >= 3 on a coarse grid
+        raise NumericalFailure(f"the quadrature of |v|^(q+1) is {beta_int:.3e}, not positive")
     l1 = _l1_sharp(grid, u)
     lam = beta_int ** (q / (q + 1.0)) / l1
     c = c_from_lambda(ExponentPair(0.0, q, grid.dim), lam)
@@ -296,13 +226,14 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
 
     signs = _signs(u)
     smooth = ~_interface_mask(signs)
-    res_u_all = np.abs(-discrete_radial_laplacian(grid, u) - _signed_power(v, q))
-    res_v_all = np.abs(-discrete_radial_laplacian(grid, v) - signs)
-    res_u = float(res_u_all[smooth].max())
-    res_v = float(res_v_all[smooth].max())
+    if not smooth.any():
+        raise ValueError(f"n = {grid.n} is too coarse for the residuals: every node is in the interface band of u")
+    res_u = float(np.abs(-discrete_radial_laplacian(grid, u) - _signed_power(v, q))[smooth].max())
+    res_v = float(np.abs(-discrete_radial_laplacian(grid, v) - signs)[smooth].max())
     cuts = _crossing_radii(grid, u)
     u = GridFunction(grid, u)
-    converged = ok and certify_balanced(u).certified and res_v <= RESIDUAL_TOL
+    certified = _certified(u)
+    _log.debug("sign solve q=%g, N=%d on n=%d: direct construction, certified=%s", q, grid.dim, grid.n, certified)
     return SolutionReport(
         u=u,
         v=GridFunction(grid, v),
@@ -312,22 +243,20 @@ def solve_sign_system(q: float, grid: RadialGrid, opts: SolverOptions | None = N
         c_energy=c_energy,
         residual_u=res_u,
         residual_v=res_v,
-        iterations=iters,
-        converged=converged,
+        iterations=1,
+        converged=certified and res_v <= RESIDUAL_TOL,
         zero_radius=cuts[0] if cuts else None,
     )
 
 
-def solve_scalar_sign(grid: RadialGrid, opts: SolverOptions | None = None) -> tuple[GridFunction, float]:
+def solve_scalar_sign(grid: RadialGrid) -> tuple[GridFunction, float]:
     """Least-energy solution of -Lap u = sign(u) and its level.
 
-    Fixed point u -> K(sign u) + balancing constant, started from the
-    balanced sign-change profile.  At the fixed point the level reduces to
-    -(1/2) int |u|.  Raises OscillationDetected when the pattern cycles and
-    NumericalFailure when the iteration budget runs out.
+    The step's potential, shifted so that its local cubic vanishes at a.
+    At the fixed point the level reduces to -(1/2) int |u|.  Raises
+    NumericalFailure when the fixed-point certificate fails.
     """
-    opts = opts or SolverOptions()
-    u, _, iters, ok = _sign_fixed_point(grid, lambda u: (_solve_step(grid, u), None), opts)
-    if not ok:
-        raise NumericalFailure(f"scalar sign iteration did not settle in {iters} sweeps")
-    return GridFunction(grid, u), -0.5 * _l1_sharp(grid, u)
+    u = GridFunction(grid, _zero_at_balance(grid, _step_potential(grid)))
+    if not _certified(u):
+        raise NumericalFailure("the step potential fails the fixed-point certificate")
+    return u, -0.5 * _l1_sharp(grid, u.values)

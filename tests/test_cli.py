@@ -9,8 +9,7 @@ import neumannlab
 from neumannlab import dual, greens, sign
 from neumannlab.cli import main
 from neumannlab.dual import DegenerateIterateError, NonConvergenceError
-from neumannlab.greens import KappaShiftError
-from neumannlab.sign import OscillationDetected
+from neumannlab.greens import KappaShiftError, NumericalFailure
 
 
 def _assert_run_metadata(payload):
@@ -45,6 +44,7 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     assert code == 0
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=1e-10)
+    assert payload["iterations"] == 1  # one application of the balanced-level-set map
     assert payload["stop_reason"] is None  # the sign solver has no dual stop rule
     assert payload["kappa_evaluations"] is None
     assert payload["coarse_start"] is None
@@ -57,6 +57,22 @@ def test_solve_sign_case_large_q_on_a_ball(tmp_path):
     code = main(["solve", "--p", "0", "--q", "5", "--dim", "6", "--n", "2000", "--outdir", str(tmp_path)])
     assert code == 0
     assert json.loads((tmp_path / "solution.json").read_text())["converged"] is True
+
+
+@pytest.mark.parametrize("flags", [["--max-iter", "5"], ["--tol", "1e-8"], ["--tol", "1e-8", "--max-iter", "5"]])
+def test_solve_sign_case_refuses_iteration_options(tmp_path, capsys, flags):
+    code = main(["solve", "--p", "0", "--q", "1", "--n", "200", *flags, "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "p = 0 takes no --" in capsys.readouterr().err
+    assert not (tmp_path / "solution.json").exists()
+
+
+def test_solve_sign_case_on_a_grid_too_coarse_for_residuals(tmp_path, capsys):
+    code = main(["solve", "--p", "0", "--q", "1", "--n", "6", "--outdir", str(tmp_path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "configuration error: n = 6 is too coarse" in err
+    assert "zero-size" not in err
 
 
 def test_solve_rejects_hyperbola(tmp_path, capsys):
@@ -81,7 +97,7 @@ def test_solve_nonconvergence_exit_code(tmp_path):
         KappaShiftError("shift failed"),
         DegenerateIterateError("iterate collapsed"),
         NonConvergenceError("budget exhausted", 0.25, 1e-3, 7),
-        OscillationDetected(3),
+        NumericalFailure("the Green solve is not finite"),
     ],
     ids=lambda exc: type(exc).__name__,
 )

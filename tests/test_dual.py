@@ -495,6 +495,12 @@ def test_compute_lambda_delegates_sign_case():
     assert lam == pytest.approx(solve_sign_system(1.0, grid).lam, rel=1e-12)
 
 
+@pytest.mark.parametrize("opts", [SolverOptions(), SolverOptions(tol=1e-8), SolverOptions(max_iter=5)])
+def test_compute_lambda_refuses_options_for_the_sign_case(opts):
+    with pytest.raises(ValueError, match="p = 0 takes no solver options"):
+        compute_lambda(ExponentPair(0.0, 1.0, 1), interval_grid(1.0, n=200), opts)
+
+
 def _shooting_level(p: float, steps: int = 10000) -> float:
     """Diagonal level c_{p,p} on (0, 1) from the scalar ODE -u'' = |u|^(p-1) u.
 

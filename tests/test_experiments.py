@@ -225,6 +225,21 @@ def test_classification_checks_offsets_before_solving(monkeypatch, side, offsets
         classify_pq_to_1(1.0, 1, side, 1.0, n=300, offsets=offsets)
 
 
+@pytest.mark.parametrize(
+    "ts",
+    [
+        (0.1, 0.05, 0.0),  # t = 0 divides by pq - 1 = 0
+        (0.1, 0.05, -0.05),  # crosses the hyperbola; returned 2.687 against 2.311
+        (0.1, 0.06, 0.03),  # the Richardson step needs halving ts
+        (0.1, float("nan")),
+    ],
+)
+def test_frak_c_checks_ts_before_solving(monkeypatch, ts):
+    monkeypatch.setattr(experiments, "compute_dual", _no_solve)
+    with pytest.raises(ValueError, match="every t must be > 0"):
+        estimate_frak_c(n=300, ts=ts)
+
+
 @pytest.mark.parametrize("ps", [(0.1, 0.0), (0.1, -0.05), (0.1, float("nan"))])
 def test_continuation_checks_p_before_solving(monkeypatch, ps):
     monkeypatch.setattr(experiments, "compute_dual", _no_solve)

@@ -6,8 +6,7 @@ import pytest
 
 from neumannlab import sign
 from neumannlab.closed_form import m_rad, scalar_profile, zero_radius
-from neumannlab.dual import SolverOptions
-from neumannlab.greens import NumericalFailure, balanced_shift
+from neumannlab.greens import NumericalFailure
 from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
 from neumannlab.sign import (
     certify_balanced,
@@ -45,12 +44,6 @@ def test_scalar_interval_closed_form():
     diff = u.values - exact
     assert (diff.max() - diff.min()) / 2.0 <= 1e-7
     assert certify_balanced(u).certified
-
-
-def test_scalar_sign_raises_when_budget_runs_out():
-    grid = interval_grid(1.0, n=400)
-    with pytest.raises(NumericalFailure, match="did not settle in 1 sweeps"):
-        solve_scalar_sign(grid, SolverOptions(max_iter=1))
 
 
 def test_scalar_disk_matches_radial_profile():
@@ -109,7 +102,7 @@ def test_sign_system_interval_level():
 
 def test_sign_system_general_exponent_runs():
     grid = interval_grid(1.0, n=1000)
-    rep = solve_sign_system(2.0, grid, SolverOptions(max_iter=200))
+    rep = solve_sign_system(2.0, grid)
     assert rep.lam > 0
     assert rep.c < 0
     assert certify_balanced(rep.u).certified
@@ -132,7 +125,7 @@ def test_sign_system_small_exponent_hands_the_green_solve_mean_zero_data(dim, mo
     monkeypatch.setattr(sign, "solve_neumann", recorded)
     rep = solve_sign_system(0.01, grid)
     assert seen and max(seen) <= 1e-14
-    assert rep.iterations == 2
+    assert rep.iterations == 1
     assert rep.c < 0 and certify_balanced(rep.u).certified
 
 
@@ -153,23 +146,14 @@ def test_certify_balanced_reports_measures():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
 def test_step_solve_is_exact(dim):
-    # a linear u puts the cubic-refined crossing exactly at the balanced
-    # radius, and K sign(u) is then the closed-form profile up to a constant
+    # K applied to the balanced step is the closed-form profile up to a constant
     grid = make_grid(dim=dim, n=200)
     if dim == 1:
-        a = 0.5
-        exact = np.where(grid.r < a, -(grid.r**2) / 2.0, (1.0 - grid.r) ** 2 / 2.0 - 0.25)
+        exact = np.where(grid.r < 0.5, -(grid.r**2) / 2.0, (1.0 - grid.r) ** 2 / 2.0 - 0.25)
     else:
-        a = 2.0 ** (-1.0 / dim)
         exact = scalar_profile(dim, grid.r)
-    diff = sign._solve_step(grid, a - grid.r) - exact
+    diff = sign._step_potential(grid) - exact
     assert (diff.max() - diff.min()) / 2.0 <= 1e-14
-
-
-def test_step_without_sign_change_is_a_numerical_failure():
-    grid = interval_grid(1.0, n=100)
-    with pytest.raises(NumericalFailure, match="degenerated"):
-        sign._solve_step(grid, np.full_like(grid.r, 0.25))
 
 
 def test_crossing_radii_on_cubic_data_fine_grid():
@@ -182,41 +166,43 @@ def test_crossing_radii_on_cubic_data_fine_grid():
     assert abs(cuts[0] - root) <= 1e-14
 
 
-def test_subcell_balance_shift_evaluates_each_end_once(monkeypatch):
-    grid = unit_ball_grid(2, n=400)
-    u = np.cos(math.pi * grid.r) + 0.2 * grid.r
-    crossings, evaluations = [], []
-    crossing_radii, solve_increasing = sign._crossing_radii, sign.solve_increasing
-
-    def counted_crossings(grid, vals):
-        crossings.append(1)
-        return crossing_radii(grid, vals)
-
-    def counted_solve(fn, lo, hi, **kwargs):
-        def counted_fn(c):
-            evaluations.append(c)
-            return fn(c)
-
-        return solve_increasing(counted_fn, lo, hi, **kwargs)
-
-    monkeypatch.setattr(sign, "_crossing_radii", counted_crossings)
-    monkeypatch.setattr(sign, "solve_increasing", counted_solve)
-    c = sign._subcell_balance_shift(grid, u)
-    assert len(evaluations) > 2
-    assert len(crossings) == len(evaluations)  # the bracket ends are not evaluated twice
-    cut = crossing_radii(grid, u + c)[0]
-    assert abs(cut**2 - 0.5) <= 1e-12  # equal disk areas on either side
-
-
-def test_subcell_balance_shift_falls_back_without_sign_change():
-    grid = interval_grid(1.0, n=100)
-    u = np.full_like(grid.r, 0.25)
-    assert sign._subcell_balance_shift(grid, u) == balanced_shift(grid, u)
-
-
 def test_sign_solve_logs_one_debug_record(caplog):
     caplog.set_level(logging.DEBUG, logger="neumannlab")
     rep = solve_sign_system(1.0, unit_ball_grid(2, n=400))
     (record,) = [r for r in caplog.records if r.name.startswith("neumannlab")]
     assert record.levelno == logging.DEBUG and record.name == "neumannlab.sign"
-    assert f"{rep.iterations} iterations" in record.getMessage()
+    assert rep.iterations == 1
+    assert "direct construction, certified=True" in record.getMessage()
+
+
+@pytest.mark.parametrize("n", [50, 2000])
+@pytest.mark.parametrize("q", [0.01, 0.1, 1.0, 5.0, 29.0])
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_sign_system_crosses_once_at_the_balanced_radius(dim, q, n):
+    grid = make_grid(dim=dim, n=n)
+    rep = solve_sign_system(q, grid)
+    cuts = sign._crossing_radii(grid, rep.u.values)
+    assert len(cuts) == 1
+    assert abs(cuts[0] - 2.0 ** (-1.0 / dim)) <= 1e-12
+    assert rep.zero_radius == cuts[0]
+
+
+def test_a_second_sign_change_fails_the_certificate(monkeypatch):
+    # a profile with crossings at the balanced radius 1/2 and at 0.9
+    grid = interval_grid(1.0, n=400)
+    two_crossings = (grid.r - 0.5) * (grid.r - 0.9)
+    monkeypatch.setattr(sign, "solve_neumann", lambda grid, values: two_crossings.copy())
+    rep = solve_sign_system(1.0, grid)
+    assert len(sign._crossing_radii(grid, rep.u.values)) == 2
+    assert not sign._certified(rep.u) and not rep.converged
+    monkeypatch.setattr(sign, "_step_potential", lambda grid: two_crossings.copy())
+    with pytest.raises(NumericalFailure, match="certificate"):
+        solve_scalar_sign(grid)
+
+
+def test_a_negative_quadrature_of_the_power_is_a_numerical_failure():
+    # q = 29 on N = 5, n = 6: the negative origin weight outweighs |v|^30,
+    # whose mass sits at the origin; Lambda = beta_int^(q/(q+1)) / ||u||_1
+    # would be complex
+    with pytest.raises(NumericalFailure, match="not positive"):
+        solve_sign_system(29.0, make_grid(dim=5, n=6))
