@@ -17,10 +17,12 @@ discrete level is a quadrature artifact.
 
 A cold solve starts from the first cosine mode, except on grids with
 n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid of the
-same domain and starts from that pair, lifted to the fine nodes by cubic
-interpolation (nested iteration).  A warm start from another n of the same
-domain is lifted the same way.  The returned pair records the coarse solve
-and the two-grid D gap in `coarse_start`.
+same domain and starts from that pair, lifted to the fine nodes by the
+coarse grid's local cubics (nested iteration).  A warm start from another n
+of the same domain is lifted the same way.  All three starts pass through
+one normalizer, which removes the means, scales to unit L^alpha and L^beta
+and forms K g.  The returned pair records the coarse solve and the two-grid
+D gap in `coarse_start`.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
@@ -41,7 +43,7 @@ import numpy as np
 
 from .exponents import ExponentPair, HyperbolaError, Region, classify_region, c_from_lambda
 from .greens import NumericalFailure, _signed_power, green_apply, kappa_shift, solve_neumann
-from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cubic, make_grid
+from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, make_grid
 
 __all__ = [
     "SolverOptions",
@@ -59,6 +61,7 @@ __all__ = [
 COARSE_N = 2000  # n of the nested start's coarse level, taken by cold solves with n >= 4 COARSE_N
 RESIDUAL_TOL = 1e-4  # relative equation-defect bound behind `converged`
 ENVELOPE_TOL = 1e-5  # relative D envelope over 32 sweeps accepted as a limit cycle
+ORACLE_STEPS = 4000  # gradient-ascent steps per start of oracle_dual_smallgrid
 
 _log = logging.getLogger(__name__)
 
@@ -122,12 +125,6 @@ class DegenerateIterateError(NumericalFailure):
     """An iterate collapsed toward the constants (its mean-free part below 1e-14 of its mean)."""
 
 
-def _cosine_profile(grid: RadialGrid) -> np.ndarray:
-    """cos(pi r / L) minus its mean: the first nonconstant Neumann mode of an interval."""
-    vals = np.cos(np.pi * grid.r / grid.length)
-    return vals - grid.mean_values(vals)
-
-
 def _best_response(
     grid: RadialGrid, w: np.ndarray, expo: float, norm_expo: float, guess: float | None = None
 ) -> tuple[np.ndarray, float, int]:
@@ -156,28 +153,27 @@ def _best_response(
     return y, kappa, evaluations
 
 
-def _cosine_start(e: ExponentPair, grid: RadialGrid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f and g from the mean-zero first cosine mode, unit in L^alpha and L^beta, and K g."""
-    vals = _cosine_profile(grid)
-    g = vals / grid.lp_norm_values(vals, e.beta)
-    f = vals / grid.lp_norm_values(vals, e.alpha)
+def _start(e: ExponentPair, grid: RadialGrid, pair: DualPair | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, g and K g to start the loop on grid: the first cosine mode (pair
+    None) or pair's f and g at grid's nodes by RadialGrid.cubic_at, each
+    with its mean removed and scaled to unit L^alpha and L^beta, and K g by
+    solve_neumann.  Raises NumericalFailure when a norm is not positive on
+    grid's quadrature (the negative origin weights of a coarse ball)."""
+    if pair is None:
+        f = g = np.cos(np.pi * grid.r / grid.length)
+    else:
+        f, g = (pair.f.grid.cubic_at(y.values, grid.r) for y in (pair.f, pair.g))
+    f = f - grid.mean_values(f)
+    g = g - grid.mean_values(g)
+    norm_f, norm_g = grid.lp_norm_values(f, e.alpha), grid.lp_norm_values(g, e.beta)
+    if not (norm_f > 0.0 and norm_g > 0.0):
+        raise NumericalFailure(
+            f"start norms {norm_f:.3e} and {norm_g:.3e} are not both positive on the N = {grid.dim}, n = {grid.n} grid"
+        )
+    f /= norm_f
+    g /= norm_g
     # values by keyword: perfbench's tracer reads a second positional argument as a flag
     return f, g, solve_neumann(grid, values=g)
-
-
-def _lift(fn: GridFunction, grid: RadialGrid) -> np.ndarray:
-    """fn at the nodes of grid, by the 4-point cubic Lagrange interpolant on fn's
-    uniform nodes (grid.local_cubic's stencils); grid has fn's dim and length."""
-    x = grid.r / fn.grid.h
-    starts, coeffs = local_cubic(fn.values, np.minimum(x.astype(int), fn.grid.n - 1))
-    t = x - starts
-    return ((coeffs[:, 3] * t + coeffs[:, 2]) * t + coeffs[:, 1]) * t + coeffs[:, 0]
-
-
-def _coarse_solve(e: ExponentPair, grid: RadialGrid, opts: SolverOptions) -> DualPair:
-    """The pair solved from the cosine start on the COARSE_N grid of grid's dim and length."""
-    coarse = make_grid(grid.dim, COARSE_N, grid.length)
-    return _ascend(e, coarse, opts, *_cosine_start(e, coarse))
 
 
 def compute_dual(
@@ -200,11 +196,13 @@ def compute_dual(
       The coarse solve's cost breaks even near n = 6000 on the dual-cold
       pairs, hence the threshold.  If the coarse solve raises NumericalFailure, the solve
       logs one DEBUG record and takes the cosine start.
-    - Any other cold solve starts f and g from the mean-zero first cosine
-      mode cos(pi r / L).
-    The lift evaluates f and g at the new nodes by 4-point cubic Lagrange
-    interpolation on the old uniform nodes, removes their means,
-    renormalizes them in L^alpha and L^beta and forms K g by solve_neumann.
+    - Any other cold solve starts f and g from the first cosine mode
+      cos(pi r / L).
+    A pair on this grid is taken as it is, with its K g.  Every other start
+    goes through one normalizer, _start: the cosine mode or the pair's f
+    and g at the new nodes (4-point cubic Lagrange interpolation on the old
+    uniform nodes) lose their means and are scaled to unit L^alpha and
+    L^beta, and K g is formed by solve_neumann.
     Each sweep stops the loop, with that rule as `stop_reason`, when
     - step-small: D changed by at most opts.tol relative and the
       L^alpha x L^beta change of (f, g) is at most 2 opts.tol;
@@ -247,22 +245,16 @@ def compute_dual(
 
     coarse = None
     if warm_start is None and grid.n >= 4 * COARSE_N:
+        level = make_grid(grid.dim, COARSE_N, grid.length)
         try:
-            coarse = _coarse_solve(e, grid, opts)
+            coarse = _ascend(e, level, opts, *_start(e, level, None))
         except NumericalFailure as exc:
             _log.debug("dual solve %s on n=%d: coarse start failed (%s), cosine start", e, grid.n, exc)
     start = warm_start if warm_start is not None else coarse
-    if start is None:
-        f, g, kg = _cosine_start(e, grid)
-    elif start.f.grid == grid:
+    if start is not None and start.f.grid == grid:
         f, g, kg = start.f.values, start.g.values, start.kg
     else:
-        f, g = _lift(start.f, grid), _lift(start.g, grid)
-        f -= grid.mean_values(f)
-        g -= grid.mean_values(g)
-        f /= grid.lp_norm_values(f, e.alpha)
-        g /= grid.lp_norm_values(g, e.beta)
-        kg = solve_neumann(grid, values=g)
+        f, g, kg = _start(e, grid, start)
     dp = _ascend(e, grid, opts, f, g, kg)
     if coarse is not None:
         dp.coarse_start = {
@@ -407,16 +399,15 @@ def oracle_dual_smallgrid(
     grid: RadialGrid,
     restarts: int = 64,
     seed: int = 0,
-    steps: int = 4000,
 ) -> float:
     """Brute-force dual level on a tiny grid.
 
     Projected gradient ascent on the quotient int f K g / (||f||_alpha ||g||_beta)
-    over mean-zero nodal vectors, from `restarts` seeded random starts plus a
-    cosine start, keeping the best value found.  Independent of the
-    alternating iteration; exact gradients via the dense K matrix.  Raises
-    ValueError when a quadrature weight is not positive, as at the origin of
-    the balls with N >= 3 at these n.
+    over mean-zero nodal vectors, ORACLE_STEPS steps from each of `restarts`
+    seeded random starts and a cosine start, keeping the best value found.
+    Independent of the alternating iteration; exact gradients via the dense
+    K matrix.  Raises ValueError when a quadrature weight is not positive,
+    as at the origin of the balls with N >= 3 at these n.
     """
     if grid.n > 12:
         raise ValueError("the brute-force oracle is for grids with at most 12 panels")
@@ -452,7 +443,7 @@ def oracle_dual_smallgrid(
             g = -g
         val = quotient(f, g)
         step = 0.5
-        for _ in range(steps):
+        for _ in range(ORACLE_STEPS):
             kg = kmat @ g
             s = float(w @ (f * kg))
             gf = w * kg - s * w * _signed_power(f, alpha - 1.0) / norm(f, alpha) ** alpha

@@ -44,6 +44,8 @@ __all__ = [
     "continuation_lambda",
 ]
 
+GENUS_RESTARTS = 32  # seeded random starts of ls_upper_bounds for each k >= 2
+
 
 @dataclass
 class SweepSpec:
@@ -421,7 +423,6 @@ def ls_upper_bounds(
     k_max: int,
     grid: RadialGrid,
     opts: SolverOptions | None = None,
-    restarts: int = 32,
     seed: int = 0,
 ) -> list[float]:
     """Upper bounds for the genus min-max levels of Phi(f, g) = -int f K g.
@@ -436,7 +437,7 @@ def ls_upper_bounds(
 
     On the mode coefficients a, phi = -c^2 a.Q a, with Q the modes' Gram
     matrix under K.  All starts of one k (the previous k's best a padded
-    with a zero, e_k and `restarts` seeded normals) advance as one array by
+    with a zero, e_k and GENUS_RESTARTS seeded normals) advance as one array by
     the power iteration of _power_ascent: at k_max = 5 on n = 2000 about
     3700 start-sweeps (27 per start) in about 205 batched sweeps.
     """
@@ -462,7 +463,7 @@ def ls_upper_bounds(
     rng = np.random.default_rng(seed)
     nested: list[np.ndarray] = []
     for k in range(2, k_max + 1):
-        starts = np.vstack(nested + [np.eye(k)[k - 1], rng.standard_normal((restarts, k))])
+        starts = np.vstack(nested + [np.eye(k)[k - 1], rng.standard_normal((GENUS_RESTARTS, k))])
         a, history = _power_ascent(starts, modes[:k], wmodes[:k], quad[:k, :k], e)
         best = np.nanmax(history, axis=0)
         i = int(np.argmax(best))

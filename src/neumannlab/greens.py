@@ -22,11 +22,13 @@ every exponent t != 1: it evaluates -mean(u) first, against a target on the
 moment's own mass, and on a miss takes guarded Newton steps on the side of
 -mean(u) that holds the root.  balanced_shift finds the constant putting a
 function into the balanced class (positive and negative level sets of equal
-weighted measure) at the nodal weighted median; the sign solvers balance
-at sub-cell resolution instead and no solver calls it.  solve_increasing,
-Illinois regula falsi with a bisection safeguard and guarded Newton steps
-where the slope is known, is the bracketing root finder behind
-kappa_shift; the genus bounds' constraint scale
+weighted measure) at the nodal weighted median; the sign solvers build
+their solution with its interface at the balanced radius instead, and no
+solver calls it.  solve_increasing, Illinois regula falsi with a bisection
+safeguard and guarded Newton steps, is the bracketing root finder behind
+kappa_shift.  It has one calling convention, fn(x) -> (value, slope) with a
+NaN slope allowed, and evaluates an end of its bracket only when it closes
+on one that no iterate replaced.  The genus bounds' constraint scale
 (experiments._constraint_scale) runs its own row-wise Newton iteration.
 """
 
@@ -113,50 +115,35 @@ def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
 
 
 def solve_increasing(
-    fn: Callable, lo: float, hi: float, tol: float = 0.0, width: float = 0.0, start: float | None = None
+    fn: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float = 0.0, start: float = math.nan
 ) -> tuple[float, float]:
-    """Root of a nondecreasing fn by Illinois regula falsi, safeguarded by
-    bisection (Dowell and Jarratt 1971), or by guarded Newton steps.
+    """Root of a nondecreasing f on [lo, hi]: Illinois regula falsi with a
+    bisection safeguard (Dowell and Jarratt 1971) and guarded Newton steps.
 
-    Needs fn(lo) <= 0 <= fn(hi), else raises BracketError.  Returns (x, x)
-    for the first evaluated x with |fn(x)| <= tol.  Otherwise returns a
-    bracket with fn(lo) < 0 <= fn(hi) that is no wider than `width` or whose
-    ends are adjacent floats; for a monotone fn that adjacent pair is
-    unique, the one plain bisection reaches.  Whenever the bracket has
-    failed to halve over the last four steps the next step bisects, so it
-    halves at least once every five evaluations.
-
-    With `start` inside the bracket, fn returns (f(x), f'(x)) and the search
-    begins at start.  The next point is then the Newton step from the latest
-    iterate if that lies strictly inside the bracket and the halving guard
-    allows a non-bisection step; a slope that is not positive gives none.
-    The ends are evaluated only if the bracket closes on one of them.
+    fn(x) returns (f(x), f'(x)); a slope that is not positive, NaN
+    included, gives no Newton step.  The first point is `start` if it lies
+    inside the bracket, and each next one the Newton step from the latest
+    iterate if inside, else the secant through the ends (a bisection while
+    an end is unevaluated); a bracket that failed to halve over the last
+    four steps is bisected.  Returns (x, x) for the first x with
+    |f(x)| <= tol, else the adjacent floats across the sign change, which
+    for a monotone f are the pair plain bisection reaches.  The ends are
+    evaluated only if the bracket closes on one that no iterate replaced;
+    BracketError if f has no sign change there.
     """
-    if start is None:
-        flo, fhi = fn(lo), fn(hi)
-        if abs(flo) <= tol:
-            return lo, lo
-        if abs(fhi) <= tol:
-            return hi, hi
-    else:
-        flo, fhi = -math.inf, math.inf  # unevaluated ends: the secant through them bisects
-    if not flo < 0.0 < fhi:
-        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: fn = {flo:.3e}, {fhi:.3e}")
+    flo, fhi = -math.inf, math.inf  # unevaluated ends: the secant through them bisects
     widths = [hi - lo]
     moved = 0  # end the last step replaced: -1 lo, +1 hi
-    newton = math.nan if start is None else start  # the first Newton point is start
+    newton = start
     mid = 0.5 * (lo + hi)
-    while hi - lo > width and lo < mid < hi:
+    while lo < mid < hi:
         x = mid
         if len(widths) < 5 or widths[-1] <= 0.5 * widths[-5]:
             secant = newton if lo < newton < hi else lo + (hi - lo) * (flo / (flo - fhi))
             if lo < secant < hi:
                 x = secant
-        if start is None:
-            fx = fn(x)
-        else:
-            fx, slope = fn(x)
-            newton = x - fx / slope if slope > 0.0 else math.nan
+        fx, slope = fn(x)
+        newton = x - fx / slope if slope > 0.0 else math.nan
         if abs(fx) <= tol:
             return x, x
         # Illinois: an end kept for a second step in a row has its value
@@ -173,8 +160,17 @@ def solve_increasing(
             moved = 1
         widths.append(hi - lo)
         mid = 0.5 * (lo + hi)
-    if start is not None and math.isinf(flo - fhi):  # closed on an end no iterate replaced: check it
-        return solve_increasing(lambda end: fn(end)[0], lo, hi, tol, width)
+    # only an unevaluated end is tested against tol: Illinois may have halved a stored value
+    if flo == -math.inf:
+        flo = fn(lo)[0]
+        if abs(flo) <= tol:
+            return lo, lo
+    if fhi == math.inf:
+        fhi = fn(hi)[0]
+        if abs(fhi) <= tol:
+            return hi, hi
+    if not flo < 0.0 < fhi:
+        raise BracketError(f"no sign change on [{lo!r}, {hi!r}]: fn = {flo:.3e}, {fhi:.3e}")
     return lo, hi
 
 
@@ -208,8 +204,9 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     the Newton step from kappa0.  For t < 1, M' is infinite at a nodal zero,
     and a node value near the root makes M steeper than float spacing
     resolves; the root is then the adjacent pair of floats across which M
-    changes sign.  Raises KappaShiftError when u or M is not finite or
-    kappa meets neither rule.
+    changes sign.  Raises KappaShiftError when u or M is not finite, when
+    M has no sign change on the bracket (negative origin weights of a coarse
+    ball can keep it below 0) or when kappa meets neither rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -262,16 +259,18 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
         else:
             m1 = slope(power, size)
             start = kappa0 - total / m1 if m1 > 0.0 else math.nan
-        lo, hi = solve_increasing(with_slope, lo, hi, tol, start=start)
+        try:
+            lo, hi = solve_increasing(with_slope, lo, hi, tol, start=start)
+        except BracketError as exc:
+            raise KappaShiftError(f"normalizing shift (t = {t}): {exc}") from exc
+        # kappa is lo or hi, and each is the last evaluation on its side
         kappa = 0.5 * (lo + hi)
-        root_power = next((signed for at, signed in ends.values() if at == kappa), None)
+        root_power = next(signed for at, signed in ends.values() if at == kappa)
         # lo == hi met tol; adjacent ends must have the sign change across kappa
         if lo < hi and not moment(np.nextafter(kappa, -np.inf))[0] <= 0.0 <= moment(np.nextafter(kappa, np.inf))[0]:
             raise KappaShiftError(
                 f"normalizing shift did not converge (residual {moment(kappa)[0]:.3e}, target {tol:.3e})"
             )
-    if root_power is None:  # a later evaluation on kappa's side replaced it: an end checked again
-        root_power = _signed_power(values + kappa, t)
     return ShiftRoot(float(kappa), root_power, evaluations)
 
 

@@ -149,6 +149,14 @@ class RadialGrid:
         total = self.integrate_values(np.abs(values) ** s)
         return max(total, 0.0) ** (1.0 / s)
 
+    def cubic_at(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The local cubics of nodal values at the radii x in [0, L]: x in cell
+        floor(x / h) (the last cell for x = L) takes that cell's local_cubic."""
+        x = np.asarray(x) / self.h
+        starts, coeffs = local_cubic(values, np.minimum(x.astype(int), self.n - 1))
+        t = x - starts
+        return ((coeffs[:, 3] * t + coeffs[:, 2]) * t + coeffs[:, 1]) * t + coeffs[:, 0]
+
     def quadrature_defect(self) -> float:
         """Relative defect of the exactness identity int_0^L r^(dim-1) = L^dim / dim."""
         exact = self.length**self.dim / self.dim

@@ -31,7 +31,7 @@ import numpy as np
 
 from .dual import RESIDUAL_TOL, SolutionReport
 from .exponents import ExponentPair, c_from_lambda
-from .greens import NumericalFailure, _signed_power, kappa_shift, solve_neumann
+from .greens import CompatibilityError, NumericalFailure, _signed_power, kappa_shift, solve_neumann
 from .greens import balanced_shift  # noqa: F401  -- unused; perfbench's tracer still patches sign.balanced_shift
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cubic
 
@@ -117,14 +117,6 @@ def _crossing_radii(grid: RadialGrid, vals: np.ndarray) -> list[float]:
     return roots
 
 
-def _cubic_at(grid: RadialGrid, vals: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The local cubics of vals evaluated at the radii x."""
-    cells = np.clip(np.searchsorted(grid.r, x) - 1, 0, grid.n - 1)
-    starts, c = local_cubic(vals, cells)
-    t = (x - grid.r[starts]) / grid.h
-    return ((c[:, 3] * t + c[:, 2]) * t + c[:, 1]) * t + c[:, 0]
-
-
 def _level_sets(grid: RadialGrid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The intervals between the crossings of vals: (signs, marks), where
     vals has sign signs[k] on (marks[k], marks[k + 1]) and vals >= 0 counts
@@ -145,7 +137,7 @@ def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
     if not cuts.size:
         return grid.lp_norm_values(vals, 1)
     cum = grid.cumulative_weighted(vals)
-    values = np.concatenate(([cum[0]], _cubic_at(grid, cum, cuts), [cum[-1]]))
+    values = np.concatenate(([cum[0]], grid.cubic_at(cum, cuts), [cum[-1]]))
     return grid.surface * float(np.abs(np.diff(values)).sum())
 
 
@@ -157,7 +149,7 @@ def _balanced_radius(grid: RadialGrid) -> float:
 def _zero_at_balance(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     """vals shifted by the constant that puts a root of its local cubic at a
     (the interpolating cubic of vals + c is the cubic of vals plus c)."""
-    return vals - _cubic_at(grid, vals, np.array([_balanced_radius(grid)]))[0]
+    return vals - grid.cubic_at(vals, np.array([_balanced_radius(grid)]))[0]
 
 
 def _certified(u: GridFunction) -> bool:
@@ -194,13 +186,14 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     One application of the balanced-level-set map to the step: v is the
     step's potential plus the q-normalizing kappa root, and u is the Green
     solve of |v|^(q-1) v, shifted so that its local cubic vanishes at a.
-    Raises NumericalFailure when the Green solve is not finite and
-    ValueError when the grid is too coarse to leave a node for the
-    residuals.  Residuals are sup norms away from the interface, where the
-    exact solution's second derivatives jump and nodal finite differences
-    cannot vanish.  converged reads the fixed-point certificate and
-    residual_v; residual_u is not gated (at q = 0.1, N = 2..6, n = 2000 it
-    is 5.9e-2 to 7.6e-2 of max |v|^q).
+    Raises NumericalFailure when the Green solve is not finite or refuses
+    its mean-projected data (the negative origin weights of a coarse ball
+    at a large q) and ValueError when the grid is too coarse to leave a
+    node for the residuals.  Residuals are sup norms away from the
+    interface, where the exact solution's second derivatives jump and nodal
+    finite differences cannot vanish.  converged reads the fixed-point
+    certificate and residual_v; residual_u is not gated (at q = 0.1,
+    N = 2..6, n = 2000 it is 5.9e-2 to 7.6e-2 of max |v|^q).
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -210,8 +203,12 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     # for q < 1 the kappa root carries a nodal Hoelder floor; project the
     # leftover mean so the Green solve sees compatible data
     power -= grid.mean_values(power)
-    # values by keyword: perfbench's tracer reads a second positional argument as a flag
-    u = solve_neumann(grid, values=power)
+    try:
+        # values by keyword: perfbench's tracer reads a second positional argument as a flag
+        u = solve_neumann(grid, values=power)
+    except CompatibilityError as exc:  # the data are mean-projected: the quadrature cannot measure them
+        nodes = np.flatnonzero(grid.weights <= 0).tolist()
+        raise NumericalFailure(f"{exc}: |v|^q peaks at the origin, where nodes {nodes} have weights <= 0") from exc
     if not np.all(np.isfinite(u)):
         raise NumericalFailure("the Green solve of |v|^(q-1) v is not finite")
     u = _zero_at_balance(grid, u)

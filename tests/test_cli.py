@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,29 @@ def test_solve_sign_case_on_a_grid_too_coarse_for_residuals(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "configuration error: n = 6 is too coarse" in err
     assert "zero-size" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--p", "29", "--q", "2", "--dim", "3", "--n", "8"],
+        ["--p", "0", "--q", "29", "--dim", "6", "--n", "6"],
+        ["--p", "0", "--q", "29", "--dim", "6", "--n", "7"],
+        ["--p", "0", "--q", "29", "--dim", "7", "--n", "8"],
+        ["--p", "0", "--q", "29", "--dim", "8", "--n", "9"],
+        ["--p", "0.1", "--q", "0.1", "--dim", "7", "--n", "6"],
+    ],
+    ids=["kappa-bracket", "sign-N6-n6", "sign-N6-n7", "sign-N7-n8", "sign-N8-n9", "start-norms"],
+)
+def test_negative_origin_weights_of_a_coarse_ball_are_a_numerical_failure(tmp_path, capsys, argv):
+    # the quadrature, not the configuration, fails: a kappa bracket with no
+    # sign change, a mean-projected Green solve refused, start norms not positive
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve", *argv, "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_solve_rejects_hyperbola(tmp_path, capsys):

@@ -13,13 +13,13 @@ from neumannlab.dual import (
     NonConvergenceError,
     SolverOptions,
     _best_response,
-    _cosine_profile,
     compute_dual,
     compute_lambda,
     oracle_dual_smallgrid,
     reconstruct_solution,
 )
 from neumannlab.exponents import ExponentPair, HyperbolaError, Region, classify_region
+from neumannlab.greens import KappaShiftError, NumericalFailure
 from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
 
 J11 = 3.8317059702075125  # first positive root of J_1
@@ -144,6 +144,39 @@ def test_residual_refinement_order():
     assert min(orders) >= 1.8
 
 
+@pytest.mark.parametrize("p, q, dim", [(3.0, 2.0, 1), (0.5, 3.0, 2), (2.0, 2.0, 3)])
+def test_reconstruction_flips_a_negated_pair_back_bit_for_bit(p, q, dim):
+    # (-f, -g) is as good a maximizer; the kappa roots of -K g and -K f are the
+    # negated roots, so exactly one of the two pairs takes the u(0) < 0 flip
+    e = ExponentPair(p, q, dim)
+    dp = compute_dual(e, make_grid(dim, 2000))
+    grid = dp.f.grid
+    negated = dataclasses.replace(
+        dp,
+        f=GridFunction(grid, -dp.f.values),
+        g=GridFunction(grid, -dp.g.values),
+        kf=-dp.kf,
+        kg=-dp.kg,
+        kappa_kf=None if dp.kappa_kf is None else -dp.kappa_kf,
+    )
+    rep, flipped = reconstruct_solution(e, dp), reconstruct_solution(e, negated)
+    assert rep.u.values[0] > 0.0
+    assert np.array_equal(flipped.u.values, rep.u.values) and np.array_equal(flipped.v.values, rep.v.values)
+
+
+@pytest.mark.parametrize("p, q, dim, n", [(2.0, 29.0, 3, 10), (29.0, 1.0, 4, 9)])
+def test_a_kappa_bracket_without_a_sign_change_is_a_kappa_shift_error(p, q, dim, n):
+    # the negative origin weights keep the t = 29 moment below 0 up to kappa = 2 ||K g||_inf
+    with pytest.raises(KappaShiftError, match="no sign change"):
+        compute_dual(ExponentPair(p, q, dim), make_grid(dim, n))
+
+
+def test_a_start_norm_without_a_positive_quadrature_is_a_numerical_failure():
+    # N = 7, n = 6: the negative origin weights make both start norms' quadratures negative
+    with pytest.raises(NumericalFailure, match="not both positive"):
+        compute_dual(ExponentPair(0.1, 0.1, 7), make_grid(7, 6))
+
+
 def test_reconstruction_rejects_hyperbola(line):
     dp = compute_dual(ExponentPair(1.0, 1.0, 1), line)
     with pytest.raises(HyperbolaError):
@@ -190,7 +223,8 @@ def test_large_exponent_is_not_a_collapse(p, q):
 
 def test_best_response_scale_invariant_and_collapse_detected():
     grid = unit_ball_grid(3, n=400)
-    w = _cosine_profile(grid)
+    w = np.cos(math.pi * grid.r)
+    w -= grid.mean_values(w)
     f = _best_response(grid, w, 12.0, 13.0 / 12.0)[0]
     assert np.max(np.abs(_best_response(grid, 1e-3 * w, 12.0, 13.0 / 12.0)[0] - f)) <= 1e-12
     with pytest.raises(DegenerateIterateError):
@@ -329,7 +363,7 @@ def test_lift_reproduces_a_cubic(dim, length):
         return 1.0 + 2.0 * x - 3.0 * x**2 + 0.5 * x**3
 
     coarse, fine = make_grid(dim, 200, length), make_grid(dim, 2001, length)
-    lifted = dual._lift(GridFunction(coarse, cubic(coarse.r)), fine)
+    lifted = coarse.cubic_at(cubic(coarse.r), fine.r)
     assert np.max(np.abs(lifted - cubic(fine.r))) <= 1e-14
 
 
@@ -349,10 +383,7 @@ def test_warm_start_from_a_coarser_grid_is_lifted(dim):
 
 def _cosine_pair(e: ExponentPair, grid) -> dual.DualPair:
     # compute_dual's cosine start, handed in as a warm start: the reference path
-    vals = _cosine_profile(grid)
-    f = vals / grid.lp_norm_values(vals, e.alpha)
-    g = vals / grid.lp_norm_values(vals, e.beta)
-    kg = greens.solve_neumann(grid, g)
+    f, g, kg = dual._start(e, grid, None)
     return dual.DualPair(GridFunction(grid, f), GridFunction(grid, g), 0.0, 0, kg, kg)
 
 
@@ -418,10 +449,14 @@ def test_a_failed_coarse_solve_falls_back_to_the_cosine_start(monkeypatch, caplo
     e = ExponentPair(3.0, 2.0, 2)
     grid = make_grid(2, 8000)
 
-    def fails(*args):
-        raise failure
+    ascend = dual._ascend
 
-    monkeypatch.setattr(dual, "_coarse_solve", fails)
+    def fails_on_the_coarse_grid(e, level, *args):
+        if level.n == dual.COARSE_N:
+            raise failure
+        return ascend(e, level, *args)
+
+    monkeypatch.setattr(dual, "_ascend", fails_on_the_coarse_grid)
     caplog.set_level(logging.DEBUG, logger="neumannlab")
     dp = compute_dual(e, grid)
     assert dp.coarse_start is None

@@ -380,7 +380,7 @@ def test_constraint_scale_holds_the_root(alpha, beta, same, gamma1, scale):
         hi = 2.0 * na ** (-1.0 / alpha)
     else:
         hi = 2.0 * min((gamma1 * na) ** (-1.0 / alpha), ((1.0 - gamma1) * nb) ** (-1.0 / beta))
-    lo, hi = solve_increasing(excess, 0.0, hi)
+    lo, hi = solve_increasing(lambda x: (excess(x), math.nan), 0.0, hi)
     root = 0.5 * (lo + hi)
     assert abs(c - root) <= 3.0 * math.ulp(root)
 
