@@ -7,7 +7,7 @@ the limit constant of Lambda^((p+1)(q+1)/(pq-1)) when the first eigenvalue
 equals one, the degeneration of both exponents to zero, and upper bounds
 for the genus min-max levels of the dual functional.  The studies that
 move the exponents toward a limit walk their paths through run_sweep, the
-one warm-started loop.  Everything is deterministic given (config, seed).
+one warm-started loop.  No study draws random numbers.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ __all__ = [
     "continuation_lambda",
 ]
 
-GENUS_RESTARTS = 32  # seeded random starts of ls_upper_bounds for each k >= 2
+GENUS_TILT = 0.01  # weight of each lower mode in the tilted e_k start of ls_upper_bounds
 
 
 @dataclass
@@ -436,10 +436,11 @@ def ls_upper_bounds(
     guarantees).
 
     On the mode coefficients a, phi = -c^2 a.Q a, with Q the modes' Gram
-    matrix under K.  All starts of one k (the previous k's best a padded
-    with a zero, e_k and GENUS_RESTARTS seeded normals) advance as one array by
-    the power iteration of _power_ascent: at k_max = 5 on n = 2000 about
-    3700 start-sweeps (27 per start) in about 205 batched sweeps.
+    matrix under K.  The starts of one k, the previous k's best a padded with
+    a zero, e_k, and e_k tilted by GENUS_TILT toward the lower modes (e_k is a
+    critical point: at an exponent of 3 the e_2 row stalls there, up to 1e-11
+    below the sup), advance as one array by _power_ascent: at k_max = 5 on
+    n = 2000 about 300 start-sweeps in 200 batched sweeps.  seed is ignored.
     """
     if k_max < 1 or k_max > 8:
         raise ValueError("k_max must be between 1 and 8")
@@ -460,10 +461,9 @@ def ls_upper_bounds(
     quad = 0.5 * (quad + quad.T)
     wmodes = modes * w
 
-    rng = np.random.default_rng(seed)
     nested: list[np.ndarray] = []
     for k in range(2, k_max + 1):
-        starts = np.vstack(nested + [np.eye(k)[k - 1], rng.standard_normal((GENUS_RESTARTS, k))])
+        starts = np.vstack(nested + [np.eye(k)[k - 1], np.append(np.full(k - 1, GENUS_TILT), 1.0)])
         a, history = _power_ascent(starts, modes[:k], wmodes[:k], quad[:k, :k], e)
         best = np.nanmax(history, axis=0)
         i = int(np.argmax(best))
