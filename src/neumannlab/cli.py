@@ -18,14 +18,13 @@ an unreadable or ill-typed config file, an output directory that cannot be
 made or written, any ValueError), 2 numerical failure (any
 NumericalFailure, an unconverged solve or a golden mismatch), with partial
 output written where possible.  All floats are printed with 17 significant
-digits so runs are diffable; NEUMANN_LAB_SEED overrides the seed.
+digits so runs are diffable.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -93,9 +92,6 @@ def _merged_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
         val = getattr(args, key)
         if val is not None:
             cfg[key] = val
-    env_seed = os.environ.get("NEUMANN_LAB_SEED")
-    if env_seed is not None and "seed" in keys:
-        cfg["seed"] = int(env_seed)
     return cfg
 
 

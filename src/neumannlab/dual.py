@@ -345,16 +345,20 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     from the exact power identity; the discrete energy integral (with
     grad u . grad v integrated by parts into int |v|^(q+1)) is stored as a
     cross-check channel.  K_p g and K_q f shift the pair's carried K g and
-    K f, so no Green solve runs here; for p != q the loop's last q root of
-    K f is reused, so the p root of K g is the only root searched.
+    K f, so no Green solve runs here.  The p root of K g is the only root
+    searched: v reuses it for p = q, where the loop keeps one array as K f
+    and K g, and the loop's last q root of K f for p != q.
     """
     if e.on_hyperbola:
         raise HyperbolaError("no least-energy normalization on pq = 1")
     grid = dp.f.grid
     D = dp.d_estimate
     denom = e.p * e.q - 1.0
-    u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (dp.kg + kappa_shift(grid, dp.kg, e.p).kappa)
-    kappa_v = dp.kappa_kf if dp.kappa_kf is not None else kappa_shift(grid, dp.kf, e.q).kappa
+    kappa_u = kappa_shift(grid, dp.kg, e.p).kappa
+    u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (dp.kg + kappa_u)
+    kappa_v = kappa_u if e.p == e.q else dp.kappa_kf
+    if kappa_v is None:
+        kappa_v = kappa_shift(grid, dp.kf, e.q).kappa
     v_vals = D ** (-e.p * (e.q + 1.0) / denom) * (dp.kf + kappa_v)
     if u_vals[0] < 0:
         u_vals, v_vals = -u_vals, -v_vals

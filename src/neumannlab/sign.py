@@ -19,7 +19,10 @@ crossings of u are the roots of its four-node local cubic, and {u >= 0},
 sigma_N (W(b) - W(a)).  The constructed u is shifted so that its local
 cubic vanishes at a, and the fixed-point certificate reads it back: u
 changes sign exactly once and certify_balanced certifies its level sets,
-so its sign is the step it was built from.
+so its sign is the step it was built from.  A solve finds the crossings of
+u once, and that one list gives the certificate, the zero radius, the
+sharp L^1 norm and the band of nodes within 3h of a crossing that the
+residuals leave out.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import numpy as np
 
 from .dual import RESIDUAL_TOL, SolutionReport
 from .exponents import ExponentPair, c_from_lambda
-from .greens import CompatibilityError, NumericalFailure, _signed_power, kappa_shift, solve_neumann
+from .greens import CompatibilityError, NumericalFailure, kappa_shift, solve_neumann
 from .greens import balanced_shift  # noqa: F401  -- unused; perfbench's tracer still patches sign.balanced_shift
 from .grid import GridFunction, RadialGrid, discrete_radial_laplacian, local_cubic
 
@@ -41,8 +44,6 @@ __all__ = [
     "solve_sign_system",
     "solve_scalar_sign",
 ]
-
-SIGN_BAND = 1e-10  # zero band, relative to the sup norm
 
 _log = logging.getLogger(__name__)
 
@@ -57,16 +58,6 @@ class BalancedFunction:
     certified: bool
 
 
-def _signs(values: np.ndarray) -> np.ndarray:
-    """Nodewise sign with a zero band |u| <= 1e-10 ||u||_inf.
-
-    The relative band keeps rounding-level values at the interface out of
-    the pattern.
-    """
-    band = SIGN_BAND * float(np.max(np.abs(values)))
-    return np.where(values > band, 1.0, np.where(values < -band, -1.0, 0.0))
-
-
 def certify_balanced(u: GridFunction) -> BalancedFunction:
     """Measure the level sets of u and test balanced-class membership.
 
@@ -74,26 +65,18 @@ def certify_balanced(u: GridFunction) -> BalancedFunction:
     the measure the sign solvers balance; u is certified when the two
     differ by at most 1e-12 |Omega|.
     """
+    return _balanced(u, _crossing_radii(u.grid, u.values))
+
+
+def _balanced(u: GridFunction, cuts: list[float]) -> BalancedFunction:
+    """certify_balanced on the crossings `cuts` of u: u has the sign
+    signs[k] on (marks[k], marks[k + 1]), where u >= 0 counts as positive."""
     grid = u.grid
-    signs, marks = _level_sets(grid, u.values)
-    seglen = np.diff(grid.weight_primitive(marks))
+    signs = (1.0 if u.values[0] >= 0 else -1.0) * (-1.0) ** np.arange(len(cuts) + 1)
+    seglen = np.diff(grid.weight_primitive(np.array([0.0] + cuts + [grid.length])))
     pos = grid.surface * float(seglen[signs > 0].sum())
     neg = grid.surface * float(seglen[signs < 0].sum())
     return BalancedFunction(u, pos, neg, abs(pos - neg) <= 1e-12 * grid.domain_measure)
-
-
-def _interface_mask(sign_vals: np.ndarray, halo: int = 2) -> np.ndarray:
-    """Nodes within `halo` of a sign change (where FD residuals see the kink)."""
-    change = np.zeros(sign_vals.shape, dtype=bool)
-    diff = np.diff(np.sign(sign_vals)) != 0
-    change[:-1] |= diff
-    change[1:] |= diff
-    change |= sign_vals == 0
-    mask = change.copy()
-    for _ in range(halo):
-        mask[:-1] |= mask[1:].copy()
-        mask[1:] |= mask[:-1].copy()
-    return mask
 
 
 def _crossing_radii(grid: RadialGrid, vals: np.ndarray) -> list[float]:
@@ -117,23 +100,26 @@ def _crossing_radii(grid: RadialGrid, vals: np.ndarray) -> list[float]:
     return roots
 
 
-def _level_sets(grid: RadialGrid, vals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The intervals between the crossings of vals: (signs, marks), where
-    vals has sign signs[k] on (marks[k], marks[k + 1]) and vals >= 0 counts
-    as positive."""
-    cuts = _crossing_radii(grid, vals)
-    lead = 1.0 if vals[0] >= 0 else -1.0
-    return lead * (-1.0) ** np.arange(len(cuts) + 1), np.array([0.0] + cuts + [grid.length])
+def _off_crossings(grid: RadialGrid, cuts: list[float]) -> np.ndarray:
+    """The nodes farther than 3h from every crossing, where nodal finite
+    differences do not see the kink of sign(u): a crossing inside a cell
+    leaves out six nodes, one on a node seven.  The 1e-8 cells of slack,
+    the crossing search's own tolerance on its cell, count a crossing
+    within rounding of a node as on it."""
+    keep = np.ones(grid.r.shape, dtype=bool)
+    for cut in cuts:
+        keep &= np.abs(grid.r - cut) > (3.0 + 1e-8) * grid.h
+    return keep
 
 
-def _l1_sharp(grid: RadialGrid, vals: np.ndarray) -> float:
-    """L^1 norm split at the sign changes.
+def _l1_sharp(grid: RadialGrid, vals: np.ndarray, cuts: list[float]) -> float:
+    """L^1 norm split at the sign changes `cuts` of vals.
 
     The plain quadrature of |u| loses two orders at the interface corner;
     integrating the smooth cumulative antiderivative of u between
     cubic-refined roots keeps fourth order.
     """
-    cuts = np.array(_crossing_radii(grid, vals))
+    cuts = np.array(cuts)
     if not cuts.size:
         return grid.lp_norm_values(vals, 1)
     cum = grid.cumulative_weighted(vals)
@@ -152,11 +138,11 @@ def _zero_at_balance(grid: RadialGrid, vals: np.ndarray) -> np.ndarray:
     return vals - grid.cubic_at(vals, np.array([_balanced_radius(grid)]))[0]
 
 
-def _certified(u: GridFunction) -> bool:
-    """The fixed-point certificate: u changes sign exactly once, between
-    balanced level sets, so its interface is at a and its sign is the step
-    (or its negative) that u was built from."""
-    return len(_crossing_radii(u.grid, u.values)) == 1 and certify_balanced(u).certified
+def _certified(u: GridFunction, cuts: list[float]) -> bool:
+    """The fixed-point certificate on the crossings `cuts` of u: u changes
+    sign exactly once, between balanced level sets, so its interface is at a
+    and its sign is the step (or its negative) that u was built from."""
+    return len(cuts) == 1 and _balanced(u, cuts).certified
 
 
 def _step_potential(grid: RadialGrid) -> np.ndarray:
@@ -189,23 +175,26 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     Raises NumericalFailure when the Green solve is not finite or refuses
     its mean-projected data (the negative origin weights of a coarse ball
     at a large q) and ValueError when the grid is too coarse to leave a
-    node for the residuals.  Residuals are sup norms away from the
-    interface, where the exact solution's second derivatives jump and nodal
-    finite differences cannot vanish.  converged reads the fixed-point
-    certificate and residual_v; residual_u is not gated (at q = 0.1,
-    N = 2..6, n = 2000 it is 5.9e-2 to 7.6e-2 of max |v|^q).
+    node for the residuals.  The crossings of u are found once and give the
+    certificate, zero_radius, the sharp L^1 norm in Lambda and the
+    residuals' band: the residuals are sup norms that leave out the nodes
+    within 3h of a crossing (six, or seven for a crossing on a node), where
+    the exact solution's second derivatives jump and nodal finite
+    differences cannot vanish.  The u residual is taken against the kappa
+    root's signed power and the v residual against sign(u).  converged reads
+    the fixed-point certificate and residual_v; residual_u is not gated (at
+    q = 0.1, N = 2..6, n = 2000 it is 5.9e-2 to 7.6e-2 of max |v|^q).
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
     v = _step_potential(grid)
     kappa, power, _ = kappa_shift(grid, v, q)
     v = v + kappa
-    # for q < 1 the kappa root carries a nodal Hoelder floor; project the
-    # leftover mean so the Green solve sees compatible data
-    power -= grid.mean_values(power)
     try:
-        # values by keyword: perfbench's tracer reads a second positional argument as a flag
-        u = solve_neumann(grid, values=power)
+        # for q < 1 the kappa root carries a nodal Hoelder floor; the Green
+        # solve gets a copy with the leftover mean projected out.  values by
+        # keyword: perfbench's tracer reads a second positional argument as a flag
+        u = solve_neumann(grid, values=power - grid.mean_values(power))
     except CompatibilityError as exc:  # the data are mean-projected: the quadrature cannot measure them
         nodes = np.flatnonzero(grid.weights <= 0).tolist()
         raise NumericalFailure(f"{exc}: |v|^q peaks at the origin, where nodes {nodes} have weights <= 0") from exc
@@ -216,20 +205,19 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     beta_int = grid.integrate_values(np.abs(v) ** (q + 1.0))
     if not beta_int > 0:  # the negative origin weights of N >= 3 on a coarse grid
         raise NumericalFailure(f"the quadrature of |v|^(q+1) is {beta_int:.3e}, not positive")
-    l1 = _l1_sharp(grid, u)
+    cuts = _crossing_radii(grid, u)
+    l1 = _l1_sharp(grid, u, cuts)
     lam = beta_int ** (q / (q + 1.0)) / l1
     c = c_from_lambda(ExponentPair(0.0, q, grid.dim), lam)
     c_energy = q / (q + 1.0) * beta_int - l1
 
-    signs = _signs(u)
-    smooth = ~_interface_mask(signs)
+    smooth = _off_crossings(grid, cuts)
     if not smooth.any():
         raise ValueError(f"n = {grid.n} is too coarse for the residuals: every node is in the interface band of u")
-    res_u = float(np.abs(-discrete_radial_laplacian(grid, u) - _signed_power(v, q))[smooth].max())
-    res_v = float(np.abs(-discrete_radial_laplacian(grid, v) - signs)[smooth].max())
-    cuts = _crossing_radii(grid, u)
+    res_u = float(np.abs(-discrete_radial_laplacian(grid, u) - power)[smooth].max())
+    res_v = float(np.abs(-discrete_radial_laplacian(grid, v) - np.sign(u))[smooth].max())
     u = GridFunction(grid, u)
-    certified = _certified(u)
+    certified = _certified(u, cuts)
     _log.debug("sign solve q=%g, N=%d on n=%d: direct construction, certified=%s", q, grid.dim, grid.n, certified)
     return SolutionReport(
         u=u,
@@ -254,6 +242,7 @@ def solve_scalar_sign(grid: RadialGrid) -> tuple[GridFunction, float]:
     NumericalFailure when the fixed-point certificate fails.
     """
     u = GridFunction(grid, _zero_at_balance(grid, _step_potential(grid)))
-    if not _certified(u):
+    cuts = _crossing_radii(grid, u.values)
+    if not _certified(u, cuts):
         raise NumericalFailure("the step potential fails the fixed-point certificate")
-    return u, -0.5 * _l1_sharp(grid, u.values)
+    return u, -0.5 * _l1_sharp(grid, u.values, cuts)

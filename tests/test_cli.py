@@ -298,13 +298,6 @@ def test_front_end_exit_codes(tmp_path, monkeypatch, capsys, argv, config):
         assert err.startswith(f"usage: neumannlab {argv[0]} ")
 
 
-def test_env_seed_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("NEUMANN_LAB_SEED", "17")
-    assert main(["solve", "--p", "3", "--q", "3", "--n", "600", "--outdir", str(tmp_path)]) == 0
-    payload = json.loads((tmp_path / "solution.json").read_text())
-    assert payload["config"]["seed"] == 17
-
-
 def test_table1_command(tmp_path):
     assert main(["table1", "--outdir", str(tmp_path)]) == 0
     lines = (tmp_path / "table1.csv").read_bytes().split(b"\r\n")

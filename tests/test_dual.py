@@ -315,6 +315,28 @@ def test_reconstruction_from_the_carried_k_images(p, q, dim):
     assert np.array_equal(carried.v.values, recomputed.v.values)
 
 
+@pytest.mark.parametrize("p, dim", [(2.0, 1), (0.5, 2), (3.0, 3)])
+def test_a_p_equals_q_reconstruction_searches_one_kappa_root(p, dim, monkeypatch):
+    # the loop keeps one array as K f and K g, so the u root serves v
+    e = ExponentPair(p, p, dim)
+    grid = make_grid(dim, 1000)
+    dp = compute_dual(e, grid)
+    # v from its own search of the q root of K f
+    v = dp.d_estimate ** (-p * (p + 1.0) / (p * p - 1.0)) * (dp.kf + dual.kappa_shift(grid, dp.kf, p).kappa)
+    calls = []
+    real_shift = dual.kappa_shift
+
+    def counted(grid, values, t, guess=None):
+        calls.append(t)
+        return real_shift(grid, values, t, guess)
+
+    monkeypatch.setattr(dual, "kappa_shift", counted)
+    rep = reconstruct_solution(e, dp)
+    assert calls == [p]
+    assert np.array_equal(rep.v.values, np.sign(v[0]) * v)
+    assert np.array_equal(rep.u.values, rep.v.values)
+
+
 def test_kappa_evaluations_add_up(line, monkeypatch):
     spent = []
     real_shift = dual.kappa_shift

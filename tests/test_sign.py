@@ -15,27 +15,6 @@ from neumannlab.sign import (
 )
 
 
-def test_sign_of_constant():
-    grid = interval_grid(1.0, n=50)
-    s = sign._signs(np.full_like(grid.r, 3.0))
-    assert np.all(s == 1.0)
-
-
-def test_sign_of_linear_split():
-    grid = interval_grid(1.0, n=100)
-    s = sign._signs(grid.r - 0.5)
-    assert np.all(s[grid.r < 0.499] == -1.0)
-    assert np.all(s[grid.r > 0.501] == 1.0)
-    assert abs(s[np.argmin(np.abs(grid.r - 0.5))]) <= 1.0
-
-
-def test_sign_of_balanced_integral():
-    grid = interval_grid(1.0, n=1000)
-    s = sign._signs(np.cos(math.pi * grid.r))
-    node_weight = float(np.max(grid.weights)) * grid.surface
-    assert abs(grid.integrate_values(s)) <= node_weight
-
-
 def test_scalar_interval_closed_form():
     grid = interval_grid(1.0, n=4000)
     u, c0 = solve_scalar_sign(grid)
@@ -75,7 +54,7 @@ def test_sign_system_disk_zero_radius(dim):
     assert rep.converged
     assert abs(rep.zero_radius - zero_radius(dim)) <= 1e-10
     node_weight = float(np.max(grid.weights)) * grid.surface
-    assert abs(grid.integrate_values(sign._signs(rep.u.values))) <= node_weight
+    assert abs(grid.integrate_values(np.sign(rep.u.values))) <= node_weight
     assert certify_balanced(rep.u).certified
 
 
@@ -187,17 +166,55 @@ def test_sign_system_crosses_once_at_the_balanced_radius(dim, q, n):
     assert rep.zero_radius == cuts[0]
 
 
-def test_a_second_sign_change_fails_the_certificate(monkeypatch):
+def test_a_second_sign_change_fails_the_certificate(monkeypatch, caplog):
     # a profile with crossings at the balanced radius 1/2 and at 0.9
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
     grid = interval_grid(1.0, n=400)
     two_crossings = (grid.r - 0.5) * (grid.r - 0.9)
     monkeypatch.setattr(sign, "solve_neumann", lambda grid, values: two_crossings.copy())
     rep = solve_sign_system(1.0, grid)
     assert len(sign._crossing_radii(grid, rep.u.values)) == 2
-    assert not sign._certified(rep.u) and not rep.converged
+    assert not rep.converged and "certified=False" in caplog.text
     monkeypatch.setattr(sign, "_step_potential", lambda grid: two_crossings.copy())
     with pytest.raises(NumericalFailure, match="certificate"):
         solve_scalar_sign(grid)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_each_sign_solve_finds_the_crossings_once(dim, monkeypatch):
+    # the one list of crossings gives the certificate, zero_radius, the
+    # sharp L^1 norm and the residuals' band
+    calls = []
+    find = sign._crossing_radii
+
+    def counted(grid, vals):
+        calls.append(grid.n)
+        return find(grid, vals)
+
+    monkeypatch.setattr(sign, "_crossing_radii", counted)
+    grid = make_grid(dim=dim, n=2000)
+    rep = solve_sign_system(1.0, grid)
+    assert len(calls) == 1 and rep.converged
+    solve_scalar_sign(grid)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize(
+    "dim, offset, width",
+    [(1, 0.0, 7), (1, 0.5, 6), (1, 0.3, 6), (2, None, 6), (3, None, 6)],
+)
+def test_residual_band_is_the_nodes_within_3h_of_the_crossing(dim, offset, width):
+    # at n = 2000 the balanced radius 1/2 of the interval is a node, so the
+    # solve's crossing sits on it (within rounding) and leaves out seven
+    # nodes; a crossing inside a cell leaves out six
+    grid = make_grid(dim=dim, n=2000)
+    cut = solve_sign_system(1.0, grid).zero_radius
+    if offset is not None:
+        cut += offset * grid.h
+    (left_out,) = np.nonzero(~sign._off_crossings(grid, [cut]))
+    assert len(left_out) == width
+    assert np.array_equal(left_out, np.arange(left_out[0], left_out[0] + width))
+    assert np.all(np.abs(grid.r[left_out] - cut) <= 3.0 * grid.h + 1e-15)
 
 
 def test_a_negative_quadrature_of_the_power_is_a_numerical_failure():
