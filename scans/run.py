@@ -1,0 +1,184 @@
+"""Reference scans of the solvers, one JSON line per solve.
+
+Run from the root of a checkout:
+
+    python3 scans/run.py FAMILY > FAMILY.jsonl
+    python3 scans/run.py FAMILY --compare scans/FAMILY_ref.jsonl
+
+A family is a function that returns its rows, the fields that key them and
+a compare rule.  --compare REF exits 1 if the scan and REF cover different
+keys or the rule fails; the identity rule holds only on the numpy/BLAS
+build and CPU that wrote REF.  A raise is recorded as "Type: message".
+
+sign   solve_sign_system for q in {0.01, 0.1, 1, 5, 29} and
+       solve_scalar_sign (q null) on N = 1..8, n in {7, 9, 50, 200, 2000,
+       20000}: 288 solves keyed by (q, dim, n).  Every field must be
+       identical: the p = 0 solution is built without iteration.
+genus  ls_upper_bounds, k_max = 5, on the unit interval at n = 2000 for
+       p, q in {0.5, 1, 1.5, 2, 3, 5}, pq != 1, seeds 0 and 1: 66 calls
+       keyed by (p, q, seed).  The bounds are upper bounds only where the
+       ascent finds the sup, so the rule prints each k's largest downward
+       relative move and fails on one above 1e-13.
+dual   compute_dual and reconstruct_solution for p, q in {0.01, 0.1, 0.5,
+       1, 2, 5}, subcritical (so pq != 1), on N = 1..6, n in {2000, 20000}:
+       370 solves keyed by (p, q, dim, n), each with the report's fields;
+       off_band_u and off_band_v, the stencil residuals on the nodes
+       farther than 3h from every crossing of the right side's argument,
+       relative to max |rhs|; and defect_u and defect_v, the operator-form
+       defects |x - mean x - K(rhs - mean rhs)|_inf / |x|_inf with rhs
+       recomputed from (u, v).  Every field must be identical.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from neumannlab import ExponentPair, Region, classify_region, compute_dual, interval_grid  # noqa: E402
+from neumannlab import ls_upper_bounds, make_grid, reconstruct_solution  # noqa: E402
+from neumannlab.greens import _signed_power, green_apply  # noqa: E402
+from neumannlab.grid import discrete_radial_laplacian  # noqa: E402
+from neumannlab.sign import _crossing_radii, _off_crossings, solve_scalar_sign, solve_sign_system  # noqa: E402
+
+SIGN_FIELDS = ("lam", "c", "c_energy", "zero_radius", "residual_u", "residual_v", "converged", "iterations")
+DUAL_FIELDS = ("D", "lam", "c", "iterations", "stop_reason", "kappa_evaluations", "converged",
+               "residual_u", "residual_v")
+DUAL_EXPONENTS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
+GENUS_EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+DOWN_TOL = 1e-13  # the genus rule's bound on a bound's downward relative move
+
+
+def _recorded(row: dict, solve) -> dict:
+    """row with the fields solve() returns, or with the type and message of its raise."""
+    try:
+        row.update(solve())
+    except Exception as exc:  # a scan records every raise, whatever its type
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
+
+
+def _fields(rep, names: tuple[str, ...]) -> dict:
+    return {name: getattr(rep, name) for name in names}
+
+
+def sign_row(q: float | None, dim: int, n: int) -> dict:
+    """One sign line; q None is the scalar solve."""
+    grid = make_grid(dim=dim, n=n)
+    if q is None:
+        return _recorded({"q": q, "dim": dim, "n": n}, lambda: {"c0": solve_scalar_sign(grid)[1]})
+    return _recorded({"q": q, "dim": dim, "n": n}, lambda: _fields(solve_sign_system(q, grid), SIGN_FIELDS))
+
+
+def sign_rows() -> list[dict]:
+    sizes = (7, 9, 50, 200, 2000, 20000)
+    return [sign_row(q, dim, n) for q in (0.01, 0.1, 1.0, 5.0, 29.0, None) for dim in range(1, 9) for n in sizes]
+
+
+def genus_rows() -> list[dict]:
+    grid = interval_grid(1.0, 2000)
+    keys = [(p, q, seed) for p in GENUS_EXPONENTS for q in GENUS_EXPONENTS if p * q != 1.0 for seed in (0, 1)]
+    return [
+        {"p": p, "q": q, "seed": seed, "bounds": ls_upper_bounds(ExponentPair(p, q, 1), 5, grid, seed=seed)}
+        for p, q, seed in keys
+    ]
+
+
+def dual_row(e: ExponentPair, n: int) -> dict:
+    """One dual line: the solve, its reconstruction and their checks."""
+
+    def solve() -> dict:
+        grid = make_grid(dim=e.dim, n=n)
+        rep = reconstruct_solution(e, compute_dual(e, grid))
+        row = _fields(rep, DUAL_FIELDS)
+        for name, x, arg, t in (("u", rep.u.values, rep.v.values, e.q), ("v", rep.v.values, rep.u.values, e.p)):
+            rhs = _signed_power(arg, t)
+            kept = _off_crossings(grid, _crossing_radii(grid, arg))
+            stencil = np.abs(-discrete_radial_laplacian(grid, x) - rhs)[kept]
+            row[f"off_band_{name}"] = float(stencil.max(initial=0.0) / np.max(np.abs(rhs)))
+            defect = x - grid.mean_values(x) - green_apply(grid, rhs - grid.mean_values(rhs))
+            row[f"defect_{name}"] = float(np.max(np.abs(defect)) / np.max(np.abs(x)))
+        return row
+
+    return _recorded({"p": e.p, "q": e.q, "dim": e.dim, "n": n}, solve)
+
+
+def dual_rows() -> list[dict]:
+    pairs = [ExponentPair(p, q, dim) for p in DUAL_EXPONENTS for q in DUAL_EXPONENTS for dim in range(1, 7)]
+    return [dual_row(e, n) for e in pairs if classify_region(e) is Region.SUBCRITICAL for n in (2000, 20000)]
+
+
+def identical(ref: dict, new: dict, label) -> int:
+    """Every field of every entry identical, compared by its JSON spelling."""
+    moved = 0
+    for k in ref:
+        fields = sorted(ref[k].keys() | new[k].keys())
+        diffs = [f for f in fields if json.dumps(ref[k].get(f)) != json.dumps(new[k].get(f))]
+        moved += bool(diffs)
+        for f in diffs:
+            print(f"{label(k)}: {f} {ref[k].get(f)!r} -> {new[k].get(f)!r}")
+    print(f"{'FAIL' if moved else 'ok'}: {len(ref) - moved} of {len(ref)} entries identical")
+    return int(moved > 0)
+
+
+def no_bound_lower(ref: dict, new: dict, label) -> int:
+    """No bound more than DOWN_TOL relative below its reference; prints each k's largest move."""
+    worst = 0.0
+    for i in range(len(next(iter(ref.values()))["bounds"])):
+        moves = {k: (ref[k]["bounds"][i] - new[k]["bounds"][i]) / abs(ref[k]["bounds"][i]) for k in ref}
+        k = max(moves, key=moves.get)
+        worst = max(worst, moves[k])
+        print(f"k={i + 1}: largest downward relative move {moves[k]:+.2e} at {label(k)}")
+    verdict = "ok" if worst <= DOWN_TOL else "FAIL"
+    print(f"{verdict}: {len(ref)} calls, largest downward move {worst:.2e} against the bound {DOWN_TOL:g}")
+    return int(worst > DOWN_TOL)
+
+
+# family: (its rows, the fields that key them, its compare rule)
+FAMILIES = {
+    "sign": (sign_rows, ("q", "dim", "n"), identical),
+    "genus": (genus_rows, ("p", "q", "seed"), no_bound_lower),
+    "dual": (dual_rows, ("p", "q", "dim", "n"), identical),
+}
+
+
+def compare(family: str, rows: list[dict], ref_rows: list[dict]) -> int:
+    """The family's rule on rows against ref_rows, matched by key; 1 if the keys differ."""
+    _, keys, rule = FAMILIES[family]
+
+    def label(k: tuple) -> str:
+        return " ".join(f"{name}={value}" for name, value in zip(keys, k))
+
+    ref = {tuple(row[name] for name in keys): row for row in ref_rows}
+    # through JSON, so both sides hold the same float spellings (NaN included)
+    new = {tuple(row[name] for name in keys): row for row in map(json.loads, map(json.dumps, rows))}
+    if ref.keys() != new.keys():
+        print(f"the scans cover different keys: only in REF {sorted(map(label, ref.keys() - new.keys()))}, "
+              f"only here {sorted(map(label, new.keys() - ref.keys()))}")
+        return 1
+    return rule(ref, new, label)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("family", choices=FAMILIES)
+    parser.add_argument("--compare", type=Path, metavar="REF", help="compare against a scan's JSON lines")
+    args = parser.parse_args(argv)
+    start = time.perf_counter()
+    rows = FAMILIES[args.family][0]()
+    print(f"scan: {len(rows)} lines in {time.perf_counter() - start:.1f} s", file=sys.stderr)
+    if args.compare is not None:
+        return compare(args.family, rows, [json.loads(line) for line in args.compare.read_text().splitlines()])
+    for row in rows:
+        print(json.dumps(row))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -24,6 +24,7 @@ digits so runs are diffable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -279,6 +280,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache  # built once per process: parsing leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="neumannlab",

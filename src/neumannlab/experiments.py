@@ -49,7 +49,12 @@ GENUS_TILT = 0.01  # weight of each lower mode in the tilted e_k start of ls_upp
 
 @dataclass
 class SweepSpec:
-    """Parameterized exponent path t -> (p(t), q(t)) with sample points."""
+    """Parameterized exponent path t -> (p(t), q(t)) with sample points.
+
+    Every sample must be subcritical or on the hyperbola: a sign-case
+    (p = 0), critical or supercritical sample raises ValueError here,
+    before any solve.
+    """
 
     p_of: Callable[[float], float]
     q_of: Callable[[float], float]
@@ -62,7 +67,7 @@ class SweepSpec:
         for t in self.ts:
             e = ExponentPair(self.p_of(t), self.q_of(t), self.grid.dim)
             region = classify_region(e)
-            if region in (Region.SUPERCRITICAL, Region.CRITICAL_ADMISSIBLE, Region.CRITICAL_INADMISSIBLE):
+            if region not in (Region.SUBCRITICAL, Region.HYPERBOLA):
                 raise ValueError(f"sample t={t} is {region.value}, outside the dual solver's scope")
 
 
@@ -165,12 +170,15 @@ def classify_pq_to_1(
     eigenvalue mu_1 = Lambda_{1/q, q} relative to 1: above the hyperbola the
     levels blow up when mu_1 > 1 and vanish when mu_1 < 1, and conversely
     below it.  Domains are intervals of the given length (mu_1 scales with
-    the domain, so the length selects the regime).
+    the domain, so the length selects the regime).  A trend needs at least
+    two offsets.
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     if dim != 1:
         raise ValueError("the classification experiment runs on intervals")
+    if len(offsets) < 2:
+        raise ValueError(f"the trend needs at least two offsets, got {list(offsets)}")
     if not all(0 < s < (1 if side == "below" else math.inf) for s in offsets):
         raise ValueError(f"every offset must be > 0, and < 1 below pq = 1 so that p > 0, got {list(offsets)}")
     opts = opts or SolverOptions()
@@ -242,9 +250,12 @@ def estimate_frak_c(
     with the limit factor (p+1)(q+1) = 4.  The reference value is
     exp(-int phi_1^2 ln phi_1^2) with phi_1 the L^2-normalized eigenfunction,
     evaluated by quadrature.  Paths with e'(0) = 0 (e.g. pq constant) carry
-    no first-order information and are rejected, as are ts that are not
-    positive and halving: the Richardson step 2 s[i+1] - s[i] assumes it.
+    no first-order information and are rejected, as are fewer than two ts
+    and ts that are not positive and halving: the Richardson step
+    2 s[i+1] - s[i] assumes it.
     """
+    if len(ts) < 2:
+        raise ValueError(f"the Richardson extrapolation needs at least two ts, got {list(ts)}")
     desc = sorted(ts, reverse=True)
     if not all(t > 0 for t in desc) or any(not math.isclose(2.0 * b, a, rel_tol=1e-12) for a, b in zip(desc, desc[1:])):
         raise ValueError(f"every t must be > 0 and, sorted descending, each half the one before, got {list(ts)}")
@@ -328,10 +339,12 @@ def continuation_lambda(
 
     The eigenvalue expands in p and p ln p near the sign limit; fitting the
     basis {1, p, p ln p, p^2} on the four samples absorbs both slopes (plain
-    Richardson overshoots on the logarithmic term).
+    Richardson overshoots on the logarithmic term); it needs four distinct ps.
     """
     if not all(p > 0 for p in ps):
         raise ValueError(f"every p must be > 0 for the dual solver, got {list(ps)}")
+    if len(ps) != 4 or len(set(ps)) != 4:
+        raise ValueError(f"the four-term fit needs four distinct ps, got {list(ps)}")
     rows = _walk(SweepSpec(lambda t: -t, lambda t: q, [-p for p in ps], grid, opts or SolverOptions()))
     lams = [row["Lambda"] for row in rows]
     parr = np.asarray([row["p"] for row in rows])

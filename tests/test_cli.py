@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import neumannlab
-from neumannlab import dual, greens, sign
+from neumannlab import cli, dual, greens, sign
 from neumannlab.cli import main
 from neumannlab.dual import DegenerateIterateError, NonConvergenceError
 from neumannlab.greens import KappaShiftError, NumericalFailure
@@ -328,6 +328,18 @@ def test_sweep_command(tmp_path):
     summary = json.loads((tmp_path / "sweep.json").read_text())
     assert summary["failed"] == 0
     assert summary["config"]["path"] == "p:1.5..3,q:1"
+
+
+def test_sweep_refuses_a_sign_case_sample(tmp_path, capsys):
+    # p = 0 is the sign solver's case: refused with the critical and supercritical samples
+    code = main(["sweep", "--path", "p:0..1,q:2", "--samples", "3", "--n", "200", "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "sample t=0.0 is sign-case, outside the dual solver's scope" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()  # refused before any solve
+
+
+def test_the_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):

@@ -97,6 +97,12 @@ def test_sweep_rejects_supercritical_sample():
         SweepSpec(lambda t: t, lambda t: t, [4.0, 5.0], unit_ball_grid(3, n=100))
 
 
+def test_sweep_rejects_sign_case_sample():
+    # p = 0 is the sign solver's case; it was a failed row after the other samples' solves
+    with pytest.raises(ValueError, match="sample t=0.0 is sign-case, outside the dual solver's scope"):
+        SweepSpec(lambda t: t, lambda t: 2.0, [0.0, 0.5], interval_grid(1.0, n=100))
+
+
 def test_classification_blowup_and_vanishing():
     above = classify_pq_to_1(1.0, 1, "above", 1.0, n=1200)
     assert above.mu1 == pytest.approx(math.pi**2, rel=1e-6)
@@ -223,6 +229,30 @@ def test_classification_checks_offsets_before_solving(monkeypatch, side, offsets
     monkeypatch.setattr(experiments, "compute_dual", _no_solve)
     with pytest.raises(ValueError, match="every offset must be"):
         classify_pq_to_1(1.0, 1, side, 1.0, n=300, offsets=offsets)
+
+
+@pytest.mark.parametrize("offsets", [(0.1,), ()])
+def test_classification_needs_two_offsets(monkeypatch, offsets):
+    # one offset gives an empty diff, whose np.all read as a monotone "diverge"
+    monkeypatch.setattr(experiments, "compute_dual", _no_solve)
+    with pytest.raises(ValueError, match="at least two offsets"):
+        classify_pq_to_1(2.0, 1, "above", 1.0, n=300, offsets=offsets)
+
+
+@pytest.mark.parametrize("ts", [(0.1,), ()])
+def test_frak_c_needs_two_ts(monkeypatch, ts):
+    # one t returned its unextrapolated value as `extrapolated`; none raised IndexError
+    monkeypatch.setattr(experiments, "compute_dual", _no_solve)
+    with pytest.raises(ValueError, match="at least two ts"):
+        estimate_frak_c(n=300, ts=ts)
+
+
+@pytest.mark.parametrize("ps", [(0.2, 0.1, 0.05), (0.2, 0.1, 0.05, 0.025, 0.0125), (0.2, 0.1, 0.1, 0.05)])
+def test_continuation_needs_four_distinct_ps(monkeypatch, ps):
+    # the four-term fit raised LinAlgError, after every solve
+    monkeypatch.setattr(experiments, "compute_dual", _no_solve)
+    with pytest.raises(ValueError, match="four distinct ps"):
+        continuation_lambda(1.0, interval_grid(1.0, n=300), ps=ps)
 
 
 @pytest.mark.parametrize(
