@@ -18,19 +18,20 @@ discrete level is a quadrature artifact.
 A cold solve starts from the first cosine mode, except on grids with
 n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid of the
 same domain and starts from that pair, lifted to the fine nodes by the
-coarse grid's local cubics (nested iteration).  A warm start from another n
-of the same domain is lifted the same way.  All three starts pass through
-one normalizer, which removes the means, scales to unit L^alpha and L^beta
-and forms K g.  The returned pair records the coarse solve and the two-grid
+coarse grid's local cubics (nested iteration), and from its last kappa
+roots.  A warm start from another n of the same domain is lifted the same
+way.  All three starts pass through one normalizer, which removes the
+means, scales to unit L^alpha and L^beta and forms K g.  The returned pair records the coarse solve and the two-grid
 D gap in `coarse_start`.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
 u = D^(-q(p+1)/(pq-1)) K_p g, v = D^(-p(q+1)/(pq-1)) K_q f, shifting the
-K g and K f the pair carries from the loop (by the loop's last q root of
-K f when p != q), and oracle_dual_smallgrid is an independent brute-force
-maximizer (projected gradient ascent from many random starts) used to
-validate the iteration on tiny grids.
+K g and K f the pair carries from the loop (K g by its p root, searched
+from the loop's last one, and K f by the loop's last q root when p != q),
+and oracle_dual_smallgrid is an independent brute-force maximizer
+(projected gradient ascent from many random starts) used to validate the
+iteration on tiny grids.
 """
 
 from __future__ import annotations
@@ -90,6 +91,7 @@ class DualPair:
     stop_reason: str | None = None  # step-small | d-flat | d-envelope
     kappa_evaluations: int = 0  # moment evaluations of the loop's kappa roots
     kappa_kf: float | None = None  # the q root of kf that formed g (p != q), reused by reconstruct_solution
+    kappa_kg: float | None = None  # the p root of the K g that formed f; reconstruct_solution's guess for kg's root
     coarse_start: dict | None = None  # the nested start's coarse solve (see compute_dual); None if none
 
 
@@ -134,8 +136,8 @@ def _best_response(
     w + kappa, with kappa the expo-type normalizing shift, which also makes
     the output mean-zero exactly.  K is self-adjoint in the quadrature
     inner product, so int f w = int g K f and the sweep is exact block
-    ascent on the discrete quotient.  `guess` is the previous root for the
-    same exponent.  Returns (f, kappa, moment evaluations of the root); f
+    ascent on the discrete quotient.  `guess` is a root the solve holds for
+    the same exponent, kappa_shift's first point.  Returns (f, kappa, moment evaluations of the root); f
     has zero mean up to rounding, so the loop hands it to green_apply
     without solve_neumann's compatibility check.
     """
@@ -209,17 +211,20 @@ def compute_dual(
     - d-flat: D changed by at most opts.tol relative over 8 sweeps in a row;
     - d-envelope: from sweep 64 on, every 8th sweep, the last 32 D values
       lie within ENVELOPE_TOL relative.
-    Every rule returns the last pair, with its K f and K g, the q root of
-    K f that formed g (p != q), and the number of kappa moment evaluations
-    the loop took; iterations, d_history, stop_reason and kappa_evaluations
+    Every rule returns the last pair, with its K f and K g, the p root of
+    the K g that formed f (kappa_kg), the q root of K f that formed g
+    (kappa_kf, p != q), and the number of kappa moment evaluations the loop
+    took; iterations, d_history, stop_reason and kappa_evaluations
     are the fine loop's own.  `coarse_start` records the nested start as
     {n, sweeps, kappa_evaluations, D, d_gap} of the coarse solve, with
     d_gap = |D_coarse - D| / D, a two-grid gap and not an error estimate;
     it is None after a cosine or a caller's warm start.  D is int f K g of
     the two best responses, whose norms are 1 by construction.  Each kappa
-    root for an exponent other than 1 first tries -mean of its potential
-    and, when that misses, takes Newton steps from that exponent's root of
-    the previous sweep if it lies on the root's side of that mean.  The
+    root for an exponent other than 1 starts at a root the solve already
+    holds (kappa_shift's guess): that exponent's root of the previous
+    sweep, and on the first sweep the start pair's kappa_kg and kappa_kf,
+    the coarse level's last roots or a caller's warm pair's; a first sweep
+    without them (the cosine start) starts at -mean of its potential.  The
     loop's Green applies call the kernel green_apply directly, since best
     responses are mean-zero by construction.  A spent budget raises
     NonConvergenceError.  Only subcritical and hyperbola exponents whose N
@@ -255,7 +260,8 @@ def compute_dual(
         f, g, kg = start.f.values, start.g.values, start.kg
     else:
         f, g, kg = _start(e, grid, start)
-    dp = _ascend(e, grid, opts, f, g, kg)
+    guesses = (None, None) if start is None else (start.kappa_kg, start.kappa_kf)
+    dp = _ascend(e, grid, opts, f, g, kg, *guesses)
     if coarse is not None:
         dp.coarse_start = {
             "n": coarse.f.grid.n,
@@ -268,15 +274,23 @@ def compute_dual(
 
 
 def _ascend(
-    e: ExponentPair, grid: RadialGrid, opts: SolverOptions, f: np.ndarray, g: np.ndarray, kg: np.ndarray
+    e: ExponentPair,
+    grid: RadialGrid,
+    opts: SolverOptions,
+    f: np.ndarray,
+    g: np.ndarray,
+    kg: np.ndarray,
+    kappa_p: float | None = None,
+    kappa_q: float | None = None,
 ) -> DualPair:
-    """compute_dual's sweeps from (f, g) and the carried K g, to a stop rule."""
+    """compute_dual's sweeps from (f, g) and the carried K g, to a stop rule;
+    kappa_p and kappa_q are the first sweep's root guesses, as each sweep's
+    roots are the next one's."""
     alpha, beta = e.alpha, e.beta
     # carried: sweep k's K g_new is sweep k+1's K g, as the start's K g is the first
     history: list[float] = []
     d_prev = None
     stable = 0
-    kappa_p = kappa_q = None
     evaluations = 0
     for it in range(1, opts.max_iter + 1):
         f_new, kappa_p, spent = _best_response(grid, kg, e.p, alpha, kappa_p)
@@ -290,16 +304,18 @@ def _ascend(
         evaluations += spent
         d_now = grid.integrate_values(f_new * kg)
         history.append(d_now)
-        df = grid.lp_norm_values(f_new - f, alpha)
-        dg = grid.lp_norm_values(g_new - g, beta)
-        f, g = f_new, g_new
         d_flat = d_prev is not None and abs(d_now - d_prev) <= opts.tol * max(1.0, abs(d_now))
         stable = stable + 1 if d_flat else 0
+        # the step norms are read only when D is flat
+        step_small = d_flat and (
+            grid.lp_norm_values(f_new - f, alpha) + grid.lp_norm_values(g_new - g, beta) <= opts.tol * 2.0
+        )
+        f, g = f_new, g_new
         # exponents below one leave a rounding-scale jitter in the iterates
         # (Hoelder sensitivity of the signed power at its root); a D estimate
         # stationary over many sweeps is then the working-precision answer
-        if d_flat and (df + dg <= opts.tol * 2.0 or stable >= 8):
-            stop = "step-small" if df + dg <= opts.tol * 2.0 else "d-flat"
+        if step_small or stable >= 8:
+            stop = "step-small" if step_small else "d-flat"
             break
         d_prev = d_now
         # tol may be 0 or below D's rounding floor, and then neither rule above
@@ -321,7 +337,17 @@ def _ascend(
     _log.debug("dual solve %s on n=%d: %s after %d sweeps, %d kappa evaluations", e, grid.n, stop, it, evaluations)
     f, g = GridFunction(grid, f), GridFunction(grid, g)
     return DualPair(
-        f, g, d_now, it, kf, kg, d_history=history, stop_reason=stop, kappa_evaluations=evaluations, kappa_kf=kappa_q
+        f,
+        g,
+        d_now,
+        it,
+        kf,
+        kg,
+        d_history=history,
+        stop_reason=stop,
+        kappa_evaluations=evaluations,
+        kappa_kf=None if e.p == e.q else kappa_q,
+        kappa_kg=kappa_p,
     )
 
 
@@ -346,15 +372,16 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     grad u . grad v integrated by parts into int |v|^(q+1)) is stored as a
     cross-check channel.  K_p g and K_q f shift the pair's carried K g and
     K f, so no Green solve runs here.  The p root of K g is the only root
-    searched: v reuses it for p = q, where the loop keeps one array as K f
-    and K g, and the loop's last q root of K f for p != q.
+    searched, from the loop's last p root dp.kappa_kg, next to it: v reuses
+    it for p = q, where the loop keeps one array as K f and K g, and the
+    loop's last q root of K f for p != q.
     """
     if e.on_hyperbola:
         raise HyperbolaError("no least-energy normalization on pq = 1")
     grid = dp.f.grid
     D = dp.d_estimate
     denom = e.p * e.q - 1.0
-    kappa_u = kappa_shift(grid, dp.kg, e.p).kappa
+    kappa_u = kappa_shift(grid, dp.kg, e.p, dp.kappa_kg).kappa
     u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (dp.kg + kappa_u)
     kappa_v = kappa_u if e.p == e.q else dp.kappa_kf
     if kappa_v is None:

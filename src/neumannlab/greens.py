@@ -18,9 +18,10 @@ mean-zero by construction.
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and hands back the signed power it evaluated there,
 so a caller never forms that n-point power twice.  It has one search for
-every exponent t != 1: it evaluates -mean(u) first, against a target on the
-moment's own mass, and on a miss takes guarded Newton steps on the side of
--mean(u) that holds the root.  balanced_shift finds the constant putting a
+every exponent t != 1: it evaluates the caller's guess first (a root the
+solve already holds), or -mean(u) without one, against a target on the
+moment's own mass, and on a miss takes guarded Newton steps from there on
+the side that holds the root.  balanced_shift finds the constant putting a
 function into the balanced class (positive and negative level sets of equal
 weighted measure) at the nodal weighted median; the sign solvers build
 their solution with its interface at the balanced radius instead, and no
@@ -190,23 +191,27 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     moment int (u + kappa) is affine and the root is -mean(u) in closed form.
     Otherwise the moment M(kappa) = int sign(u + kappa) |u + kappa|^t is
     continuous and nondecreasing, and one rule serves every t.  The first
-    evaluation is at kappa0 = -mean(u), and the residual target is
-    1e-12 int |u + kappa0|^t, the moment's own mass, read off that
-    evaluation's power array (1e-12 ||u||_inf^t |Omega| lies far above that
-    mass when u peaks at the origin of a ball, where the weight r^(N-1)
-    vanishes); a root met there, zero data included, costs M and that mass
-    alone.  On a miss the bracket is the side of kappa0 holding the root, up
-    to kappa = +-2 ||u||_inf, where every node value of u + kappa has one
-    sign, and solve_increasing takes guarded Newton steps with
+    evaluation is at kappa0: `guess`, a root the caller already holds for
+    the same exponent, when it lies strictly inside +-2 ||u||_inf (where
+    every node value of u + kappa has one sign), else -mean(u).  The
+    residual target is 1e-12 int |u + kappa0|^t, the moment's own mass, read
+    off that evaluation's power array.  At a guess it is the smaller of that
+    mass and the sup-scaled 1e-12 ||u||_inf^t |Omega|, so no guess loosens
+    it past that bound; from -mean(u) the mass alone is the target (the
+    bound lies far above the mass when u peaks at the origin of a ball,
+    where the weight r^(N-1) vanishes).  A root met at kappa0, zero data
+    included, costs M and that mass alone.  On a miss the bracket is the
+    side of kappa0 holding the root, up to +-2 ||u||_inf, and
+    solve_increasing takes guarded Newton steps from kappa0 with
     M' = t int |u + kappa|^(t-1), from the power array of the same
-    evaluation.  They start at `guess` (a previous root for the same
-    exponent) when it lies strictly inside that bracket, and otherwise at
-    the Newton step from kappa0.  For t < 1, M' is infinite at a nodal zero,
-    and a node value near the root makes M steeper than float spacing
-    resolves; the root is then the adjacent pair of floats across which M
-    changes sign.  Raises KappaShiftError when u or M is not finite, when
-    M has no sign change on the bracket (negative origin weights of a coarse
-    ball can keep it below 0) or when kappa meets neither rule.
+    evaluation.  For t < 1, M' is infinite at a nodal zero, and a node value
+    near the root makes M steeper than float spacing resolves; the root is
+    then the adjacent pair of floats across which M changes sign, and as
+    solve_increasing signed both, the check evaluates M once more, at the
+    float next to kappa outside the pair.  Raises KappaShiftError when u or
+    M is not finite, when M has no sign change on the bracket (negative
+    origin weights of a coarse ball can keep it below 0) or when kappa
+    meets neither rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")
@@ -247,18 +252,19 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        kappa0 = -grid.mean_values(values)  # the root at t = 1
+        sup = float(np.max(np.abs(values)))
+        bound = 2.0 * sup
+        warm = guess is not None and -bound < guess < bound
+        kappa0 = guess if warm else -grid.mean_values(values)  # -mean(u) is the root at t = 1
         total, power, size = moment(kappa0)
         tol = 1e-12 * grid.integrate_values(power)
+        if warm:
+            tol = min(tol, 1e-12 * np.power(sup, t) * grid.domain_measure)
         if abs(total) <= tol:
             return ShiftRoot(kappa0, ends[total < 0.0][1], evaluations)
-        bound = 2.0 * float(np.max(np.abs(values)))
         lo, hi = (kappa0, bound) if total < 0.0 else (-bound, kappa0)
-        if guess is not None and lo < guess < hi:
-            start = guess
-        else:
-            m1 = slope(power, size)
-            start = kappa0 - total / m1 if m1 > 0.0 else math.nan
+        m1 = slope(power, size)
+        start = kappa0 - total / m1 if m1 > 0.0 else math.nan
         try:
             lo, hi = solve_increasing(with_slope, lo, hi, tol, start=start)
         except BracketError as exc:
@@ -266,8 +272,11 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
         # kappa is lo or hi, and each is the last evaluation on its side
         kappa = 0.5 * (lo + hi)
         root_power = next(signed for at, signed in ends.values() if at == kappa)
-        # lo == hi met tol; adjacent ends must have the sign change across kappa
-        if lo < hi and not moment(np.nextafter(kappa, -np.inf))[0] <= 0.0 <= moment(np.nextafter(kappa, np.inf))[0]:
+        # lo == hi met tol; adjacent ends must have the sign change across
+        # kappa, and solve_increasing already signed the end that is not kappa
+        if lo < hi and not (
+            moment(np.nextafter(lo, -np.inf))[0] <= 0.0 if kappa == lo else moment(np.nextafter(hi, np.inf))[0] >= 0.0
+        ):
             raise KappaShiftError(
                 f"normalizing shift did not converge (residual {moment(kappa)[0]:.3e}, target {tol:.3e})"
             )

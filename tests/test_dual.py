@@ -158,6 +158,7 @@ def test_reconstruction_flips_a_negated_pair_back_bit_for_bit(p, q, dim):
         kf=-dp.kf,
         kg=-dp.kg,
         kappa_kf=None if dp.kappa_kf is None else -dp.kappa_kf,
+        kappa_kg=-dp.kappa_kg,
     )
     rep, flipped = reconstruct_solution(e, dp), reconstruct_solution(e, negated)
     assert rep.u.values[0] > 0.0
@@ -321,8 +322,9 @@ def test_a_p_equals_q_reconstruction_searches_one_kappa_root(p, dim, monkeypatch
     e = ExponentPair(p, p, dim)
     grid = make_grid(dim, 1000)
     dp = compute_dual(e, grid)
-    # v from its own search of the q root of K f
-    v = dp.d_estimate ** (-p * (p + 1.0) / (p * p - 1.0)) * (dp.kf + dual.kappa_shift(grid, dp.kf, p).kappa)
+    # v from its own search of the q root of K f, from the guess the reconstruction takes
+    kappa = dual.kappa_shift(grid, dp.kf, p, dp.kappa_kg).kappa
+    v = dp.d_estimate ** (-p * (p + 1.0) / (p * p - 1.0)) * (dp.kf + kappa)
     calls = []
     real_shift = dual.kappa_shift
 
@@ -352,6 +354,31 @@ def test_kappa_evaluations_add_up(line, monkeypatch):
     spent.clear()
     # at p = q = 1 every root is the closed form -mean(K g)
     assert compute_dual(ExponentPair(1.0, 1.0, 1), line).kappa_evaluations == 0 == sum(spent)
+
+
+def test_a_nested_solve_hands_its_kappa_roots_along(monkeypatch):
+    # the coarse level's last p and q roots are the fine loop's first
+    # guesses, and the loop's last p root is the reconstruction's
+    e = ExponentPair(3.0, 2.0, 2)
+    calls = []
+    real_shift = dual.kappa_shift
+
+    def counted(grid, values, t, guess=None):
+        root = real_shift(grid, values, t, guess)
+        calls.append((grid.n, t, guess, root))
+        return root
+
+    monkeypatch.setattr(dual, "kappa_shift", counted)
+    dp = compute_dual(e, make_grid(2, 8000))
+    coarse = [(t, root.kappa) for n, t, _, root in calls if n == dual.COARSE_N]
+    fine = [(t, guess, root) for n, t, guess, root in calls if n == 8000]
+    assert coarse[-2:] == [(e.p, fine[0][1]), (e.q, fine[1][1])]
+    assert [t for t, _, _ in fine] == [e.p, e.q] * dp.iterations
+    assert (dp.kappa_kg, dp.kappa_kf) == (fine[-2][2].kappa, fine[-1][2].kappa)
+    calls.clear()
+    reconstruct_solution(e, dp)
+    [(n, t, guess, root)] = calls
+    assert (t, guess) == (e.p, dp.kappa_kg) and root.evaluations <= 2
 
 
 def test_warm_start_reuses_the_carried_k_image(line, monkeypatch):
