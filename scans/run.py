@@ -27,14 +27,25 @@ dual   compute_dual and reconstruct_solution for p, q in {0.01, 0.1, 0.5,
        relative to max |rhs|; and defect_u and defect_v, the operator-form
        defects |x - mean x - K(rhs - mean rhs)|_inf / |x|_inf with rhs
        recomputed from (u, v).  Every field must be identical.
+cli    `neumannlab solve` in process through cli.main, as the benchmark
+       runs it: (p, q) in {(3, 2), (2, 3), (0.5, 3), (3, 0.5)} on N = 1..3
+       at n = 20000, and p = 0, q = 1 on N = 1..3 at n in {2000, 20000}:
+       18 solves keyed by (p, q, dim, n), each with its exit code, the
+       solution.json fields but config (which holds the output directory)
+       and the two version strings, and the sha256 of u.csv and v.csv.
+       Every field must be identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import io
 import json
 import sys
+import tempfile
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -42,7 +53,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np  # noqa: E402
 
 from neumannlab import ExponentPair, Region, classify_region, compute_dual, interval_grid  # noqa: E402
-from neumannlab import ls_upper_bounds, make_grid, reconstruct_solution  # noqa: E402
+from neumannlab import cli, ls_upper_bounds, make_grid, reconstruct_solution  # noqa: E402
 from neumannlab.greens import _signed_power, green_apply  # noqa: E402
 from neumannlab.grid import discrete_radial_laplacian  # noqa: E402
 from neumannlab.sign import _crossing_radii, _off_crossings, solve_scalar_sign, solve_sign_system  # noqa: E402
@@ -52,6 +63,8 @@ DUAL_FIELDS = ("D", "lam", "c", "iterations", "stop_reason", "kappa_evaluations"
                "residual_u", "residual_v")
 DUAL_EXPONENTS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 GENUS_EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
+CLI_PAIRS = ((3.0, 2.0), (2.0, 3.0), (0.5, 3.0), (3.0, 0.5))
+UNSTABLE = ("config", "neumannlab_version", "numpy_version")  # solution.json fields a cli line leaves out
 DOWN_TOL = 1e-13  # the genus rule's bound on a bound's downward relative move
 
 
@@ -114,6 +127,27 @@ def dual_rows() -> list[dict]:
     return [dual_row(e, n) for e in pairs if classify_region(e) is Region.SUBCRITICAL for n in (2000, 20000)]
 
 
+def cli_row(p: float, q: float, dim: int, n: int) -> dict:
+    """One cli line: `neumannlab solve` run through cli.main in a fresh directory."""
+    argv = ["solve", "--p", f"{p:g}", "--q", f"{q:g}", "--dim", str(dim), "--n", str(n)]
+    with tempfile.TemporaryDirectory() as tmp:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            row = {"p": p, "q": q, "dim": dim, "n": n, "exit": cli.main(argv + ["--outdir", tmp])}
+        out = Path(tmp)
+        solution = json.loads((out / "solution.json").read_text())
+        row.update((k, v) for k, v in solution.items() if k not in UNSTABLE)
+        for name in ("u.csv", "v.csv"):
+            if (out / name).exists():
+                row[name] = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    return row
+
+
+def cli_rows() -> list[dict]:
+    dual = [(p, q, dim, 20000) for dim in (1, 2, 3) for p, q in CLI_PAIRS]
+    sign = [(0.0, 1.0, dim, n) for dim in (1, 2, 3) for n in (2000, 20000)]
+    return [cli_row(*key) for key in dual + sign]
+
+
 def identical(ref: dict, new: dict, label) -> int:
     """Every field of every entry identical, compared by its JSON spelling."""
     moved = 0
@@ -145,6 +179,7 @@ FAMILIES = {
     "sign": (sign_rows, ("q", "dim", "n"), identical),
     "genus": (genus_rows, ("p", "q", "seed"), no_bound_lower),
     "dual": (dual_rows, ("p", "q", "dim", "n"), identical),
+    "cli": (cli_rows, ("p", "q", "dim", "n"), identical),
 }
 
 

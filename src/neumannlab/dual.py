@@ -15,14 +15,15 @@ the start goes through solve_neumann.  Critical pairs are refused: on the
 radial grid their maximizer concentrates at the origin at grid scale, so the
 discrete level is a quadrature artifact.
 
-A cold solve starts from the first cosine mode, except on grids with
+A cold solve starts from g = cos(pi r / L), except on grids with
 n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid of the
-same domain and starts from that pair, lifted to the fine nodes by the
-coarse grid's local cubics (nested iteration), and from its last kappa
-roots.  A warm start from another n of the same domain is lifted the same
-way.  All three starts pass through one normalizer, which removes the
-means, scales to unit L^alpha and L^beta and forms K g.  The returned pair records the coarse solve and the two-grid
-D gap in `coarse_start`.
+same domain and starts from that pair's g, lifted to the fine nodes by the
+coarse grid's local cubics (nested iteration), and its last kappa roots.  A
+warm start from another n of the same domain is lifted the same way.  All
+three pass through one normalizer, which removes g's mean, scales g to unit
+L^beta and forms K g: the best responses read g only through K g, the
+loop's whole start state.  The returned pair records the coarse solve and
+the two-grid D gap in `coarse_start`.
 
 reconstruct_solution converts a converged dual pair into a solution (u, v)
 of the primal system through the D-power scalings
@@ -155,27 +156,24 @@ def _best_response(
     return y, kappa, evaluations
 
 
-def _start(e: ExponentPair, grid: RadialGrid, pair: DualPair | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f, g and K g to start the loop on grid: the first cosine mode (pair
-    None) or pair's f and g at grid's nodes by RadialGrid.cubic_at, each
-    with its mean removed and scaled to unit L^alpha and L^beta, and K g by
-    solve_neumann.  Raises NumericalFailure when a norm is not positive on
-    grid's quadrature (the negative origin weights of a coarse ball)."""
+def _start(e: ExponentPair, grid: RadialGrid, pair: DualPair | None) -> np.ndarray:
+    """K g to start the loop on grid, the loop's whole start state: g is the
+    first cosine mode (pair None) or pair's g at grid's nodes by
+    RadialGrid.cubic_at, with its mean removed and scaled to unit L^beta,
+    and K g is formed by solve_neumann.  Raises NumericalFailure when that
+    norm is not positive on grid's quadrature (the negative origin weights
+    of a coarse ball)."""
     if pair is None:
-        f = g = np.cos(np.pi * grid.r / grid.length)
+        g = np.cos(np.pi * grid.r / grid.length)
     else:
-        f, g = (pair.f.grid.cubic_at(y.values, grid.r) for y in (pair.f, pair.g))
-    f = f - grid.mean_values(f)
+        g = pair.g.grid.cubic_at(pair.g.values, grid.r)
     g = g - grid.mean_values(g)
-    norm_f, norm_g = grid.lp_norm_values(f, e.alpha), grid.lp_norm_values(g, e.beta)
-    if not (norm_f > 0.0 and norm_g > 0.0):
-        raise NumericalFailure(
-            f"start norms {norm_f:.3e} and {norm_g:.3e} are not both positive on the N = {grid.dim}, n = {grid.n} grid"
-        )
-    f /= norm_f
-    g /= norm_g
+    norm = grid.lp_norm_values(g, e.beta)
+    if not norm > 0.0:
+        raise NumericalFailure(f"start norm {norm:.3e} is not positive on the N = {grid.dim}, n = {grid.n} grid")
+    g /= norm
     # values by keyword: perfbench's tracer reads a second positional argument as a flag
-    return f, g, solve_neumann(grid, values=g)
+    return solve_neumann(grid, values=g)
 
 
 def compute_dual(
@@ -198,13 +196,13 @@ def compute_dual(
       The coarse solve's cost breaks even near n = 6000 on the dual-cold
       pairs, hence the threshold.  If the coarse solve raises NumericalFailure, the solve
       logs one DEBUG record and takes the cosine start.
-    - Any other cold solve starts f and g from the first cosine mode
+    - Any other cold solve starts g from the first cosine mode
       cos(pi r / L).
-    A pair on this grid is taken as it is, with its K g.  Every other start
-    goes through one normalizer, _start: the cosine mode or the pair's f
-    and g at the new nodes (4-point cubic Lagrange interpolation on the old
-    uniform nodes) lose their means and are scaled to unit L^alpha and
-    L^beta, and K g is formed by solve_neumann.
+    A pair on this grid hands over its K g, the loop's whole start state.
+    Every other start goes through one normalizer, _start: the cosine mode
+    or the pair's g at the new nodes (4-point cubic Lagrange interpolation
+    on the old uniform nodes) loses its mean and is scaled to unit L^beta,
+    and K g is formed by solve_neumann.
     Each sweep stops the loop, with that rule as `stop_reason`, when
     - step-small: D changed by at most opts.tol relative and the
       L^alpha x L^beta change of (f, g) is at most 2 opts.tol;
@@ -252,16 +250,13 @@ def compute_dual(
     if warm_start is None and grid.n >= 4 * COARSE_N:
         level = make_grid(grid.dim, COARSE_N, grid.length)
         try:
-            coarse = _ascend(e, level, opts, *_start(e, level, None))
+            coarse = _ascend(e, level, opts, _start(e, level, None))
         except NumericalFailure as exc:
             _log.debug("dual solve %s on n=%d: coarse start failed (%s), cosine start", e, grid.n, exc)
     start = warm_start if warm_start is not None else coarse
-    if start is not None and start.f.grid == grid:
-        f, g, kg = start.f.values, start.g.values, start.kg
-    else:
-        f, g, kg = _start(e, grid, start)
+    kg = start.kg if start is not None and start.g.grid == grid else _start(e, grid, start)
     guesses = (None, None) if start is None else (start.kappa_kg, start.kappa_kf)
-    dp = _ascend(e, grid, opts, f, g, kg, *guesses)
+    dp = _ascend(e, grid, opts, kg, *guesses)
     if coarse is not None:
         dp.coarse_start = {
             "n": coarse.f.grid.n,
@@ -277,17 +272,16 @@ def _ascend(
     e: ExponentPair,
     grid: RadialGrid,
     opts: SolverOptions,
-    f: np.ndarray,
-    g: np.ndarray,
     kg: np.ndarray,
     kappa_p: float | None = None,
     kappa_q: float | None = None,
 ) -> DualPair:
-    """compute_dual's sweeps from (f, g) and the carried K g, to a stop rule;
-    kappa_p and kappa_q are the first sweep's root guesses, as each sweep's
-    roots are the next one's."""
+    """compute_dual's sweeps from the start's K g to a stop rule; kappa_p
+    and kappa_q are the first sweep's root guesses, as each sweep's roots
+    are the next one's."""
     alpha, beta = e.alpha, e.beta
     # carried: sweep k's K g_new is sweep k+1's K g, as the start's K g is the first
+    f = g = None  # the previous sweep's best responses, read from sweep 2 on
     history: list[float] = []
     d_prev = None
     stable = 0

@@ -17,15 +17,16 @@ mean-zero by construction.
 
 kappa_shift finds the constant kappa with int |u + kappa|^(t-1) (u + kappa) = 0
 (the K_t normalization) and hands back the signed power it evaluated there,
-so a caller never forms that n-point power twice.  It has one search for
-every exponent t != 1: it evaluates the caller's guess first (a root the
-solve already holds), or -mean(u) without one, against a target on the
-moment's own mass, and on a miss takes guarded Newton steps from there on
-the side that holds the root.  balanced_shift finds the constant putting a
-function into the balanced class (positive and negative level sets of equal
-weighted measure) at the nodal weighted median; the sign solvers build
-their solution with its interface at the balanced radius instead, and no
-solver calls it.  solve_increasing, Illinois regula falsi with a bisection
+so a caller never forms that n-point power twice.  It has one search and
+one residual target for every exponent t != 1: it evaluates the caller's
+guess first (a root the solve already holds), or -mean(u) without one,
+against the smaller of the moment's own mass and a sup-scaled bound, and on
+a miss takes guarded Newton steps from there on the side that holds the
+root.  balanced_shift finds the constant putting a function into the
+balanced class (positive and negative level sets of equal weighted
+measure) at the nodal weighted median; the sign solvers build their
+solution with its interface at the balanced radius instead, and no solver
+calls it.  solve_increasing, Illinois regula falsi with a bisection
 safeguard and guarded Newton steps, is the bracketing root finder behind
 kappa_shift.  It has one calling convention, fn(x) -> (value, slope) with a
 NaN slope allowed, and evaluates an end of its bracket only when it closes
@@ -193,15 +194,15 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     continuous and nondecreasing, and one rule serves every t.  The first
     evaluation is at kappa0: `guess`, a root the caller already holds for
     the same exponent, when it lies strictly inside +-2 ||u||_inf (where
-    every node value of u + kappa has one sign), else -mean(u).  The
-    residual target is 1e-12 int |u + kappa0|^t, the moment's own mass, read
-    off that evaluation's power array.  At a guess it is the smaller of that
-    mass and the sup-scaled 1e-12 ||u||_inf^t |Omega|, so no guess loosens
-    it past that bound; from -mean(u) the mass alone is the target (the
-    bound lies far above the mass when u peaks at the origin of a ball,
-    where the weight r^(N-1) vanishes).  A root met at kappa0, zero data
-    included, costs M and that mass alone.  On a miss the bracket is the
-    side of kappa0 holding the root, up to +-2 ||u||_inf, and
+    every node value of u + kappa has one sign), else -mean(u).  Every root,
+    from a guess or not, has one residual target,
+    1e-12 min(int |u + kappa0|^t, ||u||_inf^t |Omega|).  The moment's own
+    mass, read off that evaluation's power array, is the smaller when u
+    peaks at the origin of a ball, where the weight r^(N-1) vanishes; the
+    sup-scaled bound is the smaller when kappa0 lies far from the root and
+    a large t inflates that mass.  A root met at kappa0, zero data included,
+    costs M and that mass alone.  On a miss the bracket is the side of
+    kappa0 holding the root, up to +-2 ||u||_inf, and
     solve_increasing takes guarded Newton steps from kappa0 with
     M' = t int |u + kappa|^(t-1), from the power array of the same
     evaluation.  For t < 1, M' is infinite at a nodal zero, and a node value
@@ -254,12 +255,10 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     with np.errstate(over="ignore", invalid="ignore"):
         sup = float(np.max(np.abs(values)))
         bound = 2.0 * sup
-        warm = guess is not None and -bound < guess < bound
-        kappa0 = guess if warm else -grid.mean_values(values)  # -mean(u) is the root at t = 1
+        # -mean(u) is the root at t = 1
+        kappa0 = guess if guess is not None and -bound < guess < bound else -grid.mean_values(values)
         total, power, size = moment(kappa0)
-        tol = 1e-12 * grid.integrate_values(power)
-        if warm:
-            tol = min(tol, 1e-12 * np.power(sup, t) * grid.domain_measure)
+        tol = min(1e-12 * grid.integrate_values(power), 1e-12 * np.power(sup, t) * grid.domain_measure)
         if abs(total) <= tol:
             return ShiftRoot(kappa0, ends[total < 0.0][1], evaluations)
         lo, hi = (kappa0, bound) if total < 0.0 else (-bound, kappa0)

@@ -21,8 +21,8 @@ cubic vanishes at a, and the fixed-point certificate reads it back: u
 changes sign exactly once and certify_balanced certifies its level sets,
 so its sign is the step it was built from.  A solve finds the crossings of
 u once, and that one list gives the certificate, the zero radius, the
-sharp L^1 norm and the band of nodes within 3h of a crossing that the
-residuals leave out.
+sharp L^1 norm and the band of nodes within 3h of a crossing that the v
+residual leaves out; one more pass, over v, gives the u residual's band.
 """
 
 from __future__ import annotations
@@ -175,15 +175,16 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     Raises NumericalFailure when the Green solve is not finite or refuses
     its mean-projected data (the negative origin weights of a coarse ball
     at a large q) and ValueError when the grid is too coarse to leave a
-    node for the residuals.  The crossings of u are found once and give the
-    certificate, zero_radius, the sharp L^1 norm in Lambda and the
-    residuals' band: the residuals are sup norms that leave out the nodes
-    within 3h of a crossing (six, or seven for a crossing on a node), where
-    the exact solution's second derivatives jump and nodal finite
-    differences cannot vanish.  The u residual is taken against the kappa
-    root's signed power and the v residual against sign(u).  converged reads
-    the fixed-point certificate and residual_v; residual_u is not gated (at
-    q = 0.1, N = 2..6, n = 2000 it is 5.9e-2 to 7.6e-2 of max |v|^q).
+    node for either residual.  The crossings of u are found once and give
+    the certificate, zero_radius and the sharp L^1 norm in Lambda.  The
+    residuals are sup norms that leave out the nodes within 3h of a
+    crossing (six, or seven for one on a node) of their right side's
+    argument, where that side is not smooth and nodal finite differences
+    cannot vanish: the v residual, against sign(u), those of u; the u
+    residual, against the kappa root's |v|^(q-1) v, those of v (15h from
+    u's on the disk at n = 2000).  converged reads the fixed-point
+    certificate and residual_v; residual_u is not gated (at q = 0.1,
+    N = 2..8, n = 2000 it is 4.0e-4 to 5.0e-4 of max |v|^q).
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")
@@ -211,11 +212,12 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     c = c_from_lambda(ExponentPair(0.0, q, grid.dim), lam)
     c_energy = q / (q + 1.0) * beta_int - l1
 
-    smooth = _off_crossings(grid, cuts)
-    if not smooth.any():
-        raise ValueError(f"n = {grid.n} is too coarse for the residuals: every node is in the interface band of u")
-    res_u = float(np.abs(-discrete_radial_laplacian(grid, u) - power)[smooth].max())
-    res_v = float(np.abs(-discrete_radial_laplacian(grid, v) - np.sign(u))[smooth].max())
+    # each equation's right side has its kink at the other function's crossings
+    smooth_u, smooth_v = _off_crossings(grid, _crossing_radii(grid, v)), _off_crossings(grid, cuts)
+    if not (smooth_u.any() and smooth_v.any()):
+        raise ValueError(f"n = {grid.n} is too coarse for the residuals: every node is in an interface band")
+    res_u = float(np.abs(-discrete_radial_laplacian(grid, u) - power)[smooth_u].max())
+    res_v = float(np.abs(-discrete_radial_laplacian(grid, v) - np.sign(u))[smooth_v].max())
     u = GridFunction(grid, u)
     certified = _certified(u, cuts)
     _log.debug("sign solve q=%g, N=%d on n=%d: direct construction, certified=%s", q, grid.dim, grid.n, certified)

@@ -20,7 +20,7 @@ from neumannlab.dual import (
 )
 from neumannlab.exponents import ExponentPair, HyperbolaError, Region, classify_region
 from neumannlab.greens import KappaShiftError, NumericalFailure
-from neumannlab.grid import GridFunction, interval_grid, make_grid, unit_ball_grid
+from neumannlab.grid import GridFunction, RadialGrid, interval_grid, make_grid, unit_ball_grid
 
 J11 = 3.8317059702075125  # first positive root of J_1
 
@@ -173,8 +173,8 @@ def test_a_kappa_bracket_without_a_sign_change_is_a_kappa_shift_error(p, q, dim,
 
 
 def test_a_start_norm_without_a_positive_quadrature_is_a_numerical_failure():
-    # N = 7, n = 6: the negative origin weights make both start norms' quadratures negative
-    with pytest.raises(NumericalFailure, match="not both positive"):
+    # N = 7, n = 6: the negative origin weights make the start norm's quadrature negative
+    with pytest.raises(NumericalFailure, match="start norm .* is not positive"):
         compute_dual(ExponentPair(0.1, 0.1, 7), make_grid(7, 6))
 
 
@@ -381,6 +381,20 @@ def test_a_nested_solve_hands_its_kappa_roots_along(monkeypatch):
     assert (t, guess) == (e.p, dp.kappa_kg) and root.evaluations <= 2
 
 
+def test_a_nested_solve_lifts_one_function(monkeypatch):
+    # the fine loop starts from K g alone, so only the coarse g is lifted
+    lifted = []
+    real_cubic_at = RadialGrid.cubic_at
+
+    def counted(self, values, r):
+        lifted.append(len(r))
+        return real_cubic_at(self, values, r)
+
+    monkeypatch.setattr(RadialGrid, "cubic_at", counted)
+    compute_dual(ExponentPair(3.0, 2.0, 2), make_grid(2, 8000))
+    assert lifted.count(8001) == 1
+
+
 def test_warm_start_reuses_the_carried_k_image(line, monkeypatch):
     warm = compute_dual(ExponentPair(2.0, 1.0, 1), line)
     calls = _count_green_applies(monkeypatch)
@@ -431,9 +445,10 @@ def test_warm_start_from_a_coarser_grid_is_lifted(dim):
 
 
 def _cosine_pair(e: ExponentPair, grid) -> dual.DualPair:
-    # compute_dual's cosine start, handed in as a warm start: the reference path
-    f, g, kg = dual._start(e, grid, None)
-    return dual.DualPair(GridFunction(grid, f), GridFunction(grid, g), 0.0, 0, kg, kg)
+    # compute_dual's cosine start, handed in as a warm start: the reference
+    # path; a pair on the same grid hands over its K g alone
+    kg = dual._start(e, grid, None)
+    return dual.DualPair(GridFunction(grid, kg), GridFunction(grid, kg), 0.0, 0, kg, kg)
 
 
 def _operator_defect(e: ExponentPair, dp: dual.DualPair) -> float:

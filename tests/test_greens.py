@@ -430,6 +430,16 @@ def test_kappa_shift_warm_start_meets_the_target_from_any_guess(t):
     assert kappa_shift(grid, u, t, cold.kappa).evaluations == 1
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_kappa_shift_without_a_guess_meets_the_sup_scaled_bound(dim):
+    # a steep profile at a large t: the moment's mass at -mean(u) lies 1e5 to
+    # 1e6 times above the bound, which a guess-free root must meet as well
+    grid = make_grid(dim, 2000)
+    u = np.tanh(40.0 * (grid.r - 0.9))
+    kappa, power, _ = kappa_shift(grid, u, 29.0)
+    assert abs(grid.integrate_values(power)) <= 1e-12 * np.max(np.abs(u)) ** 29 * grid.domain_measure
+
+
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
 def test_kappa_shift_below_one_meets_its_rule_from_any_guess(t):
     for grid, u in _shift_profiles():

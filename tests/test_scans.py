@@ -1,5 +1,5 @@
 """Smoke tests of the reference-scan driver scans/run.py: its compare rules
-on hand-made rows, and one small dual line."""
+on hand-made rows, one small dual line and one small cli line."""
 
 import importlib.util
 import math
@@ -60,6 +60,14 @@ def test_a_dual_line_carries_every_field():
     assert (row["p"], row["q"], row["dim"], row["n"]) == (2.0, 3.0, 2, 200)
     assert row["stop_reason"] in ("step-small", "d-flat", "d-envelope")
     assert all(0.0 <= row[f] < 1e-3 for f in ("off_band_u", "off_band_v", "defect_u", "defect_v"))
+
+
+def test_a_cli_line_carries_the_exit_code_the_solution_and_the_csv_digests():
+    row = run.cli_row(3.0, 2.0, 1, 2000)
+    assert (row["p"], row["q"], row["dim"], row["n"], row["exit"]) == (3.0, 2.0, 1, 2000, 0)
+    assert row["converged"] is True and row["Lambda"] > 0.0
+    assert not set(run.UNSTABLE) & set(row)
+    assert all(len(row[name]) == 64 for name in ("u.csv", "v.csv"))
 
 
 @pytest.mark.parametrize(

@@ -182,21 +182,31 @@ def test_a_second_sign_change_fails_the_certificate(monkeypatch, caplog):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_each_sign_solve_finds_the_crossings_once(dim, monkeypatch):
-    # the one list of crossings gives the certificate, zero_radius, the
-    # sharp L^1 norm and the residuals' band
+    # the one list of crossings of u gives the certificate, zero_radius, the
+    # sharp L^1 norm and the v equation's band; the system solve passes over
+    # v once more, for the u equation's band
     calls = []
     find = sign._crossing_radii
 
     def counted(grid, vals):
-        calls.append(grid.n)
+        calls.append(vals.copy())
         return find(grid, vals)
 
     monkeypatch.setattr(sign, "_crossing_radii", counted)
     grid = make_grid(dim=dim, n=2000)
     rep = solve_sign_system(1.0, grid)
-    assert len(calls) == 1 and rep.converged
-    solve_scalar_sign(grid)
-    assert len(calls) == 2
+    assert rep.converged and len(calls) == 2
+    assert np.array_equal(calls[0], rep.u.values) and np.array_equal(calls[1], rep.v.values)
+    u, _ = solve_scalar_sign(grid)
+    assert len(calls) == 3 and np.array_equal(calls[2], u.values)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 6])
+def test_the_u_residual_leaves_out_the_band_at_the_zero_of_v(dim):
+    # |v|^(q-1) v is only Hoelder at v's zero, which lies off u's (on the
+    # disk at r = 0.6996 against a = 0.7071, 15h away)
+    rep = solve_sign_system(0.1, make_grid(dim=dim, n=2000))
+    assert rep.residual_u / np.max(np.abs(rep.v.values)) ** 0.1 <= 1e-3
 
 
 @pytest.mark.parametrize(
