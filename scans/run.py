@@ -59,7 +59,7 @@ from neumannlab.grid import discrete_radial_laplacian  # noqa: E402
 from neumannlab.sign import _crossing_radii, _off_crossings, solve_scalar_sign, solve_sign_system  # noqa: E402
 
 SIGN_FIELDS = ("lam", "c", "c_energy", "zero_radius", "residual_u", "residual_v", "converged", "iterations")
-DUAL_FIELDS = ("D", "lam", "c", "iterations", "stop_reason", "kappa_evaluations", "converged",
+DUAL_FIELDS = ("D", "lam", "c", "iterations", "k_step", "kappa_evaluations", "converged",
                "residual_u", "residual_v")
 DUAL_EXPONENTS = (0.01, 0.1, 0.5, 1.0, 2.0, 5.0)
 GENUS_EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)

@@ -6,12 +6,12 @@ study to CSV), asympt (symmetry-breaking verdicts across dimensions) and
 oracle (small-grid brute force against the iteration).  Each subcommand
 declares only the flags it reads; they can also come from a JSON config
 file, whose keys are those flags' names (max_iter for --max-iter), and
-explicit flags win.  The dual solver takes only --tol (finite, >= 0) and
---max-iter (>= 1); solve refuses both with --p 0, whose sign problem is
-solved without iteration (iterations reads 1).  A cold dual solve starts
-from the first cosine mode (with n >= 8000 from the n = 2000 solve), and
-each sweep sample after the first continues from the previous sample's
-pair unless that sample failed.
+explicit flags win.  The dual solver takes only --tol (finite, >= 1e-12,
+the rounding floor of its K-image step) and --max-iter (>= 1); solve
+refuses both with --p 0, whose sign problem is solved without iteration
+(iterations reads 1).  A cold dual solve starts from the first cosine mode
+(with n >= 8000 from the n = 2000 solve), and each sweep sample after the
+first continues from the previous sample's pair unless that sample failed.
 `main` merges the config, makes the output directory and alone maps
 exceptions to exit codes: 0 success, 1 configuration error (a usage error,
 an unreadable or ill-typed config file, an output directory that cannot be
@@ -52,7 +52,7 @@ _FLAGS = {
     "dim": (int, "space dimension N: 1 the interval, >= 2 the unit ball"),
     "n": (int, "grid panels (default 2000)"),
     "length": (float, "interval length (N = 1 only)"),
-    "tol": (float, "iteration tolerance"),
+    "tol": (float, "relative K-image step that stops the dual loop (>= 1e-12)"),
     "max_iter": (int, "iteration budget"),
     "seed": (int, "random seed"),
     "path": (str, "e.g. 'p:0.5..3,q:1'"),
@@ -147,7 +147,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         "residual_v": rep.residual_v,
         "iterations": rep.iterations,
         "converged": rep.converged,
-        "stop_reason": rep.stop_reason,
+        "k_step": rep.k_step,
         "kappa_evaluations": rep.kappa_evaluations,
         "coarse_start": rep.coarse_start,
         "zero_radius": rep.zero_radius,

@@ -79,7 +79,7 @@ class SweepResult:
         return [row[key] for row in self.rows]
 
     def write_csv(self, path) -> None:
-        headers = ["t", "p", "q", "Lambda", "D", "c", "u_max", "v_max", "iterations", "converged", "stop_reason", "error"]
+        headers = ["t", "p", "q", "Lambda", "D", "c", "u_max", "v_max", "iterations", "converged", "k_step", "error"]
         write_csv_rows(path, headers, self.rows)
 
 
@@ -103,7 +103,7 @@ def _sweep_sample(spec: SweepSpec, t: float, warm: DualPair | None) -> tuple[dic
             row["u_max"] = rep.u.sup_norm()
             row["v_max"] = rep.v.sup_norm()
             row["converged"] = rep.converged
-        row["stop_reason"] = dp.stop_reason  # a failed row leaves it empty
+        row["k_step"] = dp.k_step  # a failed row leaves it empty
         return row, dp
     except (NumericalFailure, ValueError) as exc:
         d_estimate = getattr(exc, "d_estimate", None)

@@ -183,8 +183,11 @@ def solve_sign_system(q: float, grid: RadialGrid) -> SolutionReport:
     cannot vanish: the v residual, against sign(u), those of u; the u
     residual, against the kappa root's |v|^(q-1) v, those of v (15h from
     u's on the disk at n = 2000).  converged reads the fixed-point
-    certificate and residual_v; residual_u is not gated (at q = 0.1,
-    N = 2..8, n = 2000 it is 4.0e-4 to 5.0e-4 of max |v|^q).
+    certificate and residual_v.  residual_u is a diagnostic, not gated, as
+    is the dual solver's residual of an equation whose exponent is below 1:
+    u is the Green solve of the kappa root's power by construction, and for
+    q < 1 its stencil residual is Hoelder-limited (at q = 0.1, N = 2..8,
+    n = 2000 it is 4.0e-4 to 5.0e-4 of max |v|^q).
     """
     if not q > 0:
         raise ValueError(f"q must be positive, got {q}")

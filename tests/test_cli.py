@@ -27,7 +27,7 @@ def test_solve_subcritical(tmp_path):
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["converged"] is True
     assert payload["Lambda"] * payload["D"] == pytest.approx(1.0, rel=1e-12)
-    assert payload["stop_reason"] in ("step-small", "d-flat", "d-envelope")
+    assert 0.0 <= payload["k_step"] <= 1e-10  # the default tol
     # p = q = 3: one t = 3 root per sweep, at least one moment evaluation each
     assert payload["iterations"] <= payload["kappa_evaluations"] <= 8 * payload["iterations"]
     _assert_run_metadata(payload)
@@ -46,7 +46,7 @@ def test_solve_sign_case_reports_zero_radius(tmp_path):
     payload = json.loads((tmp_path / "solution.json").read_text())
     assert payload["zero_radius"] == pytest.approx(2.0 ** -0.5, abs=1e-10)
     assert payload["iterations"] == 1  # one application of the balanced-level-set map
-    assert payload["stop_reason"] is None  # the sign solver has no dual stop rule
+    assert payload["k_step"] is None  # the sign solver has no dual stop rule
     assert payload["kappa_evaluations"] is None
     assert payload["coarse_start"] is None
 
@@ -236,8 +236,9 @@ def test_config_rejects_damping_key(tmp_path, capsys):
         ["sweep", "--path", "p:2..3,q:1", "--samples", "3", "--n", "100", "--max-iter", "0"],
         ["oracle", "--n", "9", "--p", "2", "--q", "3", "--max-iter", "0"],
         ["solve", "--p", "3", "--q", "2", "--n", "100", "--tol=-1e-10"],
+        ["solve", "--p", "3", "--q", "2", "--n", "100", "--tol", "0"],
     ],
-    ids=["dual", "sign", "sweep", "oracle", "negative-tol"],
+    ids=["dual", "sign", "sweep", "oracle", "negative-tol", "zero-tol"],
 )
 def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv):
     assert main(argv + ["--outdir", str(tmp_path)]) == 1
@@ -370,7 +371,7 @@ def test_sweep_failed_rows_record_lambda_and_d(tmp_path):
         assert row["error"].startswith("dual iteration did not converge")
         assert float(row["Lambda"]) * float(row["D"]) == pytest.approx(1.0, rel=1e-15)
         assert row["iterations"] == "2"
-        assert row["stop_reason"] == ""  # only a converged row names its stop rule
+        assert row["k_step"] == ""  # only a converged row records its K-image step
     assert float(rows[0]["Lambda"]) == pytest.approx(9.2842255, rel=1e-6)  # converged value at n = 300
     assert json.loads((tmp_path / "sweep.json").read_text())["continuity_ok"] is True
 

@@ -241,25 +241,39 @@ def test_nonconvergence_carries_diagnostics(line):
     assert err.oscillation >= 0
 
 
-@pytest.mark.parametrize(
-    "p, q, dim, n, tol, rule",
-    [
-        pytest.param(0.01, 0.01, 1, 2000, 1e-10, "step-small", id="0.01-0.01-1-2000-step-small"),
-        # D flattens about quadratically in the pair's error, so for p, q >= 1
-        # d-flat fires while the pair still moves by more than 2 tol
-        pytest.param(2.0, 3.0, 2, 2000, 1e-10, "d-flat", id="2.0-3.0-2-2000-d-flat"),
-        # tol = 0 sits below D's rounding floor, so only the envelope can stop
-        pytest.param(2.0, 2.0, 1, 2000, 0.0, "d-envelope", id="2.0-2.0-1-2000-tol0-d-envelope"),
-    ],
-)
-def test_stop_reason_names_the_rule(p, q, dim, n, tol, rule):
-    e = ExponentPair(p, q, dim)
-    dp = compute_dual(e, make_grid(dim=dim, n=n), SolverOptions(tol=tol))
-    assert dp.stop_reason == rule
-    assert reconstruct_solution(e, dp).stop_reason == rule
-    if rule == "d-envelope":
-        assert dp.iterations == 64
-        assert dp.d_estimate == dp.d_history[-1]  # the last pair, not the best one
+def test_kimage_stop_recovers_the_level_on_a_slow_pair():
+    # (2, 2) on N = 5 takes the most sweeps of the dual scan, and D flattens
+    # quadratically in the pair's error: a stop on D flat over 8 sweeps ends
+    # it 7.3e-11 short with an operator-form defect of 6.0e-6, while the
+    # K-image step must end within 1e-12 of the tightest accepted tol
+    e = ExponentPair(2.0, 2.0, 5)
+    grid = make_grid(dim=5, n=2000)
+    dp = compute_dual(e, grid)
+    tight = compute_dual(e, grid, SolverOptions(tol=dual.TOL_FLOOR))
+    assert 0.0 <= dp.k_step <= SolverOptions().tol
+    assert 0.0 <= tight.k_step <= dual.TOL_FLOOR
+    assert dp.d_estimate == pytest.approx(tight.d_estimate, rel=1e-12)
+    rep = reconstruct_solution(e, dp)
+    assert rep.converged and rep.k_step == dp.k_step
+    rhs = greens._signed_power(rep.v.values, e.q)
+    defect = rep.u.values - grid.mean_values(rep.u.values) - greens.green_apply(grid, rhs - grid.mean_values(rhs))
+    assert np.max(np.abs(defect)) <= 1e-9 * np.max(np.abs(rep.u.values))
+
+
+def test_hoelder_stencil_residual_decays_like_h_to_the_p():
+    # why `converged` gates no equation whose exponent is below 1: at the
+    # zero of u the right side |u|^(p-1) u is only Hoelder-p, so the full
+    # stencil residual of the v equation decays like h^p, not h^2 (LeVeque,
+    # Finite Difference Methods for ODEs and PDEs, 2007, ch. 2), and no
+    # fixed bound on it holds at every n
+    e = ExponentPair(0.5, 3.0, 1)
+    rel = []
+    for n in (2000, 8000):
+        rep = reconstruct_solution(e, compute_dual(e, interval_grid(1.0, n)))
+        assert rep.converged
+        rel.append(rep.residual_v / np.max(np.abs(greens._signed_power(rep.u.values, e.p))))
+    assert math.log(rel[0] / rel[1]) / math.log(4.0) >= 0.9 * e.p
+    assert rel[1] > dual.RESIDUAL_TOL  # a gate at RESIDUAL_TOL would refuse this solve at every n
 
 
 def _count_green_applies(monkeypatch) -> list:
@@ -578,8 +592,16 @@ def test_oracle_runs_on_the_disk():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"max_iter": 0}, {"max_iter": -3}, {"tol": -1e-10}, {"tol": math.nan}, {"tol": math.inf}],
-    ids=["max_iter=0", "max_iter=-3", "tol=-1e-10", "tol=nan", "tol=inf"],
+    [
+        {"max_iter": 0},
+        {"max_iter": -3},
+        {"tol": -1e-10},
+        {"tol": math.nan},
+        {"tol": math.inf},
+        {"tol": 0.0},
+        {"tol": 1e-13},
+    ],
+    ids=["max_iter=0", "max_iter=-3", "tol=-1e-10", "tol=nan", "tol=inf", "tol=0", "tol=1e-13"],
 )
 def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(ValueError):
@@ -652,7 +674,8 @@ def test_each_solve_logs_one_debug_record(caplog):
     (record,) = [r for r in caplog.records if r.name.startswith("neumannlab")]
     assert record.levelno == logging.DEBUG and record.name == "neumannlab.dual"
     message = record.getMessage()
-    assert f"{dp.stop_reason} after {dp.iterations} sweeps" in message
+    assert f"K-image step {dp.k_step:.3e} after {dp.iterations} sweeps" in message
+    assert 0.0 <= dp.k_step <= SolverOptions().tol
     assert f"{dp.kappa_evaluations} kappa evaluations" in message
     caplog.clear()
     with pytest.raises(NonConvergenceError):

@@ -76,8 +76,8 @@ def test_sweep_csv_records_the_stop_rule(line800, tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 3
     for row in rows:
-        assert row["error"] == ""  # the dual loop converged; its stop rule is named
-        assert row["stop_reason"] in ("step-small", "d-flat", "d-envelope")
+        assert row["error"] == ""  # the dual loop converged; its K-image step is recorded
+        assert 0.0 <= float(row["k_step"]) <= 1e-10  # the default tol
 
 
 def test_sweep_diagonal_path_u_equals_v(line800):

@@ -58,7 +58,7 @@ def test_a_dual_line_carries_every_field():
     fields = {"p", "q", "dim", "n", *run.DUAL_FIELDS, "off_band_u", "off_band_v", "defect_u", "defect_v"}
     assert set(row) == fields
     assert (row["p"], row["q"], row["dim"], row["n"]) == (2.0, 3.0, 2, 200)
-    assert row["stop_reason"] in ("step-small", "d-flat", "d-envelope")
+    assert 0.0 <= row["k_step"] <= 1e-10  # the default tol
     assert all(0.0 <= row[f] < 1e-3 for f in ("off_band_u", "off_band_v", "defect_u", "defect_v"))
 
 
