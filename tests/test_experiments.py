@@ -332,12 +332,42 @@ def _ascent_histories(monkeypatch, e, grid):
 
 
 def test_ls_upper_bounds_row_iterations(monkeypatch):
-    # the power iteration evaluates phi 294 times over the 2 + 3 x 3
-    # deterministic starts (319 on (3, 1.5)); the 32 seeded restarts per k it
-    # once ran on top of them took about 3900, so a budget of 400 catches them
+    # the power iteration evaluates phi 114 times over the 2 x 4 fresh starts;
+    # ascending the nested start on every k as well took 294, and the 32
+    # seeded restarts per k once run on top of those about 3900, so a budget
+    # of 150 catches either
     histories = _ascent_histories(monkeypatch, ExponentPair(2.0, 2.0, 1), interval_grid(1.0, 1000))
-    assert sum(int(np.isfinite(h).sum()) for h in histories) <= 400
+    assert sum(int(np.isfinite(h).sum()) for h in histories) <= 150
     assert all(len(h) <= 400 for h in histories)
+
+
+def test_ls_upper_bounds_ascend_the_nested_start_below_the_floor(monkeypatch):
+    # when no fresh row of k = 4 ends at the k = 3 bound, the previous best
+    # padded with a zero is ascended and its best is the k = 4 bound
+    grid = interval_grid(1.0, 1000)
+    e = ExponentPair(2.0, 2.0, 1)
+    plain = ls_upper_bounds(e, 5, grid)
+    calls = []
+    ascent = experiments._power_ascent
+
+    def short_at_k4(a, *args):
+        best_a, history = ascent(a, *args)
+        if a.shape == (2, 4):
+            history = history - 1.0  # |phi| < 0.1, so every fresh row now ends below the floor
+        calls.append((a, best_a, history))
+        return best_a, history
+
+    monkeypatch.setattr(experiments, "_power_ascent", short_at_k4)
+    bounds = ls_upper_bounds(e, 5, grid)
+    assert [a.shape for a, _, _ in calls] == [(2, 2), (2, 3), (2, 4), (1, 4), (2, 5)]
+    _, best_a, history = calls[1]
+    best = np.nanmax(history, axis=0)
+    assert bounds[2] == best.max()
+    nested, _, nested_history = calls[3]
+    assert np.array_equal(nested[0], np.append(best_a[np.argmax(best)], 0.0))
+    assert bounds[3] == np.nanmax(nested_history) > bounds[2]
+    assert all(bounds[i + 1] >= bounds[i] for i in range(len(bounds) - 1))
+    assert bounds[3] == pytest.approx(plain[3], rel=1e-13)
 
 
 def test_ls_upper_bounds_get_past_the_symmetric_stall():
