@@ -54,7 +54,7 @@ _FLAGS = {
     "length": (float, "interval length (N = 1 only)"),
     "tol": (float, "relative K-image step that stops the dual loop (>= 1e-12)"),
     "max_iter": (int, "iteration budget"),
-    "seed": (int, "random seed"),
+    "seed": (int, "seeds the random restarts of oracle; solve and sweep accept it and ignore it"),
     "path": (str, "e.g. 'p:0.5..3,q:1'"),
     "samples": (int, "number of samples"),
     "nmin": (int, None),

@@ -370,7 +370,7 @@ def _constraint_scale(
     if beta == alpha:
         c = ((gamma1 + gamma2) * na) ** (-1.0 / alpha)
         f = gamma1 * c**alpha * na + gamma2 * c**beta * nb - 1.0
-        return c * (1.0 - f / (alpha * (f + 1.0)))  # Newton: the sum's slope is alpha (f + 1) / c
+        return c - c * f / (alpha * (f + 1.0))  # Newton, slope alpha (f + 1) / c; as c (1 - x) it lost up to 1 ulp
     c = np.minimum((gamma1 * na / 2.0) ** (-1.0 / alpha), (gamma2 * nb / 2.0) ** (-1.0 / beta))
     while True:
         ta, tb = gamma1 * c**alpha * na, gamma2 * c**beta * nb
@@ -454,10 +454,10 @@ def ls_upper_bounds(
     exponent of 3 the e_2 row stalls there, up to 1e-11 below the sup),
     advance as one array by _power_ascent.  From k = 3 the previous k's best
     a padded with a zero is a floor: its phi is the previous bound, attained
-    on the k-span.  It is ascended, and its best taken, only when no fresh
-    row ends at or above the floor; it starts near a saddle and would set the
-    batch length.  On (2, 2, 1) at k_max = 5, n = 2000: 102 start-sweeps in
-    84 batched sweeps.  seed is ignored.
+    on the k-span.  Only when no fresh row ends at or above the floor is it
+    ascended and its best taken, held at the floor (sums over k modes round);
+    it starts near a saddle and would set the batch length.  On (2, 2, 1) at
+    k_max = 5, n = 2000: 102 start-sweeps in 84 batched sweeps.  seed is ignored.
     """
     if k_max < 1 or k_max > 8:
         raise ValueError("k_max must be between 1 and 8")
@@ -485,7 +485,7 @@ def ls_upper_bounds(
         best = np.nanmax(history, axis=0)
         if nested is not None and not best.max() >= bounds[-1]:
             a, history = _power_ascent(nested, modes[:k], wmodes[:k], quad[:k, :k], e)
-            best = np.nanmax(history, axis=0)
+            best = np.maximum(np.nanmax(history, axis=0), bounds[-1])
         i = int(np.argmax(best))
         nested = np.append(a[i], 0.0)[None, :]  # the next k's floor and fallback, so the spans nest
         bounds.append(float(best[i]))

@@ -6,11 +6,12 @@ r^(N-1), surface factor sigma_N = 2 pi^(N/2) / Gamma(N/2)).  Nodes are uniform.
 
 One discretization drives everything: on each panel the integrand's smooth
 factor is replaced by the cubic through four nearby nodes and the product
-with the r^(N-1) weight is integrated through exact moments.  Cumulative
-sums of the panels give antiderivatives, and the nodal quadrature weights
-of the definite integral are the column sums of the same panel scheme.
-This makes int_0^L r^(N-1) dr exact for every dimension and keeps fourth
-order on smooth data with no loss near the origin.  The interval's
+with the r^(N-1) weight is integrated through exact moments.  The panel
+weights are kept as four stencil rows (see _panel_table): cumulative sums of
+the panels give antiderivatives, and column sums the nodal quadrature
+weights, each by four shifted, contiguous slice passes.  The moments make
+int_0^L r^(N-1) dr exact for every dimension and keep fourth order on
+smooth data with no loss near the origin.  The interval's
 coefficient pattern h * (1/3, 31/24, 5/6, 25/24, 1, ..., 1) is positive;
 for N >= 3 the origin weight is negative and O(h^N), not rounding level
 (N = 3: -6.1e-5 at n = 9 against the mass 1/3, -5.6e-12 at n = 2000), and
@@ -46,18 +47,9 @@ def surface_factor(dim: int) -> float:
     return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
 
 
-# Local node offsets of the three cubic-panel stencil geometries (left end,
-# interior, right end) and the inverses mapping weighted moments to weights.
-_STENCIL_OFFSETS = {0: (0.0, 1.0, 2.0, 3.0), -1: (-1.0, 0.0, 1.0, 2.0), -2: (-2.0, -1.0, 0.0, 1.0)}
-_STENCIL_INV = {
-    k: np.linalg.inv(np.vander(np.asarray(t), 4, increasing=True).T)
-    for k, t in _STENCIL_OFFSETS.items()
-}
-
-
-def _stencil_starts(cells: np.ndarray, n: int) -> np.ndarray:
-    """First node of the four-node stencil serving each panel (cell)."""
-    return np.clip(cells - 1, 0, n - 3)
+# The three cubic-panel stencil geometries g, with local node offsets g + (0, 1, 2, 3)
+# (0 left end, -1 interior, -2 right end), and the inverses mapping weighted moments to weights.
+_STENCIL_INV = {g: np.linalg.inv(np.vander(np.arange(4.0) + g, 4, increasing=True).T) for g in (0, -1, -2)}
 
 
 def local_cubic(values: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -67,37 +59,38 @@ def local_cubic(values: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.n
     coefficients of the cubic in t = (r - r[starts[k]]) / h.  In t the
     interpolation map is the fixed, well-conditioned inverse Vandermonde
     matrix of the left-end panel stencil; a fit in absolute r is not.
+    coeffs is the transpose of a (4, m) array: each power's column is contiguous.
     """
-    starts = _stencil_starts(np.asarray(cells), len(values) - 1)
-    return starts, values[starts[:, None] + np.arange(4)] @ _STENCIL_INV[0]
+    starts = np.clip(np.asarray(cells) - 1, 0, len(values) - 4)
+    return starts, (_STENCIL_INV[0].T @ values.take(starts + np.arange(4)[:, None])).T
 
 
 def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """Node indices and weights of the moment-fitted cubic panel rule.
+    """The moment-fitted cubic panel rule as a (4, n) array, and its column sums.
 
     Panel j approximates int_{r_j}^{r_{j+1}} s^weight_power y(s) ds as
-    sum_k wts[j, k] y[idx[j, k]] using the cubic through four nearby nodes;
-    the s^weight_power moments are exact.
+    sum_k wts[k, j] y[clip(j - 1, 0, n - 3) + k], the cubic's four stencil
+    nodes, so on the interior panels row k meets the slice y[k : k + n - 2].
+    The exact moments add by rows and map to weights by one (4 x 4) @ (4 x n)
+    product per stencil geometry; the column sums add the shifted rows.
     """
     n = len(r) - 1
-    starts = _stencil_starts(np.arange(n), n)
-    mexp = np.arange(4)
-    mu = np.zeros((n, 4))
-    rj = r[:-1]
-    for i in range(weight_power + 1):
-        coef = math.comb(weight_power, i) * rj ** (weight_power - i) * h**i
-        mu += coef[:, None] * (h / (mexp + i + 1.0))
+    mu = np.multiply.outer(h / np.arange(1.0, 5.0), r[:-1] ** weight_power)  # the binomial i = 0 term
+    for i in range(1, weight_power + 1):
+        coef = math.comb(weight_power, i) * r[:-1] ** (weight_power - i) * h**i
+        for m in range(4):
+            mu[m] += coef * (h / (m + i + 1.0))
     # every panel but the first and the last has the interior stencil (n >= 6)
-    wts = mu @ _STENCIL_INV[-1].T
-    wts[:1] = mu[:1] @ _STENCIL_INV[0].T
-    wts[-1:] = mu[-1:] @ _STENCIL_INV[-2].T
-    idx = starts[:, None] + np.arange(4)
-    return idx, wts
-
-
-def _column_sums(n: int, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    idx, wts = table
-    return np.bincount(idx.ravel(), weights=wts.ravel(), minlength=n + 1)
+    wts = _STENCIL_INV[-1] @ mu
+    wts[:, :1] = _STENCIL_INV[0] @ mu[:, :1]
+    wts[:, -1:] = _STENCIL_INV[-2] @ mu[:, -1:]
+    # bincount's order: panel 0, the interior panels (stencil rows 3 to 0), panel n - 1
+    sums = np.zeros(n + 1)
+    sums[:4] += wts[:, 0]
+    for k in (3, 2, 1, 0):
+        sums[k : k + n - 2] += wts[k, 1:-1]
+    sums[n - 3 :] += wts[:, -1]
+    return wts, sums
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ class RadialGrid:
     surface: float = field(compare=False)
     phi: np.ndarray = field(repr=False, compare=False)
     green_diagonal: np.ndarray = field(repr=False, compare=False)
-    _table_weighted: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    _table_weighted: np.ndarray = field(repr=False, compare=False)
 
     @cached_property
     def csv_r_cells(self) -> np.ndarray:
@@ -164,8 +157,13 @@ class RadialGrid:
 
     def cumulative_weighted(self, values: np.ndarray) -> np.ndarray:
         """C_i = int_0^{r_i} s^(dim-1) y(s) ds."""
-        idx, wts = self._table_weighted
-        panels = (wts * values[idx]).sum(axis=1)
+        wts, n = self._table_weighted, self.n
+        panels = np.empty(n)
+        inner = np.multiply(wts[0, 1:-1], values[: n - 2], out=panels[1:-1])
+        for k in (1, 2, 3):
+            inner += wts[k, 1:-1] * values[k : k + n - 2]
+        for j, v in ((0, values[:4]), (n - 1, values[-4:])):  # the end panels, in the same order
+            panels[j] = ((wts[0, j] * v[0] + wts[1, j] * v[1]) + wts[2, j] * v[2]) + wts[3, j] * v[3]
         return np.concatenate(([0.0], np.cumsum(panels)))
 
     def weight_primitive(self, x: np.ndarray | float) -> np.ndarray:
@@ -228,8 +226,7 @@ def make_grid(dim: int = 1, n: int = 2000, length: float = 1.0) -> RadialGrid:
     r = np.linspace(0.0, length, n + 1)
     h = length / n
     power = dim - 1
-    table = _panel_table(r, h, power)
-    weights = _column_sums(n, table)
+    table, weights = _panel_table(r, h, power)
     phi = _neumann_kernel(r, length, power)
     return RadialGrid(
         dim=dim,

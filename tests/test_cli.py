@@ -343,6 +343,14 @@ def test_the_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 
 
+def test_solve_help_says_the_seed_is_ignored(capsys):
+    with pytest.raises(SystemExit) as info:
+        cli.build_parser().parse_args(["solve", "--help"])
+    assert info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert "--seed SEED seeds the random restarts of oracle; solve and sweep accept it and ignore it" in text
+
+
 def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):
     real_shift = dual.kappa_shift
 

@@ -370,6 +370,32 @@ def test_ls_upper_bounds_ascend_the_nested_start_below_the_floor(monkeypatch):
     assert bounds[3] == pytest.approx(plain[3], rel=1e-13)
 
 
+def test_ls_upper_bounds_keep_the_floor_through_the_nested_ascent(monkeypatch):
+    # the padded start's phi, summed over k modes, can round below the
+    # previous bound it equals; the fallback's bound is never below that floor
+    grid = interval_grid(1.0, 1000)
+    e = ExponentPair(2.0, 2.0, 1)
+    fresh_best = []
+    ascent = experiments._power_ascent
+
+    def two_ulp_short_at_k4(a, *args):
+        best_a, history = ascent(a, *args)
+        if a.shape[0] == 2:
+            fresh_best.append(np.nanmax(history))
+        if a.shape == (2, 4):
+            history = history - 1.0  # every fresh row of k = 4 ends below the floor
+        if a.shape == (1, 4):
+            floor = fresh_best[1]  # the k = 3 bound
+            history = np.full_like(history, np.nextafter(np.nextafter(floor, -np.inf), -np.inf))
+        return best_a, history
+
+    monkeypatch.setattr(experiments, "_power_ascent", two_ulp_short_at_k4)
+    bounds = ls_upper_bounds(e, 5, grid)
+    assert len(fresh_best) == 4
+    assert bounds[2] == fresh_best[1]
+    assert bounds[3] == bounds[2]
+
+
 def test_ls_upper_bounds_get_past_the_symmetric_stall():
     # at an exponent of 3 the e_2 row stops at the critical point e_2 after
     # 2 sweeps, 9.3e-12 below the sup; ref is the sup found by 32 seeded
@@ -429,6 +455,7 @@ def test_ls_upper_bounds_k2_matches_an_angle_scan(p, q):
 )
 @example(alpha=3.0, beta=3.0, same=True, gamma1=0.5, scale=1.0)  # p = q: both terms equal
 @example(alpha=1.95, beta=1.95, same=True, gamma1=0.5, scale=1e-3)  # closed form alone: 5 ulp off
+@example(alpha=1.1, beta=2.0, same=True, gamma1=0.9238382322123613, scale=434.9375)  # c (1 - x): 4 ulp off
 @settings(max_examples=200, deadline=None)
 def test_constraint_scale_holds_the_root(alpha, beta, same, gamma1, scale):
     beta = alpha if same else beta

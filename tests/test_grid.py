@@ -8,6 +8,7 @@ from neumannlab.grid import (
     GridFunction,
     discrete_radial_laplacian,
     interval_grid,
+    local_cubic,
     make_grid,
     unit_ball_grid,
 )
@@ -61,8 +62,38 @@ def _masked_panel_weights(grid):
 def test_panel_weights_match_the_masked_reference(dim, n):
     grid = make_grid(dim=dim, n=n)
     wts, weights = _masked_panel_weights(grid)
-    assert np.array_equal(grid._table_weighted[1], wts)
+    assert np.array_equal(grid._table_weighted.T, wts)
     assert np.array_equal(grid.weights, weights)
+
+
+def _gathered_stencils(values, cells, n):
+    # the four stencil values of each cell by one (m, 4) gather, the way the
+    # panel rule was first applied
+    starts = np.clip(cells - 1, 0, n - 3)
+    return starts, values[starts[:, None] + np.arange(4)]
+
+
+@pytest.mark.parametrize("n", [6, 7, 200, 20000])
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_stencil_rows_match_the_gather_formulas(dim, n):
+    grid = make_grid(dim=dim, n=n)
+    rng = np.random.default_rng(10 * n + dim)
+    values = np.cos(3.0 * grid.r) + rng.standard_normal(n + 1)
+
+    _, stencils = _gathered_stencils(values, np.arange(n), n)
+    panels = (grid._table_weighted.T * stencils).sum(axis=1)
+    assert np.array_equal(grid.cumulative_weighted(values), np.concatenate(([0.0], np.cumsum(panels))))
+
+    x = np.concatenate((rng.uniform(0.0, grid.length, 64), grid.r))
+    cells = np.minimum((x / grid.h).astype(int), n - 1)
+    starts, stencils = _gathered_stencils(values, cells, n)
+    coeffs = stencils @ _STENCIL_INV[0]
+    got_starts, got_coeffs = local_cubic(values, cells)
+    assert np.array_equal(got_starts, starts)
+    assert np.array_equal(got_coeffs, coeffs)
+    t = x / grid.h - starts
+    horner = ((coeffs[:, 3] * t + coeffs[:, 2]) * t + coeffs[:, 1]) * t + coeffs[:, 0]
+    assert np.array_equal(grid.cubic_at(values, x), horner)
 
 
 def test_interval_linear_moment():
