@@ -17,8 +17,9 @@ sign   solve_sign_system for q in {0.01, 0.1, 1, 5, 29} and
 genus  ls_upper_bounds, k_max = 5, on the unit interval at n = 2000 for
        p, q in {0.5, 1, 1.5, 2, 3, 5}, pq != 1, seeds 0 and 1: 66 calls
        keyed by (p, q, seed).  The bounds are upper bounds only where the
-       ascent finds the sup, so the rule prints each k's largest downward
-       relative move and fails on one above 1e-13.
+       ascent finds the sup, and a biased constraint scale would lift every
+       bound alike, so the rule prints each k's largest downward and upward
+       relative moves and fails on one above 1e-13 down or 1e-12 up.
 dual   compute_dual and reconstruct_solution for p, q in {0.01, 0.1, 0.5,
        1, 2, 5}, subcritical (so pq != 1), on N = 1..6, n in {2000, 20000}:
        370 solves keyed by (p, q, dim, n), each with the report's fields;
@@ -66,6 +67,7 @@ GENUS_EXPONENTS = (0.5, 1.0, 1.5, 2.0, 3.0, 5.0)
 CLI_PAIRS = ((3.0, 2.0), (2.0, 3.0), (0.5, 3.0), (3.0, 0.5))
 UNSTABLE = ("config", "neumannlab_version", "numpy_version")  # solution.json fields a cli line leaves out
 DOWN_TOL = 1e-13  # the genus rule's bound on a bound's downward relative move
+UP_TOL = 1e-12  # and on its upward one: a biased constraint scale would lift every bound alike
 
 
 def _recorded(row: dict, solve) -> dict:
@@ -161,23 +163,26 @@ def identical(ref: dict, new: dict, label) -> int:
     return int(moved > 0)
 
 
-def no_bound_lower(ref: dict, new: dict, label) -> int:
-    """No bound more than DOWN_TOL relative below its reference; prints each k's largest move."""
-    worst = 0.0
+def bounds_near_reference(ref: dict, new: dict, label) -> int:
+    """No bound more than DOWN_TOL relative below or UP_TOL above its reference; prints each k's largest moves."""
+    worst_down = worst_up = 0.0
     for i in range(len(next(iter(ref.values()))["bounds"])):
-        moves = {k: (ref[k]["bounds"][i] - new[k]["bounds"][i]) / abs(ref[k]["bounds"][i]) for k in ref}
-        k = max(moves, key=moves.get)
-        worst = max(worst, moves[k])
-        print(f"k={i + 1}: largest downward relative move {moves[k]:+.2e} at {label(k)}")
-    verdict = "ok" if worst <= DOWN_TOL else "FAIL"
-    print(f"{verdict}: {len(ref)} calls, largest downward move {worst:.2e} against the bound {DOWN_TOL:g}")
-    return int(worst > DOWN_TOL)
+        moves = {k: (new[k]["bounds"][i] - ref[k]["bounds"][i]) / abs(ref[k]["bounds"][i]) for k in ref}
+        down, up = min(moves, key=moves.get), max(moves, key=moves.get)
+        drop = 0.0 - moves[down]  # not -0.0 when nothing moved
+        worst_down, worst_up = max(worst_down, drop), max(worst_up, moves[up])
+        print(f"k={i + 1}: largest downward relative move {drop:+.2e} at {label(down)}, "
+              f"largest upward {moves[up]:+.2e} at {label(up)}")
+    failed = worst_down > DOWN_TOL or worst_up > UP_TOL
+    print(f"{'FAIL' if failed else 'ok'}: {len(ref)} calls, largest downward move {worst_down:.2e} against the bound "
+          f"{DOWN_TOL:g}, largest upward move {worst_up:.2e} against the bound {UP_TOL:g}")
+    return int(failed)
 
 
 # family: (its rows, the fields that key them, its compare rule)
 FAMILIES = {
     "sign": (sign_rows, ("q", "dim", "n"), identical),
-    "genus": (genus_rows, ("p", "q", "seed"), no_bound_lower),
+    "genus": (genus_rows, ("p", "q", "seed"), bounds_near_reference),
     "dual": (dual_rows, ("p", "q", "dim", "n"), identical),
     "cli": (cli_rows, ("p", "q", "dim", "n"), identical),
 }

@@ -10,8 +10,9 @@ balanced-level-set map to the step that changes sign at the radius halving
 the measure, certified as its fixed point, and the closed-form radial
 solutions of the biharmonic sign problem certify symmetry breaking on balls.
 
-The solvers log one DEBUG record per solve to the "neumannlab" logger, which
-is silent until the application configures logging.
+The solvers log one DEBUG record per solve, and ls_upper_bounds one per call,
+to the "neumannlab" logger, which is silent until the application configures
+logging.
 """
 
 import logging

@@ -12,6 +12,7 @@ one warm-started loop.  No study draws random numbers.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -43,6 +44,8 @@ __all__ = [
     "ls_upper_bounds",
     "continuation_lambda",
 ]
+
+_log = logging.getLogger(__name__)
 
 GENUS_TILT = 0.01  # weight of each lower mode in the tilted e_k start of ls_upper_bounds
 
@@ -381,20 +384,26 @@ def _constraint_scale(
 
 
 def _power_ascent(
-    a: np.ndarray, modes: np.ndarray, wmodes: np.ndarray, quad: np.ndarray, e: ExponentPair
+    a: np.ndarray, ks: np.ndarray, modes: np.ndarray, wmodes: np.ndarray, quad: np.ndarray, e: ExponentPair
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Maximize phi = -c^2 a.Q a from every row of a at once.
+    """Maximize phi = -c^2 a.Q a from every row of a at once, row i on the first ks[i] modes.
 
     1/c is a convex, 1-homogeneous gauge of a, so the step a <- Q^-1 grad
     (grad ~ sum_i gamma_i e_i c^e_i int |f|^(e_i-1) sgn(f) modes w),
     normalized in Q, never lowers phi and needs no step size: the nonlinear
-    power method (Boyd 1974, Higham 1992).  A row stops once its gain is at
-    most 1e-15 |phi|, or after 400 sweeps.  Returns each row's best a and
-    the phi history (sweeps x rows, NaN once a row has stopped).
+    power method (Boyd 1974, Higham 1992).  Row i steps with the inverse of
+    its Gram block Q[:k, :k], k = ks[i], zero-filled outside that corner, so
+    a row that starts in its k-span never leaves it: its coefficients past k
+    stay exact zeros.  A row stops once its gain is at most 1e-15 |phi|, or
+    after 400 sweeps; the batch ends with its slowest row.  Returns each
+    row's best a and the phi history (sweeps x rows, NaN once a row has
+    stopped).
     """
     alpha, beta, gamma1, gamma2 = e.alpha, e.beta, e.gamma1, e.gamma2
-    qinv = np.linalg.inv(quad)
     s, n = a.shape[0], modes.shape[1]
+    qinv = np.zeros((s,) + quad.shape)
+    for k in set(ks.tolist()):  # np.unique would import numpy.ma, 1 MB, on its first call
+        qinv[ks == k, :k, :k] = np.linalg.inv(quad[:k, :k])
     vbuf, neg = np.empty((s, n)), np.empty((s, n), dtype=bool)
     best_a, best, rows, history = a.copy(), np.full(s, -np.inf), np.arange(s), []
 
@@ -425,7 +434,7 @@ def _power_ascent(
         if beta != alpha:
             cg = c[go, None]
             grad = gamma1 * alpha * cg**alpha * grad + gamma2 * beta * cg**beta * gb[go]
-        h = grad @ qinv
+        h = np.matmul(grad[:, None, :], qinv[rows[go]])[:, 0]
         a = h / np.sqrt(np.einsum("ij,ij->i", h, grad))[:, None]  # Q h = grad, so h.grad = h.Q h
         rows = rows[go]
     return best_a, np.vstack(history)
@@ -449,15 +458,20 @@ def ls_upper_bounds(
     guarantees).
 
     On the mode coefficients a, phi = -c^2 a.Q a, with Q the modes' Gram
-    matrix under K.  The fresh starts of one k, e_k and e_k tilted by
+    matrix under K.  Each k has two fresh starts, e_k and e_k tilted by
     GENUS_TILT toward the lower modes (e_k is a critical point: at an
-    exponent of 3 the e_2 row stalls there, up to 1e-11 below the sup),
-    advance as one array by _power_ascent.  From k = 3 the previous k's best
-    a padded with a zero is a floor: its phi is the previous bound, attained
-    on the k-span.  Only when no fresh row ends at or above the floor is it
-    ascended and its best taken, held at the floor (sums over k modes round);
-    it starts near a saddle and would set the batch length.  On (2, 2, 1) at
-    k_max = 5, n = 2000: 102 start-sweeps in 84 batched sweeps.  seed is ignored.
+    exponent of 3 the e_2 row stalls there, up to 1e-11 below the sup).  The
+    starts of every k, zero past their k, advance as the rows of one
+    _power_ascent batch, each on its own k-span; a k's bound is the best of
+    its rows.  From k = 3 the previous k's best a, zero past k - 1, is a
+    floor: its phi is the previous bound, attained on the k-span.  Only when
+    no fresh row ends at or above the floor is it ascended on its own and its
+    best taken, held at the floor (sums over k modes round); it starts near a
+    saddle and would set the batch length.  On (2, 2, 1) at k_max = 5,
+    n = 2000: 103 start-sweeps in 29 batched sweeps (84 with one call per k).
+    opts reaches only the k = 1 dual solve; seed is ignored.  Each call logs
+    one DEBUG record: the batched sweeps, the start-sweeps, the rows still
+    running at the 400-sweep cap and the k's whose fallback ran.
     """
     if k_max < 1 or k_max > 8:
         raise ValueError("k_max must be between 1 and 8")
@@ -478,15 +492,27 @@ def ls_upper_bounds(
     quad = 0.5 * (quad + quad.T)
     wmodes = modes * w
 
+    # two fresh starts per k, e_k and e_k tilted toward the lower modes, zero past k
+    ks = np.repeat(np.arange(2, k_max + 1), 2)
+    starts = np.eye(k_max)[ks - 1]
+    starts[1::2] += GENUS_TILT * np.tri(k_max, k=-1)[ks[1::2] - 1]
+    fresh_a, history = _power_ascent(starts, ks, modes, wmodes, quad, e)
+    fresh, histories, fallbacks = np.nanmax(history, axis=0), [history], []
     nested = None
     for k in range(2, k_max + 1):
-        starts = np.vstack([np.eye(k)[k - 1], np.append(np.full(k - 1, GENUS_TILT), 1.0)])
-        a, history = _power_ascent(starts, modes[:k], wmodes[:k], quad[:k, :k], e)
-        best = np.nanmax(history, axis=0)
+        a, best = fresh_a[ks == k], fresh[ks == k]
         if nested is not None and not best.max() >= bounds[-1]:
-            a, history = _power_ascent(nested, modes[:k], wmodes[:k], quad[:k, :k], e)
+            a, history = _power_ascent(nested, np.array([k]), modes, wmodes, quad, e)
             best = np.maximum(np.nanmax(history, axis=0), bounds[-1])
+            histories.append(history)
+            fallbacks.append(k)
         i = int(np.argmax(best))
-        nested = np.append(a[i], 0.0)[None, :]  # the next k's floor and fallback, so the spans nest
+        nested = a[i : i + 1]  # zero past k: the next k's floor and fallback, so the spans nest
         bounds.append(float(best[i]))
+    _log.debug(
+        "genus bounds %s, k_max=%d on n=%d: %d batched sweeps, %d start-sweeps, %d rows at the 400-sweep cap, "
+        "nested fallback at k=%s",
+        e, k_max, grid.n, len(histories[0]), sum(int(np.isfinite(h).sum()) for h in histories),
+        sum(int(np.isfinite(h[-1]).sum()) for h in histories if len(h) == 400), fallbacks,
+    )
     return bounds

@@ -1,5 +1,7 @@
 import csv
+import logging
 import math
+import re
 
 import numpy as np
 import pytest
@@ -327,7 +329,7 @@ def _ascent_histories(monkeypatch, e, grid):
     monkeypatch.setattr(experiments, "_power_ascent", recorded)
     bounds = ls_upper_bounds(e, 5, grid)
     monkeypatch.undo()
-    assert len(bounds) == 5 and len(histories) == 4
+    assert len(bounds) == 5 and len(histories) == 1  # the batch of every k's fresh starts; no fallback
     return histories
 
 
@@ -341,7 +343,39 @@ def test_ls_upper_bounds_row_iterations(monkeypatch):
     assert all(len(h) <= 400 for h in histories)
 
 
-def test_ls_upper_bounds_ascend_the_nested_start_below_the_floor(monkeypatch):
+def test_ls_upper_bounds_advance_every_k_in_one_batch(monkeypatch):
+    # the fresh starts of k = 2..5 are the 8 rows of one call, each row on its
+    # own k-span; the batch ends with its slowest row (31 sweeps here), where
+    # one call per k took 15 + 20 + 27 + 31 = 93 sweeps
+    calls = []
+    ascent = experiments._power_ascent
+
+    def recorded(a, ks, *args):
+        best_a, history = ascent(a, ks, *args)
+        calls.append((a, ks, best_a, history))
+        return best_a, history
+
+    monkeypatch.setattr(experiments, "_power_ascent", recorded)
+    ls_upper_bounds(ExponentPair(2.0, 2.0, 1), 5, interval_grid(1.0, 1000))
+    ((a, ks, best_a, history),) = calls
+    assert a.shape == best_a.shape == (8, 5)
+    assert list(ks) == [2, 2, 3, 3, 4, 4, 5, 5]
+    assert len(history) <= 35
+    for row, k in zip(best_a, ks):
+        assert np.all(row[k:] == 0.0) and row[k - 1] != 0.0
+
+
+def test_ls_upper_bounds_log_one_debug_record(caplog):
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    ls_upper_bounds(ExponentPair(2.0, 2.0, 1), 5, interval_grid(1.0, 1000))
+    (record,) = [r for r in caplog.records if r.name == "neumannlab.experiments"]
+    assert record.levelno == logging.DEBUG
+    message = record.getMessage()
+    assert re.search(r"k_max=5 on n=1000: \d+ batched sweeps, \d+ start-sweeps, 0 rows at the 400-sweep cap", message)
+    assert message.endswith("nested fallback at k=[]")
+
+
+def test_ls_upper_bounds_ascend_the_nested_start_below_the_floor(monkeypatch, caplog):
     # when no fresh row of k = 4 ends at the k = 3 bound, the previous best
     # padded with a zero is ascended and its best is the k = 4 bound
     grid = interval_grid(1.0, 1000)
@@ -350,24 +384,27 @@ def test_ls_upper_bounds_ascend_the_nested_start_below_the_floor(monkeypatch):
     calls = []
     ascent = experiments._power_ascent
 
-    def short_at_k4(a, *args):
-        best_a, history = ascent(a, *args)
-        if a.shape == (2, 4):
-            history = history - 1.0  # |phi| < 0.1, so every fresh row now ends below the floor
-        calls.append((a, best_a, history))
+    def short_at_k4(a, ks, *args):
+        best_a, history = ascent(a, ks, *args)
+        if len(a) > 1:
+            history = history - (ks == 4)  # |phi| < 0.1, so every fresh row of k = 4 now ends below the floor
+        calls.append((a, ks, best_a, history))
         return best_a, history
 
     monkeypatch.setattr(experiments, "_power_ascent", short_at_k4)
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
     bounds = ls_upper_bounds(e, 5, grid)
-    assert [a.shape for a, _, _ in calls] == [(2, 2), (2, 3), (2, 4), (1, 4), (2, 5)]
-    _, best_a, history = calls[1]
+    assert [(a.shape, list(ks)) for a, ks, _, _ in calls] == [((8, 5), [2, 2, 3, 3, 4, 4, 5, 5]), ((1, 5), [4])]
+    _, ks, best_a, history = calls[0]
     best = np.nanmax(history, axis=0)
-    assert bounds[2] == best.max()
-    nested, _, nested_history = calls[3]
-    assert np.array_equal(nested[0], np.append(best_a[np.argmax(best)], 0.0))
+    assert bounds[2] == best[ks == 3].max()
+    nested, _, _, nested_history = calls[1]
+    assert np.array_equal(nested[0], best_a[ks == 3][np.argmax(best[ks == 3])])
+    assert nested[0][2] != 0.0 and np.all(nested[0][3:] == 0.0)
     assert bounds[3] == np.nanmax(nested_history) > bounds[2]
     assert all(bounds[i + 1] >= bounds[i] for i in range(len(bounds) - 1))
     assert bounds[3] == pytest.approx(plain[3], rel=1e-13)
+    assert "nested fallback at k=[4]" in caplog.text
 
 
 def test_ls_upper_bounds_keep_the_floor_through_the_nested_ascent(monkeypatch):
@@ -378,13 +415,13 @@ def test_ls_upper_bounds_keep_the_floor_through_the_nested_ascent(monkeypatch):
     fresh_best = []
     ascent = experiments._power_ascent
 
-    def two_ulp_short_at_k4(a, *args):
-        best_a, history = ascent(a, *args)
-        if a.shape[0] == 2:
-            fresh_best.append(np.nanmax(history))
-        if a.shape == (2, 4):
-            history = history - 1.0  # every fresh row of k = 4 ends below the floor
-        if a.shape == (1, 4):
+    def two_ulp_short_at_k4(a, ks, *args):
+        best_a, history = ascent(a, ks, *args)
+        if len(a) > 1:
+            best = np.nanmax(history, axis=0)
+            fresh_best.extend(best[ks == k].max() for k in range(2, 6))
+            history = history - (ks == 4)  # every fresh row of k = 4 ends below the floor
+        else:
             floor = fresh_best[1]  # the k = 3 bound
             history = np.full_like(history, np.nextafter(np.nextafter(floor, -np.inf), -np.inf))
         return best_a, history
