@@ -6,14 +6,16 @@ the nonlinear Neumann eigenvalue.  compute_dual runs an alternating
 best-response iteration: with g fixed, the maximizing f is the normalized
 signed power |K g + kappa|^(p-1) (K g + kappa) where the shift kappa makes
 that power mean-zero, and symmetrically for g.  Each half-step solves its
-subproblem exactly, so in exact arithmetic the quotient is nondecreasing.
-Each n-point quantity of a sweep is formed once: kappa_shift hands back the
-signed power it evaluated at its root, and D is read off the two already
-normalized best responses.  The loop applies K through the unchecked kernel
-green_apply, because every best response is mean-zero by construction; only
-the start goes through solve_neumann.  Critical pairs are refused: on the
-radial grid their maximizer concentrates at the origin at grid scale, so the
-discrete level is a quadrature artifact.
+subproblem exactly, so in exact arithmetic plain alternation never lowers
+the quotient; for p, q >= 1 f answers the secant mix of the last two K g
+(see compute_dual), still exactly, at no Green apply.  Each n-point
+quantity of a sweep is formed once, on raw arrays: kappa_shift hands back
+the signed power it evaluated at its root, and D is read off the two
+already normalized best responses.  The loop applies K through the
+unchecked kernel green_apply, because every best response is mean-zero by
+construction; only the start goes through solve_neumann.  Critical pairs
+are refused: on the radial grid their maximizer concentrates at the origin
+at grid scale, so the discrete level is a quadrature artifact.
 
 A cold solve starts from g = cos(pi r / L), except on grids with
 n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid of the
@@ -67,6 +69,7 @@ TOL_FLOOR = 1e-12  # smallest tol; the K-image step stalls at <= 1.5e-13 on the 
 ORACLE_STEPS = 4000  # gradient-ascent steps per start of oracle_dual_smallgrid
 
 _log = logging.getLogger(__name__)
+_TALLY = "%d sweeps (%d mixed, %d history resets), %d kappa evaluations"  # a level's DEBUG record
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,7 @@ class DualPair:
     k_step: float | None = None  # the last sweep's relative K-image step, the stop rule's certificate
     kappa_evaluations: int = 0  # moment evaluations of the loop's kappa roots
     kappa_kf: float | None = None  # the q root of kf that formed g (p != q), reused by reconstruct_solution
-    kappa_kg: float | None = None  # the p root of the K g that formed f; reconstruct_solution's guess for kg's root
+    kappa_kg: float | None = None  # the p root of the mixed K image that formed f; reconstruct_solution's guess
     coarse_start: dict | None = None  # the nested start's coarse solve (see compute_dual); None if none
 
 
@@ -147,7 +150,7 @@ def _best_response(
     kappa, y, evaluations = kappa_shift(grid, w, expo, guess)
     # for expo < 1 the kappa root carries a nodal Hoelder floor; project the
     # leftover mean so the iterate stays exactly feasible
-    mean = grid.mean_values(y)
+    mean = grid.surface * float(grid.weights @ y) / grid.domain_measure  # grid.mean_values(y)
     y -= mean
     nrm = grid.lp_norm_values(y, norm_expo)
     # a collapse to the constants leaves only rounding once the mean is gone;
@@ -158,9 +161,9 @@ def _best_response(
     return y, kappa, evaluations
 
 
-def _relative_step(x: np.ndarray, x_prev: np.ndarray) -> float:
-    """||x - x_prev||_inf / ||x||_inf, one K image's step over a sweep."""
-    return float(np.max(np.abs(x - x_prev)) / np.max(np.abs(x)))
+def _relative_step(step: np.ndarray, x: np.ndarray) -> float:
+    """||step||_inf / ||x||_inf for step = x - x_prev, one K image's step over a sweep."""
+    return float(np.abs(step).max() / np.abs(x).max())
 
 
 def _start(e: ExponentPair, grid: RadialGrid, pair: DualPair | None) -> np.ndarray:
@@ -199,43 +202,48 @@ def compute_dual(
       on the COARSE_N grid of the same dim and length, with opts, and starts
       from that pair, lifted: nested iteration (Brandt, Math. Comp. 31,
       1977).  D converges at rate 2.5 to 4 in n, so the coarse pair is
-      already close and the fine loop takes a few sweeps instead of 8 to 18.
-      The coarse solve breaks even near n = 4000 on the dual-cold pairs
-      (near 6000 when it was added) and saves about 27% at n = 8000.  If
-      the coarse solve raises NumericalFailure, the solve logs one DEBUG
-      record and takes the cosine start.
-    - Any other cold solve starts g from the first cosine mode
-      cos(pi r / L).
+      already close and the fine loop takes 2 to 6 sweeps instead of up to
+      12.  The coarse solve breaks even near n = 5000 on the dual-cold pairs
+      (near 4000 before the secant mix, which shortens the cosine start's
+      fine loop too) and saves about 20% at n = 8000.  If it raises
+      NumericalFailure, the solve logs one DEBUG record and takes the cosine
+      start.
+    - Any other cold solve starts g from the first cosine mode cos(pi r / L).
     A pair on this grid hands over its K g, the loop's whole start state.
     Every other start goes through one normalizer, _start: the cosine mode
     or the pair's g at the new nodes (4-point cubic Lagrange interpolation
     on the old uniform nodes) loses its mean and is scaled to unit L^beta,
     and K g is formed by solve_neumann.
-    One rule stops the loop: from the second sweep on, it stops once both
-    K-image steps ||K f - K f_prev||_inf / ||K f||_inf and the same for K g
-    are at most opts.tol (>= TOL_FLOOR, where the step stalls in rounding).
-    The best responses read each other only through K f and K g, so K
-    images that no longer move are the loop's fixed point.  It returns the
-    last pair with its K f and K g, the larger of the two steps (k_step),
-    the p root of the K g that formed f (kappa_kg), the q root of K f that
-    formed g (kappa_kf, p != q) and the kappa moment evaluations it took;
+    For p, q >= 1 f answers the secant (Anderson depth 1) mix of the last
+    two K g, K g_k - gamma (K g_k - K g_k-1) with gamma = dr.r_k / dr.dr,
+    where r_k is K g_k less the K image f_k answered and dr = r_k - r_k-1
+    (Anderson, J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal. 49,
+    2011).  K is linear and a best response scale-invariant in its K image,
+    so the mix needs no Green apply: f and g stay exact best responses and D
+    a feasible quotient value.  A fall of D drops the history, so the next
+    two sweeps answer plain K g; dr.dr = 0 skips the mix.  Exponents below 1
+    are not mixed.  One rule stops the loop: from the second sweep on, it
+    stops once both K-image steps ||K f - K f_prev||_inf / ||K f||_inf and
+    the same for K g (exact images, never the mix) are at most opts.tol
+    (>= TOL_FLOOR, where the step stalls in rounding).  The best responses
+    read each other only through K f and K g, so K images that no longer
+    move are the loop's fixed point.  It returns the last pair with its K f
+    and K g, the larger of the two steps (k_step), the p root of the mixed K
+    image that formed f (kappa_kg), the q root of K f that formed g
+    (kappa_kf, p != q) and the kappa moment evaluations it took;
     iterations, d_history, k_step and kappa_evaluations are the fine loop's
-    own.  `coarse_start` records the nested start as
-    {n, sweeps, kappa_evaluations, D, d_gap} of the coarse solve, with
-    d_gap = |D_coarse - D| / D, a two-grid gap and not an error estimate;
-    it is None after a cosine or a caller's warm start.  D is int f K g of
-    the two best responses, whose norms are 1 by construction.  Each kappa
-    root for an exponent other than 1 starts at a root the solve already
-    holds (kappa_shift's guess): that exponent's root of the previous
-    sweep, and on the first sweep the start pair's kappa_kg and kappa_kf,
-    the coarse level's last roots or a caller's warm pair's; a first sweep
-    without them (the cosine start) starts at -mean of its potential.  The
-    loop's Green applies call the kernel green_apply directly, since best
-    responses are mean-zero by construction.  A spent budget raises
-    NonConvergenceError.  Only subcritical and hyperbola exponents whose N
-    is grid.dim are accepted: others raise ValueError, the critical ones
-    because the radial maximizer concentrates at the origin at grid scale
-    there.
+    own.  Each level logs one DEBUG record: its K-image step, sweeps, mixed
+    sweeps, history resets and kappa evaluations.  `coarse_start` records
+    the nested start as {n, sweeps, kappa_evaluations, D, d_gap} of the
+    coarse solve, with d_gap = |D_coarse - D| / D, a two-grid gap and not an
+    error estimate; it is None after a cosine or a caller's warm start.
+    Each kappa root for an exponent other than 1 starts at that exponent's
+    root of the previous sweep, on the first sweep at the start pair's
+    kappa_kg and kappa_kf, and without them (the cosine start) at -mean of
+    its potential.  A spent budget raises NonConvergenceError.  Only
+    subcritical and hyperbola exponents whose N is grid.dim are accepted:
+    others raise ValueError, the critical ones because the radial maximizer
+    concentrates at the origin at grid scale there.
     """
     opts = opts or SolverOptions()
     if e.p <= 0:
@@ -285,15 +293,18 @@ def _ascend(
 ) -> DualPair:
     """compute_dual's sweeps from the start's K g until both K images move
     by at most opts.tol relative over a sweep; kappa_p and kappa_q are the
-    first sweep's root guesses, as each sweep's roots are the next one's."""
+    first sweep's root guesses, as each sweep's roots are the next one's;
+    for p, q >= 1 f answers the secant mix (see compute_dual)."""
     alpha, beta = e.alpha, e.beta
+    mix = e.p >= 1.0 and e.q >= 1.0
     # carried: sweep k's K g is sweep k+1's K g_prev, as the start's K g is the first
     kf = None  # sweep 1 has no previous K f, so the first stop test is at sweep 2
+    kg_in, residual = kg, None  # the K image f answers, and the secant's history K g - kg_in
     history: list[float] = []
-    evaluations = 0
+    evaluations = mixed = resets = 0
     for it in range(1, opts.max_iter + 1):
         kf_prev, kg_prev = kf, kg
-        f, kappa_p, spent = _best_response(grid, kg, e.p, alpha, kappa_p)
+        f, kappa_p, spent = _best_response(grid, kg_in, e.p, alpha, kappa_p)
         kf = green_apply(grid, f)
         if e.p == e.q:
             g, kg = f, kf  # identical best-response maps; keeps u = v exact
@@ -302,14 +313,25 @@ def _ascend(
             spent += spent_q
             kg = green_apply(grid, g)
         evaluations += spent
-        d_now = grid.integrate_values(f * kg)
+        d_now = grid.surface * float(grid.weights @ (f * kg))  # grid.integrate_values
         history.append(d_now)
         if kf_prev is not None:
-            k_step = max(_relative_step(kf, kf_prev), _relative_step(kg, kg_prev))
+            kg_step = kg - kg_prev
+            k_step = max(_relative_step(kg_step if e.p == e.q else kf - kf_prev, kf), _relative_step(kg_step, kg))
             if k_step <= opts.tol:
                 break
+        last, residual, kg_in = residual, kg - kg_in if mix else None, kg
+        if last is not None and d_now < history[-2]:
+            resets, residual = resets + 1, None
+        elif last is not None:
+            last -= residual  # -dr
+            den = float(last @ last)
+            if den > 0.0:
+                kg_step *= float(last @ residual) / den  # -gamma (K g_k - K g_k-1), in place
+                kg_in = np.add(kg_step, kg, out=kg_step)
+                mixed += 1
     else:
-        _log.debug("dual solve %s on n=%d: no stop rule in %d sweeps, %d kappa evaluations", e, grid.n, it, evaluations)
+        _log.debug("dual solve %s on n=%d: no stop rule in " + _TALLY, e, grid.n, it, mixed, resets, evaluations)
         tail = history[-10:]
         raise NonConvergenceError(
             f"dual iteration did not converge in {opts.max_iter} sweeps",
@@ -318,8 +340,7 @@ def _ascend(
             iterations=opts.max_iter,
         )
     _log.debug(
-        "dual solve %s on n=%d: K-image step %.3e after %d sweeps, %d kappa evaluations",
-        e, grid.n, k_step, it, evaluations,
+        "dual solve %s on n=%d: K-image step %.3e after " + _TALLY, e, grid.n, k_step, it, mixed, resets, evaluations
     )
     f, g = GridFunction(grid, f), GridFunction(grid, g)
     return DualPair(

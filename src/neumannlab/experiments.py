@@ -470,8 +470,8 @@ def ls_upper_bounds(
     saddle and would set the batch length.  On (2, 2, 1) at k_max = 5,
     n = 2000: 103 start-sweeps in 29 batched sweeps (84 with one call per k).
     opts reaches only the k = 1 dual solve; seed is ignored.  Each call logs
-    one DEBUG record: the batched sweeps, the start-sweeps, the rows still
-    running at the 400-sweep cap and the k's whose fallback ran.
+    one DEBUG record: the batched sweeps and the row that ran them, the
+    start-sweeps, the rows at the 400-sweep cap and the k's whose fallback ran.
     """
     if k_max < 1 or k_max > 8:
         raise ValueError("k_max must be between 1 and 8")
@@ -509,10 +509,13 @@ def ls_upper_bounds(
         i = int(np.argmax(best))
         nested = a[i : i + 1]  # zero past k: the next k's floor and fallback, so the spans nest
         bounds.append(float(best[i]))
+    lengths = np.isfinite(histories[0]).sum(axis=0)
+    slow = int(np.argmax(lengths))  # the first row that ran as long as the batch
     _log.debug(
-        "genus bounds %s, k_max=%d on n=%d: %d batched sweeps, %d start-sweeps, %d rows at the 400-sweep cap, "
-        "nested fallback at k=%s",
-        e, k_max, grid.n, len(histories[0]), sum(int(np.isfinite(h).sum()) for h in histories),
+        "genus bounds %s, k_max=%d on n=%d: %d batched sweeps, set by the k=%d %s row (%d sweeps), %d start-sweeps, "
+        "%d rows at the 400-sweep cap, nested fallback at k=%s",
+        e, k_max, grid.n, len(histories[0]), ks[slow], "tilted" if slow % 2 else "untilted", lengths[slow],
+        sum(int(np.isfinite(h).sum()) for h in histories),
         sum(int(np.isfinite(h[-1]).sum()) for h in histories if len(h) == 400), fallbacks,
     )
     return bounds

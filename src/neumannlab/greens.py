@@ -84,13 +84,16 @@ def green_apply(grid, values: np.ndarray) -> np.ndarray:
     tails, keep the large Phi near the origin off the rounding of the total.
     Both sums run in one pass, as the real and imaginary parts of one
     complex cumsum: complex addition adds the parts separately in the same
-    order, so the result equals two real cumsums bit for bit.
+    order, so the result equals two real cumsums bit for bit.  The sums fill
+    one complex buffer, and the mean is removed in place.
     """
-    sums = (grid.weights * values).astype(complex)
-    sums.imag = grid.phi * sums.real
-    np.cumsum(sums, out=sums)
+    sums = np.empty(len(values), complex)
+    np.multiply(grid.weights, values, out=sums.real)
+    np.multiply(grid.phi, sums.real, out=sums.imag)
+    sums.cumsum(out=sums)
     u = grid.phi * sums.real - sums.imag + grid.green_diagonal * values
-    return u - grid.mean_values(u)
+    u -= grid.surface * float(grid.weights @ u) / grid.domain_measure  # grid.mean_values(u)
+    return u
 
 
 def solve_neumann(grid, values: np.ndarray) -> np.ndarray:
@@ -253,7 +256,7 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
 
     # overflow gives inf (the moment then raises) instead of a warning or OverflowError
     with np.errstate(over="ignore", invalid="ignore"):
-        sup = float(np.max(np.abs(values)))
+        sup = float(np.abs(values).max())
         bound = 2.0 * sup
         # -mean(u) is the root at t = 1
         kappa0 = guess if guess is not None and -bound < guess < bound else -grid.mean_values(values)

@@ -1,6 +1,8 @@
 import dataclasses
 import logging
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +289,71 @@ def test_hoelder_stencil_residual_decays_like_h_to_the_p():
         rel.append(rep.residual_v / np.max(np.abs(greens._signed_power(rep.u.values, e.p))))
     assert math.log(rel[0] / rel[1]) / math.log(4.0) >= 0.9 * e.p
     assert rel[1] > dual.RESIDUAL_TOL  # a gate at RESIDUAL_TOL would refuse this solve at every n
+
+
+def test_a_cold_3_2_solve_on_the_3_ball_takes_at_most_13_sweeps():
+    # plain alternation took 23 sweeps; each f answers the secant mix of the last two K g
+    assert compute_dual(ExponentPair(3.0, 2.0, 3), make_grid(3, 2000)).iterations <= 13
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("p, q", [(3.0, 2.0), (2.0, 2.0), (1.0, 1.0)])
+def test_a_mixed_solve_ends_at_the_tight_level(p, q, dim):
+    e, grid = ExponentPair(p, q, dim), make_grid(dim, 2000)
+    tight = compute_dual(e, grid, SolverOptions(tol=dual.TOL_FLOOR))
+    assert compute_dual(e, grid).d_estimate == pytest.approx(tight.d_estimate, rel=1e-13)
+
+
+def _mixed_sweeps(monkeypatch, e: ExponentPair, grid) -> tuple[dual.DualPair, int]:
+    """The solve and its sweeps whose f answered a K image other than the previous sweep's K g."""
+    inputs, images = [], []
+    real_response, real_apply = dual._best_response, dual.green_apply
+
+    def response(grid, w, expo, norm_expo, guess=None):
+        if len(inputs) == len(images) // (1 if e.p == e.q else 2):
+            inputs.append(w.copy())  # the sweep's first best response, f
+        return real_response(grid, w, expo, norm_expo, guess)
+
+    monkeypatch.setattr(dual, "_best_response", response)
+    monkeypatch.setattr(dual, "green_apply", lambda grid, values: images.append(real_apply(grid, values)) or images[-1])
+    dp = compute_dual(e, grid)
+    kg = images if e.p == e.q else images[1::2]
+    return dp, sum(not np.array_equal(w, k) for w, k in zip(inputs[1:], kg))
+
+
+@pytest.mark.parametrize("p, q, dim", [(3.0, 2.0, 3), (2.0, 2.0, 2), (0.5, 3.0, 2), (3.0, 0.5, 1)])
+def test_only_exponents_of_at_least_1_are_mixed(monkeypatch, caplog, p, q, dim):
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    e = ExponentPair(p, q, dim)
+    dp, mixed = _mixed_sweeps(monkeypatch, e, make_grid(dim, 2000))
+    assert (mixed > 0) == (min(p, q) >= 1.0)
+    (record,) = [r for r in caplog.records if r.name == "neumannlab.dual"]
+    found = re.search(r"after (\d+) sweeps \((\d+) mixed, (\d+) history resets\)", record.getMessage())
+    assert (int(found[1]), int(found[2])) == (dp.iterations, mixed)
+    # a reset follows a drop of D, and neither the first nor the second sweep mixes
+    assert int(found[3]) <= sum(b < a for a, b in zip(dp.d_history, dp.d_history[1:]))
+    assert mixed + int(found[3]) <= dp.iterations - 2
+
+
+def test_a_nested_solve_logs_each_levels_mixing(caplog):
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    dp = compute_dual(ExponentPair(3.0, 2.0, 1), make_grid(1, 8000))
+    messages = [r.getMessage() for r in caplog.records if r.name == "neumannlab.dual"]
+    sweeps = [int(re.search(r"on n=%d: .* after (\d+) sweeps \(\d+ mixed, \d+ history resets\)" % n, m)[1])
+              for n, m in zip((dual.COARSE_N, 8000), messages)]
+    assert len(messages) == 2 and sweeps == [dp.coarse_start["sweeps"], dp.iterations]
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_tiny_exponents_solve_without_warning(dim):
+    # beta = 1 + 1/q = 10001: |g|^beta overflowed the start's norm once ||g||_inf passed 1.0001
+    e = ExponentPair(1e-4, 1e-4, dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dp = compute_dual(e, make_grid(dim, 2000))
+        rep = reconstruct_solution(e, dp)
+    assert 0.0 <= dp.k_step <= SolverOptions().tol and dp.iterations < SolverOptions().max_iter
+    assert rep.converged and math.isfinite(rep.c) and rep.c < 0.0
 
 
 def _count_green_applies(monkeypatch) -> list:

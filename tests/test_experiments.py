@@ -371,8 +371,32 @@ def test_ls_upper_bounds_log_one_debug_record(caplog):
     (record,) = [r for r in caplog.records if r.name == "neumannlab.experiments"]
     assert record.levelno == logging.DEBUG
     message = record.getMessage()
-    assert re.search(r"k_max=5 on n=1000: \d+ batched sweeps, \d+ start-sweeps, 0 rows at the 400-sweep cap", message)
+    found = re.search(
+        r"k_max=5 on n=1000: (\d+) batched sweeps, set by the k=(\d) (un)?tilted row \((\d+) sweeps\), "
+        r"\d+ start-sweeps, 0 rows at the 400-sweep cap", message
+    )
+    assert found and found[1] == found[4] and 2 <= int(found[2]) <= 5
     assert message.endswith("nested fallback at k=[]")
+
+
+def test_ls_upper_bounds_name_the_row_that_sets_the_batch_length(monkeypatch, caplog):
+    # on (0.5, 0.5) the tilted k = 5 start shrinks back toward e_5 slowly and
+    # outlasts every other row of the batch
+    calls = []
+    real_ascent = experiments._power_ascent
+
+    def recorded(a, ks, *args):
+        best_a, history = real_ascent(a, ks, *args)
+        calls.append(np.isfinite(history).sum(axis=0))
+        return best_a, history
+
+    monkeypatch.setattr(experiments, "_power_ascent", recorded)
+    caplog.set_level(logging.DEBUG, logger="neumannlab")
+    ls_upper_bounds(ExponentPair(0.5, 0.5, 1), 5, interval_grid(1.0, 2000))
+    lengths = calls[0]
+    (record,) = [r for r in caplog.records if r.name == "neumannlab.experiments"]
+    assert int(np.argmax(lengths)) == 7 and lengths.max() > 3 * np.sort(lengths)[-2]  # rows e_2, tilt, ..., e_5, tilt
+    assert f"{lengths.max()} batched sweeps, set by the k=5 tilted row ({lengths.max()} sweeps)" in record.getMessage()
 
 
 def test_ls_upper_bounds_ascend_the_nested_start_below_the_floor(monkeypatch, caplog):

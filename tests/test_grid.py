@@ -147,6 +147,19 @@ def test_lp_norm_homogeneity():
         assert grid.lp_norm_values(lam * g, 1.7) == pytest.approx(abs(lam) * grid.lp_norm_values(g, 1.7), rel=1e-13)
 
 
+@pytest.mark.parametrize("s", [65.0, 3334.0, 10001.0])
+def test_lp_norm_of_a_large_exponent_does_not_overflow(s):
+    # |y|^s overflows once ||y||_inf passes exp(709 / s); the norm scales y by ||y||_inf first
+    grid = unit_ball_grid(3, n=2000)
+    g = 1.5 + np.cos(math.pi * grid.r)
+    with np.errstate(over="raise", invalid="raise"):
+        norm = grid.lp_norm_values(g, s)
+        constant = grid.lp_norm_values(np.full_like(g, 2.5), s)
+        assert constant == pytest.approx(2.5 * grid.domain_measure ** (1.0 / s), rel=1e-14)
+        assert grid.lp_norm_values(-1e3 * g, s) == pytest.approx(1e3 * norm, rel=1e-14)
+    assert 2.29 < norm < 2.5  # below the sup 2.5, taken at the origin, and nearing it as s grows
+
+
 def test_lp_norm_rejects_s_below_one():
     grid = interval_grid(1.0, n=100)
     with pytest.raises(ValueError):

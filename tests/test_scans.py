@@ -1,7 +1,9 @@
 """Smoke tests of the reference-scan driver scans/run.py: its compare rules
-on hand-made rows, one small dual line and one small cli line."""
+on hand-made rows, one small dual line, one small cli line, and one dual
+line against its committed reference."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -60,6 +62,14 @@ def test_a_dual_line_carries_every_field():
     assert (row["p"], row["q"], row["dim"], row["n"]) == (2.0, 3.0, 2, 200)
     assert 0.0 <= row["k_step"] <= 1e-10  # the default tol
     assert all(0.0 <= row[f] < 1e-3 for f in ("off_band_u", "off_band_v", "defect_u", "defect_v"))
+
+
+def test_an_unmixed_dual_line_reproduces_its_reference_bit_for_bit():
+    # (0.5, 5) is not secant-mixed, so the leaner sweep must form every quantity as before
+    row = json.loads(json.dumps(run.dual_row(ExponentPair(0.5, 5.0, 2), 2000)))
+    lines = (Path(__file__).resolve().parents[1] / "scans" / "dual_ref.jsonl").read_text().splitlines()
+    refs = [ref for ref in map(json.loads, lines) if (ref["p"], ref["q"], ref["dim"], ref["n"]) == (0.5, 5.0, 2, 2000)]
+    assert refs == [row]
 
 
 def test_a_cli_line_carries_the_exit_code_the_solution_and_the_csv_digests():
