@@ -8,7 +8,8 @@ Run from the root of a checkout:
 A family is a function that returns its rows, the fields that key them and
 a compare rule.  --compare REF exits 1 if the scan and REF cover different
 keys or the rule fails; the identity rule holds only on the numpy/BLAS
-build and CPU that wrote REF.  A raise is recorded as "Type: message".
+build and CPU that wrote REF, with BLAS on one thread, which the scan sets
+before it imports numpy.  A raise is recorded as "Type: message".
 
 sign   solve_sign_system for q in {0.01, 0.1, 1, 5, 29} and
        solve_scalar_sign (q null) on N = 1..8, n in {7, 9, 50, 200, 2000,
@@ -43,6 +44,7 @@ import argparse
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import time
@@ -50,6 +52,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# as perfbench/run.py's BLAS_THREAD_VARS: threaded BLAS sums, so the scanned digits, depend on the thread count
+for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+            "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ[var] = "1"
 
 import numpy as np  # noqa: E402
 

@@ -20,8 +20,10 @@ NumericalFailure, an unconverged solve or a golden mismatch), with partial
 output written where possible.  All floats are printed with 17 significant
 digits so runs are diffable.  `main` sets glibc's M_TOP_PAD (nothing where
 libc has no mallopt), so freed heap stays mapped and a later n = 20000 dual
-solve takes about 0 minor page faults, not 2100; library use leaves the
-allocator alone.
+solve takes about 0 minor page faults, not 2100.  It runs the loaded OpenBLAS
+on one thread (nothing where none is found): threaded above about 10000 points,
+weights @ x ran slower on two cores and its sums, so the CSV bytes, depended on
+the thread count.  Library use leaves the allocator and BLAS alone.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ _SOLVER_KEYS = ("dim", "n", "length", "tol", "max_iter")  # grid and iteration
 # alone still left some, and M_MMAP_THRESHOLD alone raised them to about 3500.
 M_TOP_PAD = -2  # mallopt's parameter number
 TOP_PAD = 64 << 20
+BLAS_SETTERS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads", "openblas_set_num_threads64_")
 
 
 def _config_value(key: str, val):
@@ -320,8 +323,21 @@ def _keep_freed_heap() -> None:
     mallopt(M_TOP_PAD, TOP_PAD)
 
 
+@functools.cache  # once per process
+def _one_blas_thread() -> None:
+    """Call the BLAS_SETTERS of each OpenBLAS in /proc/self/maps with 1; without /proc, nothing."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(path) for path in {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}]
+    except OSError:  # no /proc (macOS, Windows) or a mapping that no longer loads
+        return
+    for setter in filter(None, (getattr(lib, name, None) for lib in libs for name in BLAS_SETTERS)):
+        setter(1)
+
+
 def main(argv=None) -> int:
     _keep_freed_heap()  # the CLI owns its process; importing neumannlab changes no allocator
+    _one_blas_thread()  # nor BLAS threads
     args, extra = build_parser().parse_known_args(argv)
     if extra:  # reported with the subcommand's usage line, not the top-level one
         args.parser.error(f"unrecognized arguments: {' '.join(extra)}")

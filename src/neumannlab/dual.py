@@ -370,6 +370,17 @@ def compute_lambda(e: ExponentPair, grid: RadialGrid, opts: SolverOptions | None
     return 1.0 / compute_dual(e, grid, opts).d_estimate
 
 
+def _d_power(e: ExponentPair, D: float, power: float) -> float:
+    """D^power, a scale of u, v or c; NumericalFailure unless a normal double (near pq = 1 the power is large)."""
+    order = power * math.log10(D)
+    scale = D**power if order < 308.0 else math.inf  # float ** raises on overflow
+    if not np.finfo(float).tiny <= scale < math.inf:
+        ratio = (e.p + 1.0) * (e.q + 1.0) / (e.p * e.q - 1.0)  # c = Lambda^ratio / ratio
+        raise NumericalFailure(f"{e}: the scale D^{power:.6g} is about 1e{order:.0f}, outside the normal doubles; "
+                               f"the level c is of order 1e{-ratio * math.log10(D) - math.log10(abs(ratio)):.0f}")
+    return scale
+
+
 def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     """Primal solution and level from the dual loop's pair.
 
@@ -393,12 +404,14 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
     grid = dp.f.grid
     D = dp.d_estimate
     denom = e.p * e.q - 1.0
+    powers = (-e.q * (e.p + 1.0), -e.p * (e.q + 1.0), -(e.p + 1.0) * (e.q + 1.0))  # of u, v and c, times pq - 1
+    scale_u, scale_v, _ = (_d_power(e, D, power / denom) for power in powers)
     kappa_u = kappa_shift(grid, dp.kg, e.p, dp.kappa_kg).kappa
-    u_vals = D ** (-e.q * (e.p + 1.0) / denom) * (dp.kg + kappa_u)
+    u_vals = scale_u * (dp.kg + kappa_u)
     kappa_v = kappa_u if e.p == e.q else dp.kappa_kf
     if kappa_v is None:
         kappa_v = kappa_shift(grid, dp.kf, e.q).kappa
-    v_vals = D ** (-e.p * (e.q + 1.0) / denom) * (dp.kf + kappa_v)
+    v_vals = scale_v * (dp.kf + kappa_v)
     if u_vals[0] < 0:
         u_vals, v_vals = -u_vals, -v_vals
 

@@ -18,14 +18,15 @@ for N >= 3 the origin weight is negative and O(h^N), not rounding level
 on N = 6 the weights of the two nodes nearest the origin are negative.
 
 Each grid also carries the nodal kernel Phi and the diagonal of the Green
-operator (see greens.green_apply).
+operator (see greens.green_apply).  GridFunction.write_csv formats the r
+column, which depends on (n, L) alone, once per (n, L) per process.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -114,12 +115,6 @@ class RadialGrid:
     green_diagonal: np.ndarray = field(repr=False, compare=False)
     _table_weighted: np.ndarray = field(repr=False, compare=False)
 
-    @cached_property
-    def csv_r_cells(self) -> np.ndarray:
-        """The r cells of GridFunction.write_csv (report_io.fmt17_cells), formatted
-        on first use; u.csv and v.csv of a solve share them."""
-        return fmt17_cells(self.r)
-
     @property
     def h(self) -> float:
         return self.length / self.n
@@ -183,6 +178,15 @@ class RadialGrid:
             positive = np.where(x > 0.0, x, length)  # x^2 log(L/x) -> 0 at the origin
             return x**2 * (0.5 * np.log(length / positive) + 0.25)
         return (0.5 * x**2 - length ** (1 - power) * x ** (power + 1) / (power + 1)) / (power - 1)
+
+
+@lru_cache(maxsize=4)  # an n = 20000 column holds 640 KB
+def _csv_r_cells(n: int, length: float) -> np.ndarray:
+    """The read-only r cells of GridFunction.write_csv, fmt17_cells of make_grid's
+    r = linspace(0, length, n + 1), shared by every grid with this (n, length)."""
+    cells = fmt17_cells(np.linspace(0.0, length, n + 1))
+    cells.flags.writeable = False
+    return cells
 
 
 def _neumann_kernel(r: np.ndarray, length: float, power: int) -> np.ndarray:
@@ -273,10 +277,10 @@ class GridFunction:
     def write_csv(self, path) -> None:
         """Two-column CSV (r, value) with RFC 4180 line endings; each cell is
         the '%.17g' text of its float, written by report_io's numpy kernel
-        (fmt17_csv_rows) with the r column the grid keeps formatted."""
+        (fmt17_csv_rows) with the r column formatted once per (n, L)."""
         with open(path, "wb") as fh:
             fh.write(b"r,value\r\n")
-            fh.writelines(fmt17_csv_rows(self.grid.csv_r_cells, self.values))
+            fh.writelines(fmt17_csv_rows(_csv_r_cells(self.grid.n, self.grid.length), self.values))
 
 
 def discrete_radial_laplacian(grid: RadialGrid, y: np.ndarray) -> np.ndarray:

@@ -3,9 +3,10 @@
 Run with `pytest -s tests/test_acceptance.py` to see the per-criterion
 lines.  Criterion 8's ratio window is asserted at its stated tolerance and
 is expected to fail: the diagonal levels approach twice the scalar level
-with a leading deficit of about 2p(1 + ln 12), which is 6.7% at p = 0.01,
-so a 2% window at p = 0.01 cannot hold for any correct solver.  The
-shooting oracle for the reduced scalar equation in
+with a leading deficit kappa_1 p, where kappa_1 = 16/3 + 2 ln 2 = 6.72 on
+the interval (tests/test_experiments.py::test_pq_to_zero_deficit_at_first_order);
+the computed ratio at p = 0.01 is 0.9346, so a 2% window at p = 0.01 cannot
+hold for any correct solver.  The shooting oracle for the reduced scalar equation in
 tests/test_dual.py::test_diagonal_level_matches_shooting_oracle confirms
 the computed level to 1e-6 (the gap is 4.6e-7).
 """
@@ -166,8 +167,8 @@ def test_criterion_8_diagonal_limit_u_equals_v():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="c_{p,p} -> 2 c_0 converges with a 2p(1 + ln 12) deficit, about "
-    "6.7% at p = 0.01, so the stated 2% window cannot hold for any correct "
+    reason="c_{p,p} -> 2 c_0 converges with a kappa_1 p deficit, kappa_1 = 16/3 + 2 ln 2, "
+    "about 6.5% at p = 0.01, so the stated 2% window cannot hold for any correct "
     "solver; the computed level -0.07788 is confirmed to 1e-6 by the shooting "
     "oracle in tests/test_dual.py::test_diagonal_level_matches_shooting_oracle",
 )
@@ -178,7 +179,7 @@ def test_criterion_8_ratio_window():
     except AssertionError:
         print(
             "\nACCEPTANCE 8 (ratio window): FAIL - the stated tolerance is "
-            "unattainable; the limit is approached with a 2p(1 + ln 12) deficit"
+            "unattainable; the limit is approached with a kappa_1 p deficit, kappa_1 = 6.72"
         )
         raise
     print("\nACCEPTANCE 8 (ratio window): PASS")

@@ -2,7 +2,10 @@ import csv
 import ctypes
 import json
 import math
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,6 +101,15 @@ def test_negative_origin_weights_of_a_coarse_ball_are_a_numerical_failure(tmp_pa
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_a_solve_next_to_the_hyperbola_exits_2_not_with_zeros(tmp_path, capsys):
+    code = main(["solve", "--p", "1", "--q", "0.999", "--dim", "1", "--n", "2000", "--outdir", str(tmp_path)])
+    assert code == 2
+    assert "the scale D^1998 is about 1e-1987" in capsys.readouterr().err
+    payload = json.loads((tmp_path / "solution.json").read_text())
+    assert payload["converged"] is False and "level c is of order 1e-3979" in payload["error"]
+    assert not (tmp_path / "u.csv").exists()
 
 
 def test_solve_rejects_hyperbola(tmp_path, capsys):
@@ -389,6 +401,59 @@ def test_solve_without_mallopt_writes_the_same_output(tmp_path, monkeypatch, cdl
     assert looked_up == [None]
     for name in ("u.csv", "v.csv"):
         assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "libc" / name).read_bytes()
+
+
+def _openblas():
+    """The OpenBLAS this process loaded, found as the CLI finds it, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            libs = [ctypes.CDLL(path) for path in {line.split(maxsplit=5)[5].strip() for line in fh if "openblas" in line}]
+    except OSError:
+        return None
+    return next((lib for lib in libs if any(hasattr(lib, name) for name in cli.BLAS_SETTERS)), None)
+
+
+def _openblas_threads():
+    """The thread getter of the OpenBLAS this process loaded, or None."""
+    names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads", "openblas_get_num_threads64_")
+    lib = _openblas()
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+
+
+def test_the_cli_runs_blas_on_one_thread(tmp_path):
+    threads = _openblas_threads()
+    if threads is None:
+        pytest.skip("no OpenBLAS found through /proc/self/maps")
+    setter = next(getattr(_openblas(), name) for name in cli.BLAS_SETTERS if hasattr(_openblas(), name))
+    setter(2)
+    cli._one_blas_thread.cache_clear()
+    assert main(["solve", "--p", "0", "--q", "1", "--n", "200", "--outdir", str(tmp_path)]) == 0
+    assert threads() == 1
+
+
+def test_importing_the_cli_pins_nothing():
+    # a fresh process: here earlier tests have run main
+    probe = "from neumannlab import cli; print(cli._one_blas_thread.cache_info(), cli._keep_freed_heap.cache_info())"
+    src = Path(neumannlab.__file__).parents[1]
+    out = subprocess.run([sys.executable, "-c", probe], cwd=src, capture_output=True, text=True, check=True).stdout
+    assert out.count("currsize=0") == 2, out
+
+
+def test_solve_without_proc_maps_writes_the_same_output(tmp_path, monkeypatch):
+    argv = ["solve", "--p", "3", "--q", "2", "--dim", "2", "--n", "400", "--outdir"]
+    assert main(argv + [str(tmp_path / "pinned")]) == 0
+
+    def no_proc(path, *args):
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(cli, "open", no_proc, raising=False)
+    cli._one_blas_thread.cache_clear()
+    try:
+        assert main(argv + [str(tmp_path / "plain")]) == 0
+    finally:
+        cli._one_blas_thread.cache_clear()
+    for name in ("u.csv", "v.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "pinned" / name).read_bytes()
 
 
 def test_solve_help_says_the_seed_is_ignored(capsys):

@@ -180,6 +180,24 @@ def test_a_start_norm_without_a_positive_quadrature_is_a_numerical_failure():
         compute_dual(ExponentPair(0.1, 0.1, 7), make_grid(7, 6))
 
 
+@pytest.mark.parametrize(
+    "p, q, length, power, order",
+    [
+        (1.0, 0.999, 1.0, "1998", "-1987"),
+        (0.999, 1.0, 1.0, "1999", "-1988"),
+        (1.0, 0.999, 2.0 * math.pi, "1998", "1203"),
+        (1.0, 0.9956, 2.0 * math.pi, "907.091", "547"),  # u and v fit, but c = D^-ratio / ratio would overflow
+    ],
+    ids=["underflow", "underflow-u", "overflow", "level-overflow"],
+)
+def test_a_scale_outside_the_doubles_near_pq_1_is_a_numerical_failure(p, q, length, power, order):
+    # near pq = 1 the D-powers of u, v and c leave the doubles: no all-zero (or inf) solution may be reported
+    e = ExponentPair(p, q, 1)
+    dp = compute_dual(e, interval_grid(length, n=2000))
+    with pytest.raises(NumericalFailure, match=rf"D\^{power} is about 1e{order}, outside the normal doubles; "):
+        reconstruct_solution(e, dp)
+
+
 def test_reconstruction_rejects_hyperbola(line):
     dp = compute_dual(ExponentPair(1.0, 1.0, 1), line)
     with pytest.raises(HyperbolaError):

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from neumannlab import experiments
-from neumannlab.dual import SolverOptions, compute_dual, reconstruct_solution
-from neumannlab.exponents import ExponentPair
+from neumannlab.dual import SolverOptions, compute_dual, compute_lambda, reconstruct_solution
+from neumannlab.exponents import ExponentPair, c_from_lambda
 from neumannlab.experiments import (
     SweepSpec,
     _constraint_scale,
@@ -23,7 +23,7 @@ from neumannlab.experiments import (
 )
 from neumannlab.greens import NumericalFailure, solve_increasing, solve_neumann
 from neumannlab.grid import interval_grid, unit_ball_grid
-from neumannlab.sign import solve_sign_system
+from neumannlab.sign import solve_scalar_sign, solve_sign_system
 
 
 @pytest.fixture(scope="module")
@@ -153,13 +153,32 @@ def test_pq_to_zero_trend():
 @pytest.mark.xfail(
     strict=True,
     reason="the convergence of the diagonal levels to twice the scalar level "
-    "has a 2p(1 + ln 12) leading deficit, about 6.7% at p = 0.01, so the "
-    "window cannot hold; the level is confirmed by the shooting oracle in "
+    "has a leading deficit kappa_1 p with kappa_1 = 16/3 + 2 ln 2 = 6.72 on the "
+    "interval, about 6.5% at p = 0.01, so the window cannot hold; the level is "
+    "confirmed by the shooting oracle in "
     "tests/test_dual.py::test_diagonal_level_matches_shooting_oracle",
 )
 def test_pq_to_zero_ratio_window_at_p_001():
     rep = check_pq_to_0(n=1500)
     assert 0.98 <= rep.ratios[-1] <= 1.02
+
+
+def test_pq_to_zero_deficit_at_first_order():
+    # c_pp / 2c_0 = 1 - kappa_1 p + O(p^2) with kappa_1 = 2(1 - int |u_0| ln |u_0| / int |u_0|); on the
+    # interval u_0 = 1/8 - x^2/2 on [0, 1/2], odd about 1/2, which gives kappa_1 = 16/3 + 2 ln 2 in closed form
+    kappa_1 = 16.0 / 3.0 + 2.0 * math.log(2.0)
+    assert kappa_1 == pytest.approx(6.719627694453224, rel=1e-15)
+    grid = interval_grid(1.0, n=2000)
+    c0 = solve_scalar_sign(grid)[1]
+    slopes = []
+    for p in 0.04 / 2.0 ** np.arange(6):  # p = 0.04 down to 0.00125
+        e = ExponentPair(p, p, 1)
+        slopes.append((1.0 - c_from_lambda(e, compute_lambda(e, grid)) / (2.0 * c0)) / p)
+    once = [2.0 * b - a for a, b in zip(slopes, slopes[1:])]  # Richardson: the O(p) error halves with p
+    twice = [(4.0 * b - a) / 3.0 for a, b in zip(once, once[1:])]  # and the O(p^2) one quarters
+    assert abs(slopes[-1] / kappa_1 - 1.0) > 1e-3  # the raw slope at p = 0.00125 is still 3e-3 low
+    assert abs(twice[-1] / kappa_1 - 1.0) <= 1e-3
+    assert abs(2.0 * (1.0 + math.log(12.0)) / kappa_1 - 1.0) > 0.03  # the older estimate is 3.7% high
 
 
 def test_continuation_limits():

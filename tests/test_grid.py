@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from neumannlab import grid as grid_module
 from neumannlab.grid import (
     _STENCIL_INV,
     GridFunction,
@@ -245,7 +246,23 @@ def test_grid_function_csv_bytes(tmp_path):
     assert b"\r\n0,-0\r\n" in expected.encode()
 
 
-def test_grid_function_csv_pair_bytes(tmp_path):
+@pytest.fixture
+def r_formats(monkeypatch):
+    """The r columns fmt17_cells formats from here on, as (first, last, count) of each."""
+    calls = []
+    kernel = grid_module.fmt17_cells
+
+    def counted(values):
+        calls.append((values[0], values[-1], len(values)))
+        return kernel(values)
+
+    monkeypatch.setattr(grid_module, "fmt17_cells", counted)
+    grid_module._csv_r_cells.cache_clear()
+    yield calls
+    grid_module._csv_r_cells.cache_clear()
+
+
+def test_grid_function_csv_pair_bytes(tmp_path, r_formats):
     # u.csv and v.csv of one solve share a grid: the r column is formatted
     # once, and both files keep the bytes of the per-row f-string writer
     grid = interval_grid(1.0, n=2000)
@@ -256,19 +273,37 @@ def test_grid_function_csv_pair_bytes(tmp_path):
         values = rng.standard_normal(grid.n + 1) * 10.0 ** rng.integers(-300, 300, grid.n + 1)
         values[rng.choice(grid.n + 1, len(special), replace=False)] = special
         pair.append(values)
-    assert "csv_r_cells" not in vars(grid)
-    cells = None
+    assert r_formats == []
     for name, values in zip(("u", "v"), pair):
         GridFunction(grid, values).write_csv(tmp_path / f"{name}.csv")
-        if cells is None:
-            cells = vars(grid)["csv_r_cells"]
-        assert vars(grid)["csv_r_cells"] is cells
+        assert r_formats == [(0.0, 1.0, 2001)]
         expected = "r,value\r\n" + "".join(f"{r:.17g},{v:.17g}\r\n" for r, v in zip(grid.r.tolist(), values.tolist()))
         assert (tmp_path / f"{name}.csv").read_bytes() == expected.encode()
+
+
+def test_r_column_is_formatted_once_per_n_and_length(tmp_path, r_formats):
+    values = np.linspace(-1.0, 1.0, 201)
+    for dim in (1, 2, 3):  # a fresh grid per write, as each CLI call makes one
+        for name in ("u", "v"):
+            GridFunction(make_grid(dim=dim, n=200), values).write_csv(tmp_path / f"{dim}{name}.csv")
+        assert r_formats == [(0.0, 1.0, 201)]
+        assert (tmp_path / f"{dim}u.csv").read_bytes() == (tmp_path / "1u.csv").read_bytes()
+    GridFunction(interval_grid(0.5, n=200), values).write_csv(tmp_path / "half.csv")
+    GridFunction(make_grid(dim=2, n=100), values[:101]).write_csv(tmp_path / "coarse.csv")
+    assert r_formats == [(0.0, 1.0, 201), (0.0, 0.5, 201), (0.0, 1.0, 101)]
+
+
+@pytest.mark.parametrize("dim, n, length", [(1, 6, 0.7), (1, 200, 1.0), (2, 200, 1.0), (3, 200, 1.0), (1, 200, 2.0)])
+def test_cached_r_cells_are_read_only_and_match_the_kernel(dim, n, length):
+    cells = grid_module._csv_r_cells(n, make_grid(dim=dim, n=n, length=length).length)
+    assert not cells.flags.writeable
+    with pytest.raises(ValueError):
+        cells[0, 0] = 0
+    assert np.array_equal(cells, grid_module.fmt17_cells(make_grid(dim=dim, n=n, length=length).r))
 
 
 @pytest.mark.parametrize("dim, n, length", [(1, 6, 0.7), (1, 2000, 1.0), (3, 20000, 1.0)])
 def test_csv_r_column_formats_each_node(dim, n, length):
     grid = make_grid(dim=dim, n=n, length=length)
-    cells = grid.csv_r_cells.view(np.uint8)
+    cells = grid_module._csv_r_cells(grid.n, grid.length).view(np.uint8)
     assert [row[row != 0].tobytes() for row in cells] == [b"%.17g" % x for x in grid.r]
