@@ -170,18 +170,13 @@ def _start(e: ExponentPair, grid: RadialGrid, pair: DualPair | None) -> np.ndarr
     """K g to start the loop on grid, the loop's whole start state: g is the
     first cosine mode (pair None) or pair's g at grid's nodes by
     RadialGrid.cubic_at, with its mean removed and scaled to unit L^beta,
-    and K g is formed by solve_neumann.  Raises NumericalFailure when that
-    norm is not positive on grid's quadrature (the negative origin weights
-    of a coarse ball)."""
+    and K g is formed by solve_neumann."""
     if pair is None:
         g = np.cos(np.pi * grid.r / grid.length)
     else:
         g = pair.g.grid.cubic_at(pair.g.values, grid.r)
     g = g - grid.mean_values(g)
-    norm = grid.lp_norm_values(g, e.beta)
-    if not norm > 0.0:
-        raise NumericalFailure(f"start norm {norm:.3e} is not positive on the N = {grid.dim}, n = {grid.n} grid")
-    g /= norm
+    g /= grid.lp_norm_values(g, e.beta)
     # values by keyword: perfbench's tracer reads a second positional argument as a flag
     return solve_neumann(grid, values=g)
 
@@ -462,20 +457,13 @@ def oracle_dual_smallgrid(
     over mean-zero nodal vectors, ORACLE_STEPS steps from each of `restarts`
     seeded random starts and a cosine start, keeping the best value found.
     Independent of the alternating iteration; exact gradients via the dense
-    K matrix.  Raises ValueError when a quadrature weight is not positive,
-    as at the origin of the balls with N >= 3 at these n.
+    K matrix.
     """
     if grid.n > 12:
         raise ValueError("the brute-force oracle is for grids with at most 12 panels")
     if restarts < 1:
         raise ValueError("need at least one restart")
     w = grid.weights * grid.surface
-    if np.any(w <= 0):
-        # the weighted |x|^s sums are then no norms, and the gradient divides by w
-        raise ValueError(
-            f"the brute-force oracle needs positive quadrature weights; the N = {grid.dim} grid"
-            f" with n = {grid.n} has w <= 0 at nodes {np.flatnonzero(w <= 0).tolist()}"
-        )
     alpha, beta = e.alpha, e.beta
     kmat = _k_matrix(grid)
     total = w.sum()

@@ -213,9 +213,8 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     then the adjacent pair of floats across which M changes sign, and as
     solve_increasing signed both, the check evaluates M once more, at the
     float next to kappa outside the pair.  Raises KappaShiftError when u or
-    M is not finite, when M has no sign change on the bracket (negative
-    origin weights of a coarse ball can keep it below 0) or when kappa
-    meets neither rule.
+    M is not finite, when M has no sign change on the bracket or when
+    kappa meets neither rule.
     """
     if not t > 0:
         raise ValueError(f"shift exponent must be positive, got {t}")

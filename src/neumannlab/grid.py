@@ -12,10 +12,10 @@ the panels give antiderivatives, and column sums the nodal quadrature
 weights, each by four shifted, contiguous slice passes.  The moments make
 int_0^L r^(N-1) dr exact for every dimension and keep fourth order on
 smooth data with no loss near the origin.  The interval's
-coefficient pattern h * (1/3, 31/24, 5/6, 25/24, 1, ..., 1) is positive;
-for N >= 3 the origin weight is negative and O(h^N), not rounding level
-(N = 3: -6.1e-5 at n = 9 against the mass 1/3, -5.6e-12 at n = 2000), and
-on N = 6 the weights of the two nodes nearest the origin are negative.
+coefficient pattern h * (1/3, 31/24, 5/6, 25/24, 1, ..., 1) is positive.
+On N >= 3 the cubic panels next to the origin would give negative weights
+of order h^N, so the fewest first panels that keep every weight positive
+(2 on N = 3..5, 9 on N = 20) take the linear interpolant, error O(h^(N+2)).
 
 Each grid also carries the nodal kernel Phi and the diagonal of the Green
 operator (see greens.green_apply).  GridFunction.write_csv formats the r
@@ -66,14 +66,28 @@ def local_cubic(values: np.ndarray, cells: np.ndarray) -> tuple[np.ndarray, np.n
     return starts, (_STENCIL_INV[0].T @ values.take(starts + np.arange(4)[:, None])).T
 
 
+def _column_sums(wts: np.ndarray, stop: int) -> np.ndarray:
+    """Column sums of the (4, n) stencil rows at nodes [0, stop): each node adds
+    its panels in ascending order, as bincount does, so a head reads the whole's bits."""
+    n = wts.shape[1]
+    sums = np.zeros(stop)
+    sums[:4] += wts[:, 0]
+    for k in (3, 2, 1, 0):  # interior panel j meets node j - 1 + k
+        sums[k : k + n - 2] += wts[k, 1:-1][: stop - k]
+    sums[n - 3 :] += wts[:, -1][: max(stop - n + 3, 0)]
+    return sums
+
+
 def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray, np.ndarray]:
-    """The moment-fitted cubic panel rule as a (4, n) array, and its column sums.
+    """The moment-fitted panel rule as a (4, n) array, and its column sums.
 
     Panel j approximates int_{r_j}^{r_{j+1}} s^weight_power y(s) ds as
     sum_k wts[k, j] y[clip(j - 1, 0, n - 3) + k], the cubic's four stencil
     nodes, so on the interior panels row k meets the slice y[k : k + n - 2].
     The exact moments add by rows and map to weights by one (4 x 4) @ (4 x n)
     product per stencil geometry; the column sums add the shifted rows.
+    The first m panels, the fewest that leave every column sum positive (0 for N <= 2),
+    take the linear interpolant's weights int s^weight_power (1 - t) and int s^weight_power t.
     """
     n = len(r) - 1
     mu = np.multiply.outer(h / np.arange(1.0, 5.0), r[:-1] ** weight_power)  # the binomial i = 0 term
@@ -85,12 +99,17 @@ def _panel_table(r: np.ndarray, h: float, weight_power: int) -> tuple[np.ndarray
     wts = _STENCIL_INV[-1] @ mu
     wts[:, :1] = _STENCIL_INV[0] @ mu[:, :1]
     wts[:, -1:] = _STENCIL_INV[-2] @ mu[:, -1:]
-    # bincount's order: panel 0, the interior panels (stencil rows 3 to 0), panel n - 1
-    sums = np.zeros(n + 1)
-    sums[:4] += wts[:, 0]
-    for k in (3, 2, 1, 0):
-        sums[k : k + n - 2] += wts[k, 1:-1]
-    sums[n - 3 :] += wts[:, -1]
+    sums = _column_sums(wts, n + 1)
+    low = np.flatnonzero(sums <= 0.0)
+    j = 0  # the linear panels so far; all n of them are positive
+    while low.size:
+        row = 0 if j == 0 else 1 if j < n - 1 else 2  # panel j's left node in its stencil
+        wts[:, j] = 0.0
+        wts[row : row + 2, j] = mu[0, j] - mu[1, j], mu[1, j]
+        j += 1
+        stop = min(n + 1, max(4, j + 2))  # the nodes panels 0..j - 1 meet; the rest keep their sums
+        sums[:stop] = _column_sums(wts, stop)
+        low = np.flatnonzero(sums[: max(stop, low[-1] + 1)] <= 0.0)
     return wts, sums
 
 
@@ -132,13 +151,13 @@ class RadialGrid:
 
     def lp_norm_values(self, values: np.ndarray, s: float) -> float:
         """(int |y|^s)^(1/s), as m (int |y/m|^s)^(1/s) with m = ||y||_inf for s > 64, where |y|^s overflows once
-        m passes exp(709 / s); a negative total, which the O(h^N) negative origin weights on N >= 3 allow, reads 0."""
+        m passes exp(709 / s)."""
         if s < 1:
             raise ValueError(f"L^s norm needs s >= 1, got {s}")
         size = np.abs(values)
         m = float(size.max()) if s > 64 else 1.0
         total = self.surface * float(self.weights @ (size / m if s > 64 and m > 0.0 else size) ** s)  # integrate_values
-        return m * max(total, 0.0) ** (1.0 / s)
+        return m * total ** (1.0 / s)
 
     def cubic_at(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:
         """The local cubics of nodal values at the radii x in [0, L]: x in cell

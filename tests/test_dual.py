@@ -21,7 +21,7 @@ from neumannlab.dual import (
     reconstruct_solution,
 )
 from neumannlab.exponents import ExponentPair, HyperbolaError, Region, classify_region
-from neumannlab.greens import KappaShiftError, NumericalFailure
+from neumannlab.greens import KappaShiftError, NumericalFailure, kappa_shift
 from neumannlab.grid import GridFunction, RadialGrid, interval_grid, make_grid, unit_ball_grid
 
 J11 = 3.8317059702075125  # first positive root of J_1
@@ -169,15 +169,16 @@ def test_reconstruction_flips_a_negated_pair_back_bit_for_bit(p, q, dim):
 
 @pytest.mark.parametrize("p, q, dim, n", [(2.0, 29.0, 3, 10), (29.0, 1.0, 4, 9)])
 def test_a_kappa_bracket_without_a_sign_change_is_a_kappa_shift_error(p, q, dim, n):
-    # the negative origin weights keep the t = 29 moment below 0 up to kappa = 2 ||K g||_inf
+    # every grid weight is positive, so the moment changes sign on the bracket;
+    # an origin weight replaced by -1 keeps the t = 29 moment of the start
+    # potential, which peaks at the origin, below 0 up to kappa = 2 ||K g||_inf
+    e = ExponentPair(p, q, dim)
+    grid = make_grid(dim, n)
+    kg = dual._start(e, grid, None)
+    assert compute_dual(e, grid).d_estimate > 0.0
+    skewed = dataclasses.replace(grid, weights=np.concatenate(([-1.0], grid.weights[1:])))
     with pytest.raises(KappaShiftError, match="no sign change"):
-        compute_dual(ExponentPair(p, q, dim), make_grid(dim, n))
-
-
-def test_a_start_norm_without_a_positive_quadrature_is_a_numerical_failure():
-    # N = 7, n = 6: the negative origin weights make the start norm's quadrature negative
-    with pytest.raises(NumericalFailure, match="start norm .* is not positive"):
-        compute_dual(ExponentPair(0.1, 0.1, 7), make_grid(7, 6))
+        kappa_shift(skewed, kg, max(p, q))
 
 
 @pytest.mark.parametrize(
@@ -671,14 +672,14 @@ def test_oracle_rejects_large_grids(line):
         oracle_dual_smallgrid(ExponentPair(1.0, 1.0, 1), line)
 
 
-@pytest.mark.parametrize("dim", [3, 4, 5, 6])
-def test_oracle_refuses_non_positive_weights(dim):
-    # at n = 9 the origin weight of these balls is negative (and w_1 too on
-    # N = 6), so the oracle's weighted |x|^s sums are no norms
-    grid = make_grid(dim, 9)
-    assert not np.all(grid.weights > 0)
-    with pytest.raises(ValueError, match="positive quadrature weights"):
-        oracle_dual_smallgrid(ExponentPair(1.0, 1.0, dim), grid)
+@pytest.mark.parametrize("pq", [(1.0, 1.0), (2.0, 3.0)])
+def test_oracle_agrees_on_the_3_ball(pq):
+    # with positive weights the oracle's weighted |x|^s sums are norms on
+    # every ball; on N >= 4 its step budget still falls short, so no claim there
+    grid = make_grid(3, 9)
+    e = ExponentPair(*pq, 3)
+    d_oracle = oracle_dual_smallgrid(e, grid, restarts=2)
+    assert d_oracle == pytest.approx(compute_dual(e, grid).d_estimate, rel=1e-6)
 
 
 def test_oracle_runs_on_the_disk():

@@ -40,9 +40,11 @@ def test_weights_are_the_last_row_of_the_cumulative_map(dim):
     assert np.max(np.abs(grid.weights - dense[-1])) <= 1e-14 * np.max(np.abs(dense))
 
 
-def _masked_panel_weights(grid):
+def _masked_panel_weights(grid, linear=None):
     # the panel rule's weights with each stencil geometry gathered by a mask
-    # and applied to its own panels, the way the table was first built
+    # and applied to its own panels, the way the table was first built; the
+    # first `linear` panels take the linear interpolant's weights on their
+    # two nodes, and by default as many as the first all-positive rule needs
     n, h, power = grid.n, grid.h, grid.dim - 1
     starts = np.clip(np.arange(n) - 1, 0, n - 3)
     geom = starts - np.arange(n)
@@ -50,12 +52,20 @@ def _masked_panel_weights(grid):
     for i in range(power + 1):
         coef = math.comb(power, i) * grid.r[:-1] ** (power - i) * h**i
         mu += coef[:, None] * (h / (np.arange(4) + i + 1.0))
-    wts = np.empty((n, 4))
+    cubic = np.empty((n, 4))
     for g, inv in _STENCIL_INV.items():
         mask = geom == g
-        wts[mask] = mu[mask] @ inv.T
+        cubic[mask] = mu[mask] @ inv.T
     idx = starts[:, None] + np.arange(4)
-    return wts, np.bincount(idx.ravel(), weights=wts.ravel(), minlength=n + 1)
+    for m in range(n + 1) if linear is None else [linear]:
+        wts = cubic.copy()
+        for j in range(m):
+            wts[j] = 0.0
+            wts[j, j - starts[j] : j - starts[j] + 2] = mu[j, 0] - mu[j, 1], mu[j, 1]
+        weights = np.bincount(idx.ravel(), weights=wts.ravel(), minlength=n + 1)
+        if weights.min() > 0.0:
+            break
+    return wts, weights
 
 
 @pytest.mark.parametrize("n", [6, 7, 200])
@@ -65,6 +75,35 @@ def test_panel_weights_match_the_masked_reference(dim, n):
     wts, weights = _masked_panel_weights(grid)
     assert np.array_equal(grid._table_weighted.T, wts)
     assert np.array_equal(grid.weights, weights)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9, 10, 11, 12, 50, 2000])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_interval_and_disk_weights_are_the_all_cubic_rule(dim, n):
+    # their cubic weights are positive, so no panel is linear
+    grid = make_grid(dim=dim, n=n)
+    wts, weights = _masked_panel_weights(grid, linear=0)
+    assert np.array_equal(grid._table_weighted.T, wts)
+    assert np.array_equal(grid.weights, weights)
+
+
+@pytest.mark.parametrize("dim", range(1, 21))
+def test_every_weight_is_positive_and_the_weight_exact(dim):
+    for n in (6, 7, 8, 9, 10, 11, 12, 50, 2000, 20000):
+        grid = make_grid(dim=dim, n=n)
+        assert grid.weights.min() > 0.0, n
+        assert grid.quadrature_defect() <= 1e-12, n
+
+
+@pytest.mark.parametrize(
+    "dim, linear", [(3, 2), (4, 2), (5, 2), (6, 3), (7, 3), (8, 4), (10, 4), (12, 5), (16, 7), (20, 9)]
+)
+def test_the_linear_head_is_as_short_as_positivity_allows(dim, linear):
+    # at n >= 50 the count depends on N alone; one panel fewer leaves a weight <= 0
+    for n in (50, 2000):
+        grid = make_grid(dim=dim, n=n)
+        assert np.count_nonzero(grid._table_weighted[3, :-1] == 0.0) == linear
+        assert _masked_panel_weights(grid, linear - 1)[1].min() <= 0.0
 
 
 def _gathered_stencils(values, cells, n):
@@ -122,7 +161,7 @@ def test_weights_positive_where_it_matters():
     for dim in (1, 2):
         grid = make_grid(dim=dim, n=500)
         assert np.all(grid.weights[1:] > 0)
-    # higher dimensions may undershoot by a rounding-level mass near r = 0
+    # the linear origin panels keep the higher dimensions positive too
     g5 = unit_ball_grid(5, n=500)
     assert g5.weights.min() >= -1e-9 * g5.weights.max()
     assert np.all(np.diff(g5.r) > 0)

@@ -84,7 +84,7 @@ def test_a_cli_line_carries_the_exit_code_the_solution_and_the_csv_digests():
     "row, error",
     [
         (lambda: run.dual_row(ExponentPair(5.0, 5.0, 3), 200), "ValueError: critical exponents are outside"),
-        (lambda: run.sign_row(29.0, 6, 7), "NumericalFailure: "),
+        (lambda: run.sign_row(29.0, 6, 7), "ValueError: n = 7 is too coarse for the residuals"),
     ],
     ids=["dual", "sign"],
 )

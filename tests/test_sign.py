@@ -227,9 +227,10 @@ def test_residual_band_is_the_nodes_within_3h_of_the_crossing(dim, offset, width
     assert np.all(np.abs(grid.r[left_out] - cut) <= 3.0 * grid.h + 1e-15)
 
 
-def test_a_negative_quadrature_of_the_power_is_a_numerical_failure():
-    # q = 29 on N = 5, n = 6: the negative origin weight outweighs |v|^30,
-    # whose mass sits at the origin; Lambda = beta_int^(q/(q+1)) / ||u||_1
-    # would be complex
-    with pytest.raises(NumericalFailure, match="not positive"):
-        solve_sign_system(29.0, make_grid(dim=5, n=6))
+def test_converged_is_the_certificate_and_the_residuals_are_reported():
+    # on the disk at n = 50 the check stencil's Neumann row misses the solve's
+    # own accuracy: residual_v reads 2.1e-4 there, yet the fixed point certifies
+    grid = make_grid(dim=2, n=50)
+    rep = solve_sign_system(1.0, grid)
+    assert rep.residual_v > 1e-4
+    assert rep.converged and certify_balanced(rep.u).certified
