@@ -3,8 +3,9 @@
 Subcommands: solve (one exponent pair, writes solution.json + u.csv/v.csv),
 table1 (closed-form energy table with golden diff), sweep (exponent-path
 study to CSV), asympt (symmetry-breaking verdicts across dimensions) and
-oracle (small-grid brute force against the iteration).  Each subcommand
-declares only the flags it reads; they can also come from a JSON config
+oracle (small-grid brute force from fixed starts against the iteration).
+Each subcommand declares only the flags it reads (solve and sweep also
+accept --seed and ignore it); they can also come from a JSON config
 file, whose keys are those flags' names (max_iter for --max-iter), and
 explicit flags win.  The dual solver takes only --tol (finite, >= 1e-12,
 the rounding floor of its K-image step) and --max-iter (>= 1); solve
@@ -60,12 +61,11 @@ _FLAGS = {
     "length": (float, "interval length (N = 1 only)"),
     "tol": (float, "relative K-image step that stops the dual loop (>= 1e-12)"),
     "max_iter": (int, "iteration budget"),
-    "seed": (int, "seeds the random restarts of oracle; solve and sweep accept it and ignore it"),
+    "seed": (int, "accepted and ignored"),
     "path": (str, "e.g. 'p:0.5..3,q:1'"),
     "samples": (int, "number of samples"),
     "nmin": (int, None),
     "nmax": (int, None),
-    "restarts": (int, None),
 }
 _SOLVER_KEYS = ("dim", "n", "length", "tol", "max_iter")  # grid and iteration
 
@@ -266,7 +266,7 @@ def _cmd_oracle(cfg: dict, outdir: Path) -> int:
     grid = _grid_from(cfg, n=9)
     e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
     d_iter = compute_dual(e, grid, _solver_options(cfg)).d_estimate
-    d_oracle = oracle_dual_smallgrid(e, grid, restarts=cfg.get("restarts", 64), seed=cfg.get("seed", 0))
+    d_oracle = oracle_dual_smallgrid(e, grid)
     gap = abs(d_oracle / d_iter - 1.0)
     payload = {"config": cfg, "d_iteration": d_iter, "d_oracle": d_oracle, "relative_gap": gap}
     write_json(outdir / "oracle.json", payload)
@@ -290,7 +290,7 @@ _COMMANDS = {
     "table1": (_cmd_table1, "closed-form energy table for N = 3..8", ()),
     "sweep": (_cmd_sweep, "solve along an exponent path", ("path", "samples", *_SOLVER_KEYS, "seed")),
     "asympt": (_cmd_asympt, "symmetry-breaking verdicts over dimensions", ("nmin", "nmax")),
-    "oracle": (_cmd_oracle, "small-grid brute force vs the iteration", ("p", "q", *_SOLVER_KEYS, "restarts", "seed")),
+    "oracle": (_cmd_oracle, "small-grid brute force vs the iteration", ("p", "q", *_SOLVER_KEYS)),
 }
 
 

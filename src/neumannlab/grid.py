@@ -30,6 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .greens import NumericalFailure
 from .report_io import fmt17_cells, fmt17_csv_rows
 
 __all__ = [
@@ -151,12 +152,15 @@ class RadialGrid:
 
     def lp_norm_values(self, values: np.ndarray, s: float) -> float:
         """(int |y|^s)^(1/s), as m (int |y/m|^s)^(1/s) with m = ||y||_inf for s > 64, where |y|^s overflows once
-        m passes exp(709 / s)."""
+        m passes exp(709 / s); NumericalFailure if the weighted sum is negative, which only weights that a
+        caller replaced can make."""
         if s < 1:
             raise ValueError(f"L^s norm needs s >= 1, got {s}")
         size = np.abs(values)
         m = float(size.max()) if s > 64 else 1.0
         total = self.surface * float(self.weights @ (size / m if s > 64 and m > 0.0 else size) ** s)  # integrate_values
+        if total < 0.0:
+            raise NumericalFailure(f"the weighted sum of |y|^{s:g} is {total:.3g} < 0: a quadrature weight is negative")
         return m * total ** (1.0 / s)
 
     def cubic_at(self, values: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ from neumannlab.grid import interval_grid
 
 @pytest.fixture(scope="session")
 def smallgrid_oracle():
-    """The brute-force dual level on the interval with n = 9 (64 restarts,
-    seed 0) for (p, q) = (1, 1), (2, 3) and (0.5, 2), keyed by (p, q)."""
+    """The brute-force dual level on the interval with n = 9 for
+    (p, q) = (1, 1), (2, 3) and (0.5, 2), keyed by (p, q)."""
     grid = interval_grid(1.0, n=9)
     pairs = [(1.0, 1.0), (2.0, 3.0), (0.5, 2.0)]
-    return {pq: oracle_dual_smallgrid(ExponentPair(*pq, 1), grid, restarts=64, seed=0) for pq in pairs}
+    return {pq: oracle_dual_smallgrid(ExponentPair(*pq, 1), grid) for pq in pairs}

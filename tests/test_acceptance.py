@@ -93,8 +93,8 @@ def test_criterion_3_linear_eigenvalue_oracles(line, disk):
 
 
 def test_criterion_4_smallgrid_brute_force(smallgrid_oracle):
-    # the oracle values (64 restarts, seed 0) come from the session fixture
-    # in conftest.py, shared with tests/test_dual.py::test_smallgrid_oracle_agreement
+    # the oracle values come from the session fixture in conftest.py,
+    # shared with tests/test_dual.py::test_smallgrid_oracle_agreement
     with criterion(4, "alternating iteration agrees with the brute-force oracle on n = 9"):
         start = time.perf_counter()
         grid = interval_grid(1.0, n=9)

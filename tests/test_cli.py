@@ -464,7 +464,7 @@ def test_solve_help_says_the_seed_is_ignored(capsys):
         cli.build_parser().parse_args(["solve", "--help"])
     assert info.value.code == 0
     text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
-    assert "--seed SEED seeds the random restarts of oracle; solve and sweep accept it and ignore it" in text
+    assert "--seed SEED accepted and ignored" in text
 
 
 def test_sweep_records_numerical_failure_per_sample(tmp_path, monkeypatch):
@@ -515,14 +515,29 @@ def test_asympt_command(tmp_path):
 
 
 def test_oracle_command(tmp_path, capsys):
-    code = main(
-        ["oracle", "--n", "9", "--p", "2", "--q", "3", "--restarts", "16", "--outdir", str(tmp_path)]
-    )
+    code = main(["oracle", "--n", "9", "--p", "2", "--q", "3", "--outdir", str(tmp_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert "relative gap" in out
     payload = json.loads((tmp_path / "oracle.json").read_text())
     assert payload["relative_gap"] <= 1e-6
+
+
+@pytest.mark.parametrize("flag", ["--restarts", "--seed"])
+def test_oracle_takes_no_restarts_or_seed(tmp_path, capsys, flag):
+    # the oracle's starts are fixed: it has nothing to restart or seed
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "--p", "2", "--q", "3", "--n", "9", flag, "1", "--outdir", str(tmp_path)])
+    assert info.value.code == 1
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.json").exists()
+
+
+def test_oracle_at_tiny_exponents_runs_without_warnings(tmp_path, capsys):
+    # alpha = beta = 1001: the oracle's norms scale each row by its largest entry, so no power overflows
+    assert main(["oracle", "--p", "0.001", "--q", "0.001", "--n", "9", "--outdir", str(tmp_path)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "oracle.json").read_text())["relative_gap"] <= 1e-6
 
 
 def test_oracle_refusal_is_a_configuration_error(tmp_path, capsys):

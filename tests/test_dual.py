@@ -181,6 +181,16 @@ def test_a_kappa_bracket_without_a_sign_change_is_a_kappa_shift_error(p, q, dim,
         kappa_shift(skewed, kg, max(p, q))
 
 
+def test_a_negative_weighted_power_sum_is_a_numerical_failure():
+    # make_grid's weights are all positive, but a caller may replace them; an origin
+    # weight of -1 makes the start's weighted sum of |g|^beta negative, whose
+    # (1/beta)-th power was a complex number
+    grid = make_grid(3, 10)
+    skewed = dataclasses.replace(grid, weights=np.concatenate(([-1.0], grid.weights[1:])))
+    with pytest.raises(NumericalFailure, match="weighted sum of .* is -.* < 0: a quadrature weight is negative"):
+        compute_dual(ExponentPair(2.0, 2.0, 3), skewed)
+
+
 @pytest.mark.parametrize(
     "p, q, length, power, order",
     [
@@ -655,16 +665,8 @@ def test_smallgrid_oracle_agreement(pq, smallgrid_oracle):
     grid = interval_grid(1.0, n=9)
     e = ExponentPair(pq[0], pq[1], 1)
     d_iter = compute_dual(e, grid).d_estimate
-    d_oracle = smallgrid_oracle[pq]  # 64 restarts, seed 0 (conftest.py)
+    d_oracle = smallgrid_oracle[pq]  # conftest.py
     assert d_oracle == pytest.approx(d_iter, rel=1e-6)
-
-
-def test_oracle_monotone_in_restarts():
-    grid = interval_grid(1.0, n=9)
-    e = ExponentPair(2.0, 3.0, 1)
-    vals = [oracle_dual_smallgrid(e, grid, restarts=k, seed=1) for k in (2, 8, 32)]
-    assert vals[0] <= vals[1] + 1e-15
-    assert vals[1] <= vals[2] + 1e-15
 
 
 def test_oracle_rejects_large_grids(line):
@@ -672,20 +674,20 @@ def test_oracle_rejects_large_grids(line):
         oracle_dual_smallgrid(ExponentPair(1.0, 1.0, 1), line)
 
 
-@pytest.mark.parametrize("pq", [(1.0, 1.0), (2.0, 3.0)])
-def test_oracle_agrees_on_the_3_ball(pq):
-    # with positive weights the oracle's weighted |x|^s sums are norms on
-    # every ball; on N >= 4 its step budget still falls short, so no claim there
-    grid = make_grid(3, 9)
-    e = ExponentPair(*pq, 3)
-    d_oracle = oracle_dual_smallgrid(e, grid, restarts=2)
-    assert d_oracle == pytest.approx(compute_dual(e, grid).d_estimate, rel=1e-6)
+@pytest.mark.parametrize("p, q, dim", [(1.0, 1.0, 3), (2.0, 3.0, 3), (2.0, 2.0, 4), (1.0, 3.0, 4)])
+def test_oracle_agrees_on_balls(p, q, dim):
+    # the 3-ball's (2, 3) takes about 5200 of the ORACLE_STEPS trials; (3, 2) on N = 4
+    # still crawls (2.2e-7 short after 40000 trials) and on N = 5 the discrete sup of
+    # (2, 2) is an origin spike at 2.42 D, so neither is claimed
+    grid = make_grid(dim, 9)
+    e = ExponentPair(p, q, dim)
+    assert oracle_dual_smallgrid(e, grid) == pytest.approx(compute_dual(e, grid).d_estimate, rel=1e-6)
 
 
 def test_oracle_runs_on_the_disk():
     grid = make_grid(2, 9)
     e = ExponentPair(1.0, 1.0, 2)
-    d_oracle = oracle_dual_smallgrid(e, grid, restarts=2)
+    d_oracle = oracle_dual_smallgrid(e, grid)
     assert d_oracle == pytest.approx(compute_dual(e, grid).d_estimate, rel=1e-6)
 
 

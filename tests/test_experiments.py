@@ -164,21 +164,28 @@ def test_pq_to_zero_ratio_window_at_p_001():
 
 
 def test_pq_to_zero_deficit_at_first_order():
-    # c_pp / 2c_0 = 1 - kappa_1 p + O(p^2) with kappa_1 = 2(1 - int |u_0| ln |u_0| / int |u_0|); on the
-    # interval u_0 = 1/8 - x^2/2 on [0, 1/2], odd about 1/2, which gives kappa_1 = 16/3 + 2 ln 2 in closed form
-    kappa_1 = 16.0 / 3.0 + 2.0 * math.log(2.0)
-    assert kappa_1 == pytest.approx(6.719627694453224, rel=1e-15)
-    grid = interval_grid(1.0, n=2000)
-    c0 = solve_scalar_sign(grid)[1]
-    slopes = []
-    for p in 0.04 / 2.0 ** np.arange(6):  # p = 0.04 down to 0.00125
-        e = ExponentPair(p, p, 1)
-        slopes.append((1.0 - c_from_lambda(e, compute_lambda(e, grid)) / (2.0 * c0)) / p)
-    once = [2.0 * b - a for a, b in zip(slopes, slopes[1:])]  # Richardson: the O(p) error halves with p
-    twice = [(4.0 * b - a) / 3.0 for a, b in zip(once, once[1:])]  # and the O(p^2) one quarters
-    assert abs(slopes[-1] / kappa_1 - 1.0) > 1e-3  # the raw slope at p = 0.00125 is still 3e-3 low
-    assert abs(twice[-1] / kappa_1 - 1.0) <= 1e-3
-    assert abs(2.0 * (1.0 + math.log(12.0)) / kappa_1 - 1.0) > 0.03  # the older estimate is 3.7% high
+    # c_pp / 2c_0 = 1 - kappa_1 p + O(p^2) with kappa_1 = 2(1 - int |u_0| ln |u_0| / int |u_0|), u_0 the scalar
+    # sign profile; on the interval u_0 = 1/8 - x^2/2 on [0, 1/2], odd about 1/2, which gives 16/3 + 2 ln 2
+    closed = 16.0 / 3.0 + 2.0 * math.log(2.0)
+    assert closed == pytest.approx(6.719627694453224, rel=1e-15)
+    assert abs(2.0 * (1.0 + math.log(12.0)) / closed - 1.0) > 0.03  # the older estimate is 3.7% high
+    # the interval from p = 0.04 down to 0.00125, the disk (kappa_1 = 7.64915) from 0.004 down to 0.001
+    for dim, p_top, halvings in ((1, 0.04, 6), (2, 0.004, 3)):
+        grid = unit_ball_grid(dim, n=2000)
+        u0, c0 = solve_scalar_sign(grid)
+        size = np.abs(u0.values)
+        log_mean = grid.integrate_values(size * np.log(np.where(size > 0.0, size, 1.0))) / grid.integrate_values(size)
+        kappa_1 = 2.0 * (1.0 - log_mean)
+        if dim == 1:
+            assert kappa_1 == pytest.approx(closed, rel=1e-6)
+        slopes = []
+        for p in p_top / 2.0 ** np.arange(halvings):
+            e = ExponentPair(p, p, dim)
+            slopes.append((1.0 - c_from_lambda(e, compute_lambda(e, grid)) / (2.0 * c0)) / p)
+        once = [2.0 * b - a for a, b in zip(slopes, slopes[1:])]  # Richardson: the O(p) error halves with p
+        twice = [(4.0 * b - a) / 3.0 for a, b in zip(once, once[1:])]  # and the O(p^2) one quarters
+        assert abs(slopes[-1] / kappa_1 - 1.0) > 1e-3  # the last raw slope is still 3.3e-3 (disk 2.5e-3) low
+        assert abs(twice[-1] / kappa_1 - 1.0) <= 1e-3
 
 
 def test_continuation_limits():
