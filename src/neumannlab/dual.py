@@ -454,8 +454,9 @@ def oracle_dual_smallgrid(e: ExponentPair, grid: RadialGrid) -> float:
     pair c_j +- c_k, j < k (n^2 rows).  The rows advance together, each with
     its own step: a trial accepts the rows whose quotient rose (step x 1.3)
     and halves the others' steps; a row retires once its step is at most
-    1e-14 or its gradient below 1e-15, and the batch stops when every row
-    has retired or after ORACLE_STEPS trials.  Returns the best row's value.
+    1e-14 or its gradient below 1e-15 and leaves the batch, which stops when
+    every row has retired or after ORACLE_STEPS trials.  Returns the best
+    row's value.
     The gradient is taken in the w-weighted inner product (1/w times the
     Euclidean one) through the dense K matrix, and the norms are scaled by
     each row's largest entry, so no power overflows.  Independent of the
@@ -483,21 +484,25 @@ def oracle_dual_smallgrid(e: ExponentPair, grid: RadialGrid) -> float:
     kx = x @ kmat_t
     val = np.einsum("ij,ij,j->i", x[0], kx[1], w)
     step = np.full(len(val), 0.5)
+    retired = -np.inf  # the best value of the rows dropped from the batch
     for _ in range(ORACLE_STEPS):
         # K is self-adjoint in the w inner product on mean-zero vectors, so the
         # gradient in f is K g less val times f's norm gradient, and likewise in g
         grad = project(kx[::-1] - val[:, None] * _signed_power(x, expo - 1.0))
         live = (step > 1e-14) & (np.einsum("ijk,ijk->j", grad, grad) >= 1e-30)  # |grad| >= 1e-15
-        if not live.any():
-            break
+        if not live.all():  # a retired row would keep its x, step and gradient
+            retired = max(retired, val[~live].max())
+            x, kx, val, step, grad = x[:, live], kx[:, live], val[live], step[live], grad[:, live]
+            if not live.any():
+                break
         trial = project(x + step[:, None] * grad)
         size = norms(trial)
         trial /= size
         k_trial = trial @ kmat_t
         val_try = np.einsum("ij,ij,j->i", trial[0], k_trial[1], w)
-        up = live & (size > 1e-14).all(axis=(0, 2)) & (val_try > val)
+        up = (size > 1e-14).all(axis=(0, 2)) & (val_try > val)
         np.copyto(x, trial, where=up[:, None])  # about a third of a masked assignment's time on these small arrays
         np.copyto(kx, k_trial, where=up[:, None])
         np.copyto(val, val_try, where=up)
-        step[live] *= np.where(up[live], 1.3, 0.5)
-    return float(val.max())
+        step *= np.where(up, 1.3, 0.5)
+    return float(np.max(val, initial=retired))

@@ -9,8 +9,10 @@ byte for byte equal to '%.17g' for every finite float:
   (hi, lo) pairs of 10^k, and rounded to 17 digits in int64;
 - text: the digits' ASCII bytes are looked up four at a time into a 32-byte
   cell per value; the sign, '0.' and the exponent suffix come from tables
-  keyed by X and the sign, and trailing zeros and the point are placed by
-  word masks (fmt17_cells);
+  keyed by X and the sign, and trailing zeros are stripped by word masks;
+  a one-digit integer part takes its point beside the leading digit, and
+  only fixed values with 2 to 17 integer digits move the digits after the
+  point one byte up, by whole-column word masks (fmt17_cells);
 - rows: the cells of a row and the separators go into one buffer whose 0
   bytes are dropped (fmt17_csv_rows).
 
@@ -42,14 +44,15 @@ _SPLIT = 134217729.0  # 2^27 + 1, Dekker's splitter for 53-bit significands
 # N below is good to 1e-13; a fraction of N this close to 1/2 is left to
 # fmt17, and N this close to 10^16 or 10^17 rounds alike on either exponent
 _GUARD = 1e-6
-_BLOCK = 8192  # values per pass; bounds the kernel's temporaries to about 2 MB
+_BLOCK = 8192  # values per pass; bounds the kernel's temporaries to about 1.4 MB
 _EXP_OFFSET = 200  # exponent tables cover X in [-200, 200]; the kernel's X are in [-171, 199]
 
 # A value's text goes into a 32-byte cell of four little-endian words.  Word 0
-# holds the prefix (sign, and '0.' and zeros for fixed X < 0) and, in byte 7,
-# the leading digit; words 1 and 2 the other 16 digits; word 3 the byte a
-# point pushes the last digit into, the exponent suffix ('e-308' at most) in
-# bytes 25 to 29 and the separator in bytes 30 and 31.
+# holds the prefix (sign, and '0.' and zeros for fixed X < 0) in bytes 0 to 5
+# and the leading digit in byte 7, or in byte 6 before a point in byte 7;
+# words 1 and 2 the other 16 digits; word 3 the byte a point among them
+# pushes the last digit into, the exponent suffix ('e-308' at most) in bytes
+# 25 to 29 and the separator in bytes 30 and 31.
 _CELL = 32  # bytes
 _U64 = np.dtype("<u8")
 _BYTE, _HALF, _TOP = np.uint64(8), np.uint64(32), np.uint64(56)
@@ -87,7 +90,9 @@ class _Tables(NamedTuple):
     By a count c of digits, for words 1 and 2 (rows 0 and 1):
     keep: the bytes holding digits before digit c;
     point, move: for a point in place of digit c, the point, and the bytes
-        that take the byte before them.
+        that take the byte before them (none for c = 17).
+    heads: at entry 10 c + l, word 0's leading digit l: in byte 6 with a
+        point in byte 7 for c = 1, and in byte 7 otherwise.
     """
 
     hi: np.ndarray
@@ -101,6 +106,7 @@ class _Tables(NamedTuple):
     keep: np.ndarray
     point: np.ndarray
     move: np.ndarray
+    heads: np.ndarray
 
 
 def _low(m: int) -> int:
@@ -142,6 +148,7 @@ def _tables() -> _Tables:
         keep=keep,
         point=point,
         move=move,
+        heads=_words([b"\0" * 6 + (b"%d." % lead if c == 1 else b"\0%d" % lead) for c in range(18) for lead in range(10)]),
     )
     for table in tables:
         table.flags.writeable = False
@@ -178,13 +185,14 @@ def _digits17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         rows = rows[up | down]
         x[rows] += np.where(up[up | down], 1, -1)
         p[rows], t[rows] = _scaled(a[rows], x[rows])
-    whole = np.floor(t)
-    frac = t - whole
-    d = p.astype(np.int64) + whole.astype(np.int64) + (frac > 0.5)
+    # p is an integer, so N rounds to p + rint(t)
+    r = np.rint(t)
+    d = p.astype(np.int64) + r.astype(np.int64)
     carry = d == 10**17
-    d[carry] = 10**16
-    x += carry
-    return d, x, np.abs(frac - 0.5) < _GUARD
+    if carry.any():
+        d[carry] = 10**16
+        x += carry
+    return d, x, np.abs(t - r) > 0.5 - _GUARD
 
 
 def _split_digits(d: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,8 +202,8 @@ def _split_digits(d: np.ndarray, unit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _bytes_used(words: np.ndarray) -> np.ndarray:
-    """Bytes of each word up to its last nonzero one (its top byte is below
-    16, so the float exponent is exact)."""
+    """Bytes of each little-endian number up to its last nonzero one (its
+    top byte is below 16, so the float exponent is exact)."""
     return (np.frexp(words)[1] + 7) // 8
 
 
@@ -210,33 +218,35 @@ def _fmt17_block(values: np.ndarray, words: np.ndarray) -> None:
     """Write the cell of fmt17(value) into each row of words (len(values) x 4)."""
     tables = _tables()
     a = np.abs(values)
-    fast = (a >= _KERNEL_MIN) & (a <= _KERNEL_MAX)
-    d, x, tie = _digits17(np.where(fast, a, 1.0))
-    fast &= ~tie
+    inside = np.fmin(np.fmax(a, _KERNEL_MIN), _KERNEL_MAX)  # NaN goes to _KERNEL_MIN
+    d, x, tie = _digits17(inside)
     e = x + _EXP_OFFSET
-    # the leading digit goes into byte 7, four groups of four of the others
-    # into words 1 and 2
+    # four groups of four of the digits after the leading one go into words 1
+    # and 2
     lead, rest = _split_digits(d, 10**16)
-    words[:, 0] = tables.prefixes.take(2 * e + (values < 0)) | ((lead + ord("0")).astype(_U64) << _TOP)
-    for word, half in zip((words[:, 1], words[:, 2]), _split_digits(rest, 10**8)):
+    body = []
+    for half in _split_digits(rest, 10**8):
         first, second = _split_digits(half, 10**4)
-        word[:] = tables.quads.take(first) | (tables.quads.take(second) << _HALF)
-    words[:, 3] = tables.suffixes.take(e)
+        body.append(tables.quads.take(first) | (tables.quads.take(second) << _HALF))
+    w1, w2 = body
     # significant digits once trailing zeros are stripped; fixed notation
     # keeps the zeros before the point
-    late, early = words[:, 2] ^ _ZEROS, words[:, 1] ^ _ZEROS
-    in_late = late != 0
-    sig = _bytes_used(np.where(in_late, late, early)) + np.where(in_late, 9, 1)
+    sig = _bytes_used((w2 ^ _ZEROS) * 2.0**64 + (w1 ^ _ZEROS)) + 1
     whole = tables.whole.take(e)
     kept = np.maximum(sig, whole)
-    words[:, 1] &= tables.keep[0].take(kept)
-    words[:, 2] &= tables.keep[1].take(kept)
-    rows = np.flatnonzero((sig > whole) & (whole > 0))
-    at, moved = whole[rows], words[rows]
-    words[rows, 1] = _insert_point(moved[:, 1], moved[:, 0], at, tables, 0)
-    words[rows, 2] = _insert_point(moved[:, 2], moved[:, 1], at, tables, 1)
-    words[rows, 3] = moved[:, 3] | (moved[:, 2] >> _TOP)
-    for i in np.flatnonzero(~fast).tolist():
+    w1 &= tables.keep[0].take(kept)
+    w2 &= tables.keep[1].take(kept)
+    at = np.where(sig > whole, whole, 17)  # digits before the point, 17 for none
+    w0 = tables.prefixes.take(2 * e + (values < 0)) | tables.heads.take(10 * at + lead)
+    w3 = tables.suffixes.take(e)
+    if whole.max() > 1:  # a point among words 1 and 2 moves the digits after it
+        at[at < 2] = 17
+        # word 3 of a fixed value holds no suffix, only the last digit pushed out
+        w3 = np.where(at < 17, w2 >> _TOP, w3)
+        w1, w2 = _insert_point(w1, w0, at, tables, 0), _insert_point(w2, w1, at, tables, 1)
+    for i, w in enumerate((w0, w1, w2, w3)):
+        words[:, i] = w
+    for i in np.flatnonzero((inside != a) | tie).tolist():
         words[i] = np.frombuffer(fmt17(float(values[i])).encode().ljust(_CELL, b"\0"), dtype=_U64)
 
 

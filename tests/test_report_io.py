@@ -24,6 +24,8 @@ def assert_bytes_of_percent_17g(values) -> None:
 def edge_values() -> list[float]:
     values = [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
     values += [1 + 2.0**-17, -(1 + 3 * 2.0**-17), 0.99999999999999999, 99999999999999999.0]
+    # one-digit integer parts, with one significant digit and with many
+    values += [1e22, -2e22, 5.0, 1e17, 2.5, -7.0000000000000009, 4.9999999999999991e-5, 9.8765432109876543e33]
     for k in range(-200, 201):
         p = float(f"1e{k}")
         values += [np.nextafter(p, 0.0), p, np.nextafter(p, np.inf)]
@@ -52,6 +54,21 @@ def test_kernel_blocks_of_random_values(scale):
     size = 3 * report_io._BLOCK + 5
     values = rng.standard_normal(size) * scale * 10.0 ** rng.integers(-6, 6, size)
     values[::7] = np.round(values[::7], 3)  # few significant digits
+    assert_bytes_of_percent_17g(values)
+
+
+def test_kernel_point_after_integer_parts_of_2_to_17_digits():
+    # integer parts of 2 to 17 digits: a column of more than two blocks of them,
+    # then a column of two blocks of one-digit or zero integer parts in which
+    # only the first row of the first block and the last row of the second
+    # block have such a part
+    rng = np.random.default_rng(12)
+    size = 2 * report_io._BLOCK + 9
+    values = rng.uniform(-10.0, 10.0, size) * 10.0 ** rng.integers(1, 17, size)
+    values[::3] = np.round(values[::3], 2)
+    assert_bytes_of_percent_17g(values)
+    values = rng.uniform(-10.0, 10.0, 2 * report_io._BLOCK) * 10.0 ** rng.integers(-30, 1, 2 * report_io._BLOCK)
+    values[0], values[-1] = 12.5, -1234567.8901234567
     assert_bytes_of_percent_17g(values)
 
 
