@@ -9,7 +9,9 @@ A family is a function that returns its rows, the fields that key them and
 a compare rule.  --compare REF exits 1 if the scan and REF cover different
 keys or the rule fails; the identity rule holds only on the numpy/BLAS
 build and CPU that wrote REF, with BLAS on one thread, which the scan sets
-before it imports numpy.  A raise is recorded as "Type: message".
+before it imports numpy.  When the identity rule fails, its output ends
+with the largest relative move of each moved numeric field and the key
+where it occurs.  A raise is recorded as "Type: message".
 
 sign   solve_sign_system for q in {0.01, 0.1, 1, 5, 29} and
        solve_scalar_sign (q null) on N = 1..8, n in {7, 9, 50, 200, 2000,
@@ -44,6 +46,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -156,16 +159,32 @@ def cli_rows() -> list[dict]:
     return [cli_row(*key) for key in dual + sign]
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def identical(ref: dict, new: dict, label) -> int:
-    """Every field of every entry identical, compared by its JSON spelling."""
+    """Every field of every entry identical, compared by its JSON spelling.
+
+    On a failure the output ends with each moved numeric field's largest
+    relative move |new - ref| / |ref| and the key where it occurs.
+    """
     moved = 0
+    largest: dict[str, tuple[float, tuple]] = {}
     for k in ref:
         fields = sorted(ref[k].keys() | new[k].keys())
         diffs = [f for f in fields if json.dumps(ref[k].get(f)) != json.dumps(new[k].get(f))]
         moved += bool(diffs)
         for f in diffs:
-            print(f"{label(k)}: {f} {ref[k].get(f)!r} -> {new[k].get(f)!r}")
+            old, now = ref[k].get(f), new[k].get(f)
+            print(f"{label(k)}: {f} {old!r} -> {now!r}")
+            if _is_number(old) and _is_number(now):
+                move = abs(now - old) / abs(old) if old else math.inf
+                if f not in largest or move > largest[f][0]:
+                    largest[f] = (move, k)
     print(f"{'FAIL' if moved else 'ok'}: {len(ref) - moved} of {len(ref)} entries identical")
+    for f, (move, k) in sorted(largest.items()):
+        print(f"largest relative move of {f}: {move:.2e} at {label(k)}")
     return int(moved > 0)
 
 

@@ -44,12 +44,6 @@ def zero_radius(N: int) -> float:
     return 2.0 ** (-1.0 / N)
 
 
-def _log(r):
-    if np.iscomplexobj(r):
-        return np.log(r.astype(complex))
-    return np.log(r)
-
-
 # -- the nested solves: v = -Lap u solves -Lap v = sign(u) -------------------
 
 
@@ -62,7 +56,7 @@ def _v_inner(N: int, r):
 
 def _v_outer(N: int, r):
     if N == 2:
-        return (4.0 * r**2 - 8.0 * _log(r) - 5.0) / 16.0
+        return (4.0 * r**2 - 8.0 * np.log(r) - 5.0) / 16.0
     c = 2.0 ** (-(N + 2.0) / N)
     f = 4.0 ** (1.0 / N)
     return -(
@@ -89,8 +83,8 @@ def _u_outer(N: int, r):
         return (
             -4.0 * r**4
             - 12.0 * r**2
-            + 32.0 * r**2 * _log(r)
-            + 8.0 * _log(r)
+            + 32.0 * r**2 * np.log(r)
+            + 8.0 * np.log(r)
             + 7.0
             + math.log(4096.0)
         ) / 256.0
@@ -99,7 +93,7 @@ def _u_outer(N: int, r):
         return -(
             2.0 * r**6
             + 2.0 * (s2 - 8.0) * r**4
-            + r**2 * (24.0 * _log(r) + 8.0 * s2 - 7.0 + math.log(64.0))
+            + r**2 * (24.0 * np.log(r) + 8.0 * s2 - 7.0 + math.log(64.0))
             + 2.0 * s2
         ) / (384.0 * r**2)
     den = 8.0 * (N - 4.0) * (N - 2.0) * N * (N + 2.0)
@@ -152,7 +146,7 @@ def _scalar_inner(N: int, r):
 
 def _scalar_outer(N: int, r):
     if N == 2:
-        return r**2 / 4.0 - _log(r) / 2.0 - 1.0 / 8.0 - math.log(4.0) / 8.0
+        return r**2 / 4.0 - np.log(r) / 2.0 - 1.0 / 8.0 - math.log(4.0) / 8.0
     return (
         2.0 * r ** (2.0 - N) / (N - 2.0) - 4.0 ** (-1.0 / N) * (N + 2.0) / (N - 2.0) + r**2
     ) / (2.0 * N)

@@ -26,12 +26,12 @@ root.  balanced_shift finds the constant putting a function into the
 balanced class (positive and negative level sets of equal weighted
 measure) at the nodal weighted median; the sign solvers build their
 solution with its interface at the balanced radius instead, and no solver
-calls it.  solve_increasing, Illinois regula falsi with a bisection
-safeguard and guarded Newton steps, is the bracketing root finder behind
-kappa_shift.  It has one calling convention, fn(x) -> (value, slope) with a
-NaN slope allowed, and evaluates an end of its bracket only when it closes
-on one that no iterate replaced.  The genus bounds' constraint scale
-(experiments._constraint_scale) runs its own row-wise Newton iteration.
+calls it.  solve_increasing, a safeguarded Newton-bisection, is the
+bracketing root finder behind kappa_shift.  It has one calling convention,
+fn(x) -> (value, slope) with a NaN slope allowed, and evaluates an end of
+its bracket only when it closes on one that no iterate replaced.  The
+genus bounds' constraint scale (experiments._constraint_scale) runs its
+own row-wise Newton iteration.
 """
 
 from __future__ import annotations
@@ -122,50 +122,37 @@ def _signed_power(values: np.ndarray, t: float) -> np.ndarray:
 def solve_increasing(
     fn: Callable[[float], tuple[float, float]], lo: float, hi: float, tol: float = 0.0, start: float = math.nan
 ) -> tuple[float, float]:
-    """Root of a nondecreasing f on [lo, hi]: Illinois regula falsi with a
-    bisection safeguard (Dowell and Jarratt 1971) and guarded Newton steps.
+    """Root of a nondecreasing f on [lo, hi]: safeguarded Newton-bisection.
 
-    fn(x) returns (f(x), f'(x)); a slope that is not positive, NaN
-    included, gives no Newton step.  The first point is `start` if it lies
-    inside the bracket, and each next one the Newton step from the latest
-    iterate if inside, else the secant through the ends (a bisection while
-    an end is unevaluated); a bracket that failed to halve over the last
-    four steps is bisected.  Returns (x, x) for the first x with
-    |f(x)| <= tol, else the adjacent floats across the sign change, which
-    for a monotone f are the pair plain bisection reaches.  The ends are
-    evaluated only if the bracket closes on one that no iterate replaced;
-    BracketError if f has no sign change there.
+    fn(x) returns (f(x), f'(x)).  The first point is `start` if it lies
+    inside the bracket, else the midpoint.  Each evaluation replaces the
+    end on its side, and the next point is the Newton step from it if that
+    lies inside the bracket and is at most half as long as the step before,
+    else the midpoint (rtsafe, Press et al., Numerical Recipes, 9.4); a
+    slope that is not positive, NaN included, gives no Newton step.
+    Returns (x, x) for the first x with |f(x)| <= tol, else the adjacent
+    floats across the sign change, which for a monotone f are the pair
+    plain bisection reaches.  An end is evaluated only if the bracket
+    closes on one that no iterate replaced; BracketError if f has no sign
+    change there.
     """
-    flo, fhi = -math.inf, math.inf  # unevaluated ends: the secant through them bisects
-    widths = [hi - lo]
-    moved = 0  # end the last step replaced: -1 lo, +1 hi
-    newton = start
-    mid = 0.5 * (lo + hi)
-    while lo < mid < hi:
-        x = mid
-        if len(widths) < 5 or widths[-1] <= 0.5 * widths[-5]:
-            secant = newton if lo < newton < hi else lo + (hi - lo) * (flo / (flo - fhi))
-            if lo < secant < hi:
-                x = secant
+    flo, fhi = -math.inf, math.inf  # unevaluated ends
+    step = hi - lo  # so a first Newton step may span up to half the bracket
+    x = start if lo < start < hi else 0.5 * (lo + hi)
+    while lo < x < hi:
         fx, slope = fn(x)
-        newton = x - fx / slope if slope > 0.0 else math.nan
         if abs(fx) <= tol:
             return x, x
-        # Illinois: an end kept for a second step in a row has its value
-        # halved, which pulls the secant across the root
         if fx < 0.0:
             lo, flo = x, fx
-            if moved < 0:
-                fhi *= 0.5
-            moved = -1
         else:
             hi, fhi = x, fx
-            if moved > 0:
-                flo *= 0.5
-            moved = 1
-        widths.append(hi - lo)
-        mid = 0.5 * (lo + hi)
-    # only an unevaluated end is tested against tol: Illinois may have halved a stored value
+        newton = x - fx / slope if slope > 0.0 else math.nan
+        if lo < newton < hi and abs(newton - x) <= 0.5 * step:
+            step, x = abs(newton - x), newton
+        else:
+            mid = 0.5 * (lo + hi)
+            step, x = abs(mid - x), mid
     if flo == -math.inf:
         flo = fn(lo)[0]
         if abs(flo) <= tol:
@@ -205,9 +192,9 @@ def kappa_shift(grid, values: np.ndarray, t: float, guess: float | None = None) 
     sup-scaled bound is the smaller when kappa0 lies far from the root and
     a large t inflates that mass.  A root met at kappa0, zero data included,
     costs M and that mass alone.  On a miss the bracket is the side of
-    kappa0 holding the root, up to +-2 ||u||_inf, and
-    solve_increasing takes guarded Newton steps from kappa0 with
-    M' = t int |u + kappa|^(t-1), from the power array of the same
+    kappa0 holding the root, up to +-2 ||u||_inf, and solve_increasing
+    takes Newton-bisection steps from the Newton step at kappa0, with
+    M' = t int |u + kappa|^(t-1) from the power array of the same
     evaluation.  For t < 1, M' is infinite at a nodal zero, and a node value
     near the root makes M steeper than float spacing resolves; the root is
     then the adjacent pair of floats across which M changes sign, and as

@@ -250,8 +250,10 @@ def make_grid(dim: int = 1, n: int = 2000, length: float = 1.0) -> RadialGrid:
         raise ValueError("grid needs at least 6 panels")
     if dim > 1 and length != 1.0:
         raise ValueError("ball grids are on [0, 1]")
-    if length <= 0:
-        raise ValueError("length must be positive")
+    if not 0.0 < length < math.inf:
+        raise ValueError(f"length must be positive and finite, got {length}")
+    if length * length == math.inf:
+        raise ValueError(f"length {length:g} is too large: r^2 overflows at r = length")
     dim = int(dim)
     r = np.linspace(0.0, length, n + 1)
     h = length / n

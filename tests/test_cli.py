@@ -262,6 +262,20 @@ def test_invalid_solver_options_are_a_configuration_error(tmp_path, capsys, argv
 
 
 @pytest.mark.parametrize(
+    "length, message",
+    [("inf", "length must be positive and finite, got inf"), ("nan", "length must be positive and finite, got nan"),
+     ("1e160", "length 1e+160 is too large: r^2 overflows")],
+)
+def test_a_length_the_grid_cannot_hold_is_a_configuration_error(tmp_path, capsys, length, message):
+    argv = ["solve", "--p", "3", "--q", "2", "--n", "100", "--length", length, "--outdir", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"configuration error: {message}" in err
+    assert "Traceback" not in err and "Warning" not in err
+    assert not (tmp_path / "solution.json").exists()
+
+
+@pytest.mark.parametrize(
     "argv, config",
     [
         (["solve", "--p", "3", "--q", "2", "--bogus", "1"], None),

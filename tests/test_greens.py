@@ -215,7 +215,7 @@ def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
         with np.errstate(divide="ignore"):  # t < 1 with a node on the root: an infinite slope
             return moment(kappa), t * grid.integrate_values(np.abs(vals + kappa) ** (t - 1.0))
 
-    # without a slope or a start: secant and bisection steps only
+    # without a slope or a start: bisection steps only
     lo, hi = solve_increasing(lambda kappa: (moment(kappa), math.nan), -2.0 * bound, 2.0 * bound)
     _assert_sign_change(moment, lo, hi)
     assert lo == hi or hi == np.nextafter(lo, np.inf)
@@ -232,9 +232,10 @@ def test_root_solver_and_kappa_shift_properties(dim, t, coeffs, decade):
 
 
 def _lopsided(root, seen):
-    # lopsided data keep the secant on the flat side: without the bisection
-    # safeguard Illinois needs about 60 halvings of the steep end's value
-    # before the bracket shrinks
+    # lopsided data: from the flat side the true slope 1e-10 sends the
+    # Newton step out of the bracket, so the search bisects; it reaches the
+    # adjacent floats across the root in 53 evaluations without a slope and
+    # in 51 with the true one
     def fn(x):
         value = 1e10 * (x - root) if x > root else -1e-10
         seen.append((x, value))
@@ -306,15 +307,42 @@ def test_root_solver_with_slope_checks_the_ends_it_never_replaced():
         solve_increasing(lambda x: (x - 2.0, 1.0), 0.0, 1.0, start=0.5)
 
 
-def test_root_solver_never_tests_a_halved_end_against_tol():
-    # every value is at least 1 in size, above tol; Illinois halves the kept
-    # end's stored value below tol, which must not pass for a root
+def test_root_solver_never_tests_a_stored_end_against_tol_again():
+    # every value is at least 1 in size, above tol: an end stores the value
+    # fn returned there, so the search closes on the adjacent floats across
+    # the root without evaluating any point twice
     root = 0.9
+    seen = []
 
     def fn(x):
+        seen.append(x)
         return (1.0 + 1e10 * (x - root) if x > root else -1.0), math.nan
 
     assert solve_increasing(fn, 0.0, 1.0, tol=0.9) == (root, np.nextafter(root, np.inf))
+    assert len(seen) == len(set(seen))
+
+
+@pytest.mark.parametrize("start", [0.31, 0.2999999, 0.9, math.nan])
+def test_root_solver_survives_newton_steps_that_always_overshoot(start):
+    # f(x) = cbrt(x - r) with its true slope: every Newton step lands twice
+    # as far from r, on the other side.  The true root r = 0.3 + 1e-17 lies
+    # strictly between two floats, so no iterate meets f = 0
+    low = 0.3
+    seen = []
+
+    def fn(x, slope=True):
+        d = (x - low) - 1e-17
+        seen.append(x)
+        return float(np.cbrt(d)), abs(d) ** (-2.0 / 3.0) / 3.0 if slope else math.nan
+
+    across = (low, np.nextafter(low, np.inf))
+    assert solve_increasing(lambda x: fn(x, slope=False), 0.0, 1.0) == across
+    bisections = len(seen)  # 54
+    seen.clear()
+    assert solve_increasing(fn, 0.0, 1.0, start=start) == across
+    # an overshooting Newton step is never followed by another, and the
+    # search stays within one evaluation of plain bisection
+    assert len(seen) <= bisections + 1
 
 
 def _kappa_shift_quadratures(grid, t, monkeypatch):
@@ -341,13 +369,13 @@ def _kappa_shift_quadratures(grid, t, monkeypatch):
 
 @pytest.mark.parametrize("t", [1.5, 2.0, 3.0])
 def test_kappa_shift_moment_evaluations(t, monkeypatch):
-    # Illinois steps from the bracket ends need 9, 10 and 11 quadratures here
+    # Newton-bisection from -mean(u) takes 9 quadratures at each t
     assert _kappa_shift_quadratures(interval_grid(1.0, n=2000), t, monkeypatch) <= 9
 
 
 @pytest.mark.parametrize("dim, t, bound", [(2, 2.0, 11), (2, 3.0, 11), (3, 2.0, 13), (3, 3.0, 13)])
 def test_kappa_shift_moment_evaluations_on_balls(dim, t, bound, monkeypatch):
-    # Illinois steps from the bracket ends need 13 and 16 on the disk, 16 and 20 on the 3-ball.
+    # Newton-bisection from -mean(u) takes 11 at both t on the disk and 13 on the 3-ball.
     # On the 3-ball at t = 2 the fifth evaluation's residual 6e-12 meets the sup-scaled
     # target 1e-12 ||u||_inf^t |Omega| = 7e-12 but not 1e-12 int |u - mean(u)|^t = 4e-13,
     # so a sixth evaluation (two more quadratures) follows
@@ -478,8 +506,8 @@ def test_kappa_shift_meets_a_root_at_minus_the_mean_in_one_evaluation(t):
 @pytest.mark.parametrize("t, on_line, on_ball", [(0.1, 13, 24), (0.3, 7, 10), (0.5, 6, 7), (0.7, 6, 6), (0.9, 5, 5)])
 def test_kappa_shift_below_one_cold_evaluations(t, on_line, on_ball):
     # a cold root starts from the Newton step at -mean(u) on the side that
-    # holds the root; Illinois steps from +-2 ||u||_inf took 15, 10, 10, 8, 7
-    # on the interval and 27, 14, 13, 11, 8 on the 3-ball
+    # holds the root; Newton-bisection takes 12, 6, 5, 5, 4 evaluations on
+    # the interval and 21, 9, 6, 5, 4 on the 3-ball
     for (grid, u), bound in zip(_shift_profiles(), (on_line, on_ball)):
         kappa, power, evaluations = kappa_shift(grid, u, t)
         assert evaluations <= bound

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,19 @@ def test_grid_validation():
         make_grid(dim=1, n=100, length=-1.0)
     with pytest.raises(TypeError):
         make_grid(dim=1, n=100, mode="interval")
+
+
+@pytest.mark.parametrize("length", [math.inf, -math.inf, math.nan])
+def test_make_grid_refuses_a_length_that_is_not_finite(length):
+    with pytest.raises(ValueError, match=f"positive and finite, got {length}"):
+        make_grid(dim=1, n=100, length=length)
+
+
+@pytest.mark.parametrize("length", [1.4e154, 1e160, 1e300])
+def test_make_grid_refuses_a_length_whose_square_overflows(length):
+    # refused before the grid forms r^2 and h^2; at 1e160, h**2 alone would raise OverflowError
+    with pytest.raises(ValueError, match=re.escape(f"length {length:g} is too large")):
+        make_grid(dim=1, n=100, length=length)
 
 
 def test_grids_compare_by_dim_n_and_length():

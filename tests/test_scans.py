@@ -40,6 +40,18 @@ def test_one_ulp_fails_and_names_the_key_and_field(capsys):
     out = capsys.readouterr().out
     assert "q=1.0 dim=2 n=50: lam 1.5 -> 1.5000000000000002" in out
     assert "FAIL: 1 of 2 entries identical" in out
+    # the output ends with each moved numeric field's largest relative move
+    assert out.endswith("FAIL: 1 of 2 entries identical\nlargest relative move of lam: 1.48e-16 at q=1.0 dim=2 n=50\n")
+    moved[0]["converged"] = False  # a flag moves, but not by a relative amount
+    moved[1]["c0"] = -0.25
+    assert run.compare("sign", moved, _sign_rows()) == 1
+    out = capsys.readouterr().out
+    assert "q=1.0 dim=2 n=50: converged True -> False" in out
+    assert out.endswith(
+        "FAIL: 0 of 2 entries identical\n"
+        "largest relative move of c0: 1.00e+00 at q=None dim=2 n=50\n"
+        "largest relative move of lam: 1.48e-16 at q=1.0 dim=2 n=50\n"
+    )
 
 
 def test_different_keys_fail(capsys):
