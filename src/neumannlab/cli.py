@@ -67,7 +67,9 @@ _FLAGS = {
     "nmin": (int, None),
     "nmax": (int, None),
 }
-_SOLVER_KEYS = ("dim", "n", "length", "tol", "max_iter")  # grid and iteration
+_GRID_KEYS = ("dim", "n", "length")  # make_grid's arguments
+_OPTION_KEYS = ("tol", "max_iter")  # SolverOptions' fields
+_SOLVER_KEYS = (*_GRID_KEYS, *_OPTION_KEYS)
 
 # glibc returned the freed 160-640 KB arrays of an n = 20000 solve to the OS, and the
 # next solve faulted them in again: about 2100 minor faults a dual solve.  An 8 MiB
@@ -111,11 +113,11 @@ def _merged_config(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
 
 
 def _solver_options(cfg: dict) -> SolverOptions:
-    return SolverOptions(tol=cfg.get("tol", 1e-10), max_iter=cfg.get("max_iter", 500))
+    return SolverOptions(**{key: cfg[key] for key in _OPTION_KEYS if key in cfg})
 
 
-def _grid_from(cfg: dict, n: int = 2000):
-    return make_grid(dim=cfg.get("dim", 1), n=cfg.get("n", n), length=cfg.get("length", 1.0))
+def _grid_from(cfg: dict):
+    return make_grid(**{key: cfg[key] for key in _GRID_KEYS if key in cfg})
 
 
 def _cmd_solve(cfg: dict, outdir: Path) -> int:
@@ -123,7 +125,7 @@ def _cmd_solve(cfg: dict, outdir: Path) -> int:
         raise ValueError("solve needs --p and --q")
     grid = _grid_from(cfg)
     e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
-    refused = [f"--{key.replace('_', '-')}" for key in ("tol", "max_iter") if key in cfg]
+    refused = [f"--{key.replace('_', '-')}" for key in _OPTION_KEYS if key in cfg]
     if e.p == 0.0 and refused:
         raise ValueError(f"p = 0 takes no {' or '.join(refused)}: the sign problem is solved without iteration")
     opts = _solver_options(cfg)
@@ -263,7 +265,7 @@ def _cmd_asympt(cfg: dict, outdir: Path) -> int:
 def _cmd_oracle(cfg: dict, outdir: Path) -> int:
     if "p" not in cfg or "q" not in cfg:
         raise ValueError("oracle needs --p and --q")
-    grid = _grid_from(cfg, n=9)
+    grid = _grid_from({"n": 9, **cfg})
     e = ExponentPair(cfg["p"], cfg["q"], grid.dim)
     d_iter = compute_dual(e, grid, _solver_options(cfg)).d_estimate
     d_oracle = oracle_dual_smallgrid(e, grid)

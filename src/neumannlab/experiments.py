@@ -453,41 +453,39 @@ def ls_upper_bounds(
     inf Phi = -D, taken from the dual solver.  For k >= 2 the bound is
     sup Phi over the diagonal set spanned by the first k nonconstant Neumann
     cosine modes, restricted to the constraint sphere
-    gamma1 ||f||_alpha^alpha + gamma2 ||f||_beta^beta = 1.  The spans nest,
-    so the bounds are nondecreasing in k (and negative, as the construction
-    guarantees).
+    gamma1 ||f||_alpha^alpha + gamma2 ||f||_beta^beta = 1, the modes less
+    their grid means; k_max is at most 8 and n.  The spans nest, so the
+    bounds are nondecreasing in k (and negative).
 
     On the mode coefficients a, phi = -c^2 a.Q a, with Q the modes' Gram
     matrix under K.  Each k has two fresh starts, e_k and e_k tilted by
     GENUS_TILT toward the lower modes (e_k is a critical point: at an
     exponent of 3 the e_2 row stalls there, up to 1e-11 below the sup).  The
     starts of every k, zero past their k, advance as the rows of one
-    _power_ascent batch, each on its own k-span; a k's bound is the best of
-    its rows.  From k = 3 the previous k's best a, zero past k - 1, is a
-    floor: its phi is the previous bound, attained on the k-span.  Only when
-    no fresh row ends at or above the floor is it ascended on its own and its
-    best taken, held at the floor (sums over k modes round); it starts near a
-    saddle and would set the batch length.  On (2, 2, 1) at k_max = 5,
-    n = 2000: 103 start-sweeps in 29 batched sweeps (84 with one call per k).
-    opts reaches only the k = 1 dual solve; seed is ignored.  Each call logs
-    one DEBUG record: the batched sweeps and the row that ran them, the
-    start-sweeps, the rows at the 400-sweep cap and the k's whose fallback ran.
+    _power_ascent batch, each on its own k-span.  A k's bound is its best
+    row, but never below its floor, the previous bound: the previous k's
+    best a, padded with a zero, attains it on the k-span (at k = 2 it is
+    inf Phi).  On (2, 2, 1) at k_max = 5, n = 2000: 103 start-sweeps in 29
+    batched sweeps.  opts reaches only the k = 1 dual solve; seed is
+    ignored.  Each call logs one DEBUG record: the batched sweeps and the
+    row that ran them, the start-sweeps, the rows at the 400-sweep cap and
+    the k's where the floor held.
     """
-    if k_max < 1 or k_max > 8:
-        raise ValueError("k_max must be between 1 and 8")
+    if not 1 <= k_max <= min(8, grid.n):  # on n + 1 nodes the modes past n alias lower ones
+        raise ValueError(f"k_max must be between 1 and 8 and at most n, got {k_max} on n = {grid.n}")
     if grid.dim != 1:
         raise ValueError("the mode construction uses interval eigenfunctions")
     if classify_region(e) not in (Region.SUBCRITICAL,):
         raise ValueError("the multiplicity construction needs subcritical exponents")
-    opts = opts or SolverOptions()
     bounds = [-compute_dual(e, grid, opts).d_estimate]
     if k_max == 1:
         return bounds
 
+    w = grid.weights * grid.surface
     modes = np.cos(np.arange(1.0, k_max + 1.0)[:, None] * math.pi * grid.r / grid.length)
+    modes -= (modes @ w)[:, None] / grid.domain_measure  # the even modes' grid mean is O(h^4), not 0
     # values by keyword: perfbench's tracer reads a second positional argument as a flag
     kmodes = np.stack([solve_neumann(grid, values=m) for m in modes])
-    w = grid.weights * grid.surface
     quad = np.einsum("in,n,jn->ij", modes, w, kmodes)
     quad = 0.5 * (quad + quad.T)
     wmodes = modes * w
@@ -496,26 +494,16 @@ def ls_upper_bounds(
     ks = np.repeat(np.arange(2, k_max + 1), 2)
     starts = np.eye(k_max)[ks - 1]
     starts[1::2] += GENUS_TILT * np.tri(k_max, k=-1)[ks[1::2] - 1]
-    fresh_a, history = _power_ascent(starts, ks, modes, wmodes, quad, e)
-    fresh, histories, fallbacks = np.nanmax(history, axis=0), [history], []
-    nested = None
-    for k in range(2, k_max + 1):
-        a, best = fresh_a[ks == k], fresh[ks == k]
-        if nested is not None and not best.max() >= bounds[-1]:
-            a, history = _power_ascent(nested, np.array([k]), modes, wmodes, quad, e)
-            best = np.maximum(np.nanmax(history, axis=0), bounds[-1])
-            histories.append(history)
-            fallbacks.append(k)
-        i = int(np.argmax(best))
-        nested = a[i : i + 1]  # zero past k: the next k's floor and fallback, so the spans nest
-        bounds.append(float(best[i]))
-    lengths = np.isfinite(histories[0]).sum(axis=0)
+    history = _power_ascent(starts, ks, modes, wmodes, quad, e)[1]
+    best = np.nanmax(history, axis=0).reshape(-1, 2).max(axis=1)  # per k, the best of its two rows
+    bounds += np.fmax.accumulate([bounds[0], *best])[1:].tolist()  # the running floor
+    held = [k for k, b, bound in zip(range(2, k_max + 1), best, bounds[1:]) if b != bound]
+    lengths = np.isfinite(history).sum(axis=0)
     slow = int(np.argmax(lengths))  # the first row that ran as long as the batch
     _log.debug(
         "genus bounds %s, k_max=%d on n=%d: %d batched sweeps, set by the k=%d %s row (%d sweeps), %d start-sweeps, "
-        "%d rows at the 400-sweep cap, nested fallback at k=%s",
-        e, k_max, grid.n, len(histories[0]), ks[slow], "tilted" if slow % 2 else "untilted", lengths[slow],
-        sum(int(np.isfinite(h).sum()) for h in histories),
-        sum(int(np.isfinite(h[-1]).sum()) for h in histories if len(h) == 400), fallbacks,
+        "%d rows at the 400-sweep cap, floor held at k=%s",
+        e, k_max, grid.n, len(history), ks[slow], "tilted" if slow % 2 else "untilted", lengths[slow],
+        lengths.sum(), np.sum(lengths == 400), held,
     )
     return bounds

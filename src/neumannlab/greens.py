@@ -100,7 +100,8 @@ def solve_neumann(grid, values: np.ndarray) -> np.ndarray:
     """Apply the Neumann Green operator K to mean-zero nodal data h.
 
     Requires |int h| <= 1e-10 * ||h||_1.  Returns the unique mean-zero u
-    with -Lap u = h and zero normal derivative at both ends.
+    with -Lap u = h and zero normal derivative at both ends;
+    NumericalFailure if u overflows, which a huge length can make.
     """
     total = grid.integrate_values(values)
     scale = grid.lp_norm_values(values, 1)
@@ -109,9 +110,11 @@ def solve_neumann(grid, values: np.ndarray) -> np.ndarray:
             f"incompatible Neumann data: int h = {total:.3e} exceeds {COMPATIBILITY_TOL:.0e} * ||h||_1 = "
             f"{COMPATIBILITY_TOL * scale:.3e}"
         )
-    if scale == 0.0:
-        return np.zeros_like(values)
-    return green_apply(grid, values)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, not warned
+        u = green_apply(grid, values)
+    if not np.isfinite(u).all():
+        raise NumericalFailure(f"the Green solve overflows on length {grid.length:g}")
+    return u
 
 
 def _signed_power(values: np.ndarray, t: float) -> np.ndarray:

@@ -276,6 +276,22 @@ def test_a_length_the_grid_cannot_hold_is_a_configuration_error(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "p, q, length, stage",
+    [("3", "2", "1e60", "the L^1.33333 norm overflows"), ("3", "2", "1e150", "the Green solve overflows"),
+     ("0", "1", "1e100", "the Green solve overflows"), ("0", "1", "1e150", "the step potential overflows"),
+     ("0.5", "3", "1e150", "the Green solve overflows")],
+)
+def test_a_length_whose_solve_overflows_is_one_numerical_failure(tmp_path, capsys, p, q, length, stage):
+    # r^2 is finite on these lengths, so the grid holds them; the stage that
+    # overflows says so in the one line on stderr, with no warning before it
+    # (pytest turns a RuntimeWarning into an error here)
+    argv = ["solve", "--p", p, "--q", q, "--n", "100", "--length", length, "--outdir", str(tmp_path)]
+    assert main(argv) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"numerical failure: {stage}")
+
+
+@pytest.mark.parametrize(
     "argv, config",
     [
         (["solve", "--p", "3", "--q", "2", "--bogus", "1"], None),
