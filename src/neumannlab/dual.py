@@ -7,25 +7,25 @@ best-response iteration: with g fixed, the maximizing f is the normalized
 signed power |K g + kappa|^(p-1) (K g + kappa) where the shift kappa makes
 that power mean-zero, and symmetrically for g.  Each half-step solves its
 subproblem exactly, so in exact arithmetic plain alternation never lowers
-the quotient; for p, q >= 1 f answers the secant mix of the last two K g
-(see compute_dual), still exactly, at no Green apply.  Each n-point
+the quotient; f answers the secant mix of the last two K g (see
+compute_dual), still exactly, at no Green apply.  Each n-point
 quantity of a sweep is formed once, on raw arrays: kappa_shift hands back
 the signed power it evaluated at its root, and D is read off the two
 already normalized best responses.  The loop applies K through the
 unchecked kernel green_apply, because every best response is mean-zero by
-construction; only the start goes through solve_neumann.  Critical pairs
-are refused: on the radial grid their maximizer concentrates at the origin
-at grid scale, so the discrete level is a quadrature artifact.
+construction; only the cosine start goes through solve_neumann.  Critical
+pairs are refused: on the radial grid their maximizer concentrates at the
+origin at grid scale, so the discrete level is a quadrature artifact.
 
-A cold solve starts from g = cos(pi r / L), except on grids with
-n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid of the
-same domain and starts from that pair's g, lifted to the fine nodes by the
-coarse grid's local cubics (nested iteration), and its last kappa roots.  A
-warm start from another n of the same domain is lifted the same way.  All
-three pass through one normalizer, which removes g's mean, scales g to unit
-L^beta and forms K g: the best responses read g only through K g, the
-loop's whole start state.  The returned pair records the coarse solve and
-the two-grid D gap in `coarse_start`.
+The loop's whole start state is K g, since the best responses read g only
+through it.  A cold solve starts from g = cos(pi r / L), less its mean and
+scaled to unit L^beta, with K g formed by solve_neumann, except on grids
+with n >= 4 COARSE_N: there it first solves the pair on the COARSE_N grid
+of the same domain and starts from that pair's K g, lifted to the fine
+nodes by the coarse grid's local cubics less its mean (nested iteration),
+and its last kappa roots.  A warm start from another n of the same domain
+is lifted the same way.  The returned pair records the coarse solve and the
+two-grid D gap in `coarse_start`.
 
 reconstruct_solution converts the loop's pair into a solution (u, v)
 of the primal system through the D-power scalings
@@ -166,16 +166,11 @@ def _relative_step(step: np.ndarray, x: np.ndarray) -> float:
     return float(np.abs(step).max() / np.abs(x).max())
 
 
-def _start(e: ExponentPair, grid: RadialGrid, pair: DualPair | None) -> np.ndarray:
-    """K g to start the loop on grid, the loop's whole start state: g is the
-    first cosine mode (pair None) or pair's g at grid's nodes by
-    RadialGrid.cubic_at, with its mean removed and scaled to unit L^beta,
-    and K g is formed by solve_neumann."""
-    if pair is None:
-        g = np.cos(np.pi * grid.r / grid.length)
-    else:
-        g = pair.g.grid.cubic_at(pair.g.values, grid.r)
-    g = g - grid.mean_values(g)
+def _start(e: ExponentPair, grid: RadialGrid) -> np.ndarray:
+    """K g of the cold start on grid: g is the first cosine mode less its
+    mean, scaled to unit L^beta, and K g is formed by solve_neumann."""
+    g = np.cos(np.pi * grid.r / grid.length)
+    g -= grid.mean_values(g)
     g /= grid.lp_norm_values(g, e.beta)
     # values by keyword: perfbench's tracer reads a second positional argument as a flag
     return solve_neumann(grid, values=g)
@@ -203,22 +198,23 @@ def compute_dual(
       fine loop too) and saves about 20% at n = 8000.  If it raises
       NumericalFailure, the solve logs one DEBUG record and takes the cosine
       start.
-    - Any other cold solve starts g from the first cosine mode cos(pi r / L).
-    A pair on this grid hands over its K g, the loop's whole start state.
-    Every other start goes through one normalizer, _start: the cosine mode
-    or the pair's g at the new nodes (4-point cubic Lagrange interpolation
-    on the old uniform nodes) loses its mean and is scaled to unit L^beta,
-    and K g is formed by solve_neumann.
-    For p, q >= 1 f answers the secant (Anderson depth 1) mix of the last
+    - Any other cold solve starts g from the first cosine mode cos(pi r / L),
+      less its mean and scaled to unit L^beta; K g is formed by
+      solve_neumann (_start).
+    K g is the loop's whole start state.  A pair on this grid hands over its
+    K g; a pair on another grid hands over its K g at the new nodes (4-point
+    cubic Lagrange interpolation on the old uniform nodes) less its mean: a
+    best response reads g only through K g and is scale-invariant in it, so
+    no Green solve runs.
+    Every sweep's f answers the secant (Anderson depth 1) mix of the last
     two K g, K g_k - gamma (K g_k - K g_k-1) with gamma = dr.r_k / dr.dr,
     where r_k is K g_k less the K image f_k answered and dr = r_k - r_k-1
     (Anderson, J. ACM 12, 1965; Walker and Ni, SIAM J. Numer. Anal. 49,
     2011).  K is linear and a best response scale-invariant in its K image,
     so the mix needs no Green apply: f and g stay exact best responses and D
     a feasible quotient value.  A fall of D drops the history, so the next
-    two sweeps answer plain K g; dr.dr = 0 skips the mix.  Exponents below 1
-    are not mixed.  One rule stops the loop: from the second sweep on, it
-    stops once both K-image steps ||K f - K f_prev||_inf / ||K f||_inf and
+    two sweeps answer plain K g; dr.dr = 0 skips the mix.  One rule stops
+    the loop: from the second sweep on, it stops once both K-image steps ||K f - K f_prev||_inf / ||K f||_inf and
     the same for K g (exact images, never the mix) are at most opts.tol
     (>= TOL_FLOOR, where the step stalls in rounding).  The best responses
     read each other only through K f and K g, so K images that no longer
@@ -260,11 +256,14 @@ def compute_dual(
     if warm_start is None and grid.n >= 4 * COARSE_N:
         level = make_grid(grid.dim, COARSE_N, grid.length)
         try:
-            coarse = _ascend(e, level, opts, _start(e, level, None))
+            coarse = _ascend(e, level, opts, _start(e, level))
         except NumericalFailure as exc:
             _log.debug("dual solve %s on n=%d: coarse start failed (%s), cosine start", e, grid.n, exc)
     start = warm_start if warm_start is not None else coarse
-    kg = start.kg if start is not None and start.g.grid == grid else _start(e, grid, start)
+    kg = _start(e, grid) if start is None else start.kg
+    if start is not None and start.g.grid != grid:  # lifted; a best response is scale-invariant in K g
+        kg = start.g.grid.cubic_at(kg, grid.r)
+        kg -= grid.mean_values(kg)
     guesses = (None, None) if start is None else (start.kappa_kg, start.kappa_kf)
     dp = _ascend(e, grid, opts, kg, *guesses)
     if coarse is not None:
@@ -289,9 +288,8 @@ def _ascend(
     """compute_dual's sweeps from the start's K g until both K images move
     by at most opts.tol relative over a sweep; kappa_p and kappa_q are the
     first sweep's root guesses, as each sweep's roots are the next one's;
-    for p, q >= 1 f answers the secant mix (see compute_dual)."""
+    f answers the secant mix (see compute_dual)."""
     alpha, beta = e.alpha, e.beta
-    mix = e.p >= 1.0 and e.q >= 1.0
     # carried: sweep k's K g is sweep k+1's K g_prev, as the start's K g is the first
     kf = None  # sweep 1 has no previous K f, so the first stop test is at sweep 2
     kg_in, residual = kg, None  # the K image f answers, and the secant's history K g - kg_in
@@ -315,7 +313,7 @@ def _ascend(
             k_step = max(_relative_step(kg_step if e.p == e.q else kf - kf_prev, kf), _relative_step(kg_step, kg))
             if k_step <= opts.tol:
                 break
-        last, residual, kg_in = residual, kg - kg_in if mix else None, kg
+        last, residual, kg_in = residual, kg - kg_in, kg
         if last is not None and d_now < history[-2]:
             resets, residual = resets + 1, None
         elif last is not None:
@@ -412,12 +410,12 @@ def reconstruct_solution(e: ExponentPair, dp: DualPair) -> SolutionReport:
 
     lam = 1.0 / D
     c = c_from_lambda(e, lam)
-    int_u = grid.integrate_values(np.abs(u_vals) ** (e.p + 1.0))
-    int_v = grid.integrate_values(np.abs(v_vals) ** (e.q + 1.0))
-    c_energy = int_v - int_u / (e.p + 1.0) - int_v / (e.q + 1.0)
-
     rhs_u = _signed_power(v_vals, e.q)
     rhs_v = _signed_power(u_vals, e.p)
+    int_u = grid.integrate_values(rhs_v * u_vals)  # |u|^(p+1)
+    int_v = grid.integrate_values(rhs_u * v_vals)  # |v|^(q+1)
+    c_energy = int_v - int_u / (e.p + 1.0) - int_v / (e.q + 1.0)
+
     res_u = float(np.max(np.abs(-discrete_radial_laplacian(grid, u_vals) - rhs_u)))
     res_v = float(np.max(np.abs(-discrete_radial_laplacian(grid, v_vals) - rhs_v)))
     scale_u = max(float(np.max(np.abs(rhs_u))), 1e-300)

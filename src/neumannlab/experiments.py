@@ -385,7 +385,7 @@ def _constraint_scale(
 
 def _power_ascent(
     a: np.ndarray, ks: np.ndarray, modes: np.ndarray, wmodes: np.ndarray, quad: np.ndarray, e: ExponentPair
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Maximize phi = -c^2 a.Q a from every row of a at once, row i on the first ks[i] modes.
 
     1/c is a convex, 1-homogeneous gauge of a, so the step a <- Q^-1 grad
@@ -395,9 +395,8 @@ def _power_ascent(
     its Gram block Q[:k, :k], k = ks[i], zero-filled outside that corner, so
     a row that starts in its k-span never leaves it: its coefficients past k
     stay exact zeros.  A row stops once its gain is at most 1e-15 |phi|, or
-    after 400 sweeps; the batch ends with its slowest row.  Returns each
-    row's best a and the phi history (sweeps x rows, NaN once a row has
-    stopped).
+    after 400 sweeps; the batch ends with its slowest row.  Returns the phi
+    history (sweeps x rows, NaN once a row has stopped).
     """
     alpha, beta, gamma1, gamma2 = e.alpha, e.beta, e.gamma1, e.gamma2
     s, n = a.shape[0], modes.shape[1]
@@ -405,7 +404,7 @@ def _power_ascent(
     for k in set(ks.tolist()):  # np.unique would import numpy.ma, 1 MB, on its first call
         qinv[ks == k, :k, :k] = np.linalg.inv(quad[:k, :k])
     vbuf, neg = np.empty((s, n)), np.empty((s, n), dtype=bool)
-    best_a, best, rows, history = a.copy(), np.full(s, -np.inf), np.arange(s), []
+    best, rows, history = np.full(s, -np.inf), np.arange(s), []
 
     def moments(a: np.ndarray, expo: float) -> np.ndarray:
         # int |f|^(expo-1) sgn(f) modes w per row, with f and its powers formed in place
@@ -426,7 +425,7 @@ def _power_ascent(
         history[-1][rows] = phi
         gain = phi - best[rows]
         up = gain > 0.0
-        best[rows[up]], best_a[rows[up]] = phi[up], a[up]
+        best[rows[up]] = phi[up]
         go = gain > 1e-15 * np.abs(phi)
         if not go.any():
             break
@@ -437,7 +436,7 @@ def _power_ascent(
         h = np.matmul(grad[:, None, :], qinv[rows[go]])[:, 0]
         a = h / np.sqrt(np.einsum("ij,ij->i", h, grad))[:, None]  # Q h = grad, so h.grad = h.Q h
         rows = rows[go]
-    return best_a, np.vstack(history)
+    return np.vstack(history)
 
 
 def ls_upper_bounds(
@@ -494,7 +493,7 @@ def ls_upper_bounds(
     ks = np.repeat(np.arange(2, k_max + 1), 2)
     starts = np.eye(k_max)[ks - 1]
     starts[1::2] += GENUS_TILT * np.tri(k_max, k=-1)[ks[1::2] - 1]
-    history = _power_ascent(starts, ks, modes, wmodes, quad, e)[1]
+    history = _power_ascent(starts, ks, modes, wmodes, quad, e)
     best = np.nanmax(history, axis=0).reshape(-1, 2).max(axis=1)  # per k, the best of its two rows
     bounds += np.fmax.accumulate([bounds[0], *best])[1:].tolist()  # the running floor
     held = [k for k, b, bound in zip(range(2, k_max + 1), best, bounds[1:]) if b != bound]

@@ -338,9 +338,8 @@ def _ascent_histories(monkeypatch, e, grid):
     ascent = experiments._power_ascent
 
     def recorded(*args):
-        best_a, history = ascent(*args)
-        histories.append(history)
-        return best_a, history
+        histories.append(ascent(*args))
+        return histories[-1]
 
     monkeypatch.setattr(experiments, "_power_ascent", recorded)
     bounds = ls_upper_bounds(e, 5, grid)
@@ -360,24 +359,24 @@ def test_ls_upper_bounds_row_iterations(monkeypatch):
 
 
 def test_ls_upper_bounds_advance_every_k_in_one_batch(monkeypatch):
-    # the fresh starts of k = 2..5 are the 8 rows of one call, each row on its
-    # own k-span; the batch ends with its slowest row (31 sweeps here), where
-    # one call per k took 15 + 20 + 27 + 31 = 93 sweeps
+    # the fresh starts of k = 2..5 are the 8 rows of one call, each row starting
+    # on its own k-span, which the ascent's zero-filled Gram inverse keeps it in;
+    # the batch ends with its slowest row (31 sweeps here), where one call per k
+    # took 15 + 20 + 27 + 31 = 93 sweeps
     calls = []
     ascent = experiments._power_ascent
 
     def recorded(a, ks, *args):
-        best_a, history = ascent(a, ks, *args)
-        calls.append((a, ks, best_a, history))
-        return best_a, history
+        calls.append((a.copy(), ks, ascent(a, ks, *args)))
+        return calls[-1][2]
 
     monkeypatch.setattr(experiments, "_power_ascent", recorded)
     ls_upper_bounds(ExponentPair(2.0, 2.0, 1), 5, interval_grid(1.0, 1000))
-    ((a, ks, best_a, history),) = calls
-    assert a.shape == best_a.shape == (8, 5)
+    ((a, ks, history),) = calls
+    assert a.shape == (8, 5) and history.shape[1] == 8
     assert list(ks) == [2, 2, 3, 3, 4, 4, 5, 5]
     assert len(history) <= 35
-    for row, k in zip(best_a, ks):
+    for row, k in zip(a, ks):
         assert np.all(row[k:] == 0.0) and row[k - 1] != 0.0
 
 
@@ -412,9 +411,9 @@ def test_ls_upper_bounds_name_the_row_that_sets_the_batch_length(monkeypatch, ca
     real_ascent = experiments._power_ascent
 
     def recorded(a, ks, *args):
-        best_a, history = real_ascent(a, ks, *args)
+        history = real_ascent(a, ks, *args)
         calls.append(np.isfinite(history).sum(axis=0))
-        return best_a, history
+        return history
 
     monkeypatch.setattr(experiments, "_power_ascent", recorded)
     caplog.set_level(logging.DEBUG, logger="neumannlab")
@@ -436,9 +435,8 @@ def test_ls_upper_bounds_keep_the_floor_when_every_fresh_row_falls_short(monkeyp
     ascent = experiments._power_ascent
 
     def short_at_k4(a, ks, *args):
-        best_a, history = ascent(a, ks, *args)
         calls.append(ks)
-        return best_a, history - (ks == 4)  # |phi| < 0.1, so every fresh row of k = 4 ends below the floor
+        return ascent(a, ks, *args) - (ks == 4)  # |phi| < 0.1, so every fresh row of k = 4 ends below the floor
 
     monkeypatch.setattr(experiments, "_power_ascent", short_at_k4)
     caplog.set_level(logging.DEBUG, logger="neumannlab")

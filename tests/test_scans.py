@@ -76,8 +76,9 @@ def test_a_dual_line_carries_every_field():
     assert all(0.0 <= row[f] < 1e-3 for f in ("off_band_u", "off_band_v", "defect_u", "defect_v"))
 
 
-def test_an_unmixed_dual_line_reproduces_its_reference_bit_for_bit():
-    # (0.5, 5) is not secant-mixed, so the leaner sweep must form every quantity as before
+def test_a_dual_line_below_1_reproduces_its_reference_bit_for_bit():
+    # (0.5, 5) on the disk, secant-mixed like every pair: the reference holds the
+    # bits of the current sweep rule, so the sweep must form every quantity as it did
     row = json.loads(json.dumps(run.dual_row(ExponentPair(0.5, 5.0, 2), 2000)))
     lines = (Path(__file__).resolve().parents[1] / "scans" / "dual_ref.jsonl").read_text().splitlines()
     refs = [ref for ref in map(json.loads, lines) if (ref["p"], ref["q"], ref["dim"], ref["n"]) == (0.5, 5.0, 2, 2000)]
